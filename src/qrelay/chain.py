@@ -10,6 +10,7 @@ trials, each with its own derived seed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -45,6 +46,8 @@ class NoiseSpec:
         probs = tuple(float(p) for p in self.probs)
         if len(probs) < 2:
             raise ValidationError("noise.probs: need one probability per dit value")
+        if not all(math.isfinite(p) for p in probs):
+            raise ValidationError(f"noise.probs: probabilities must be finite, got {probs}")
         if any(p < 0.0 for p in probs):
             raise ValidationError(f"noise.probs: probabilities must be >= 0, got {probs}")
         if abs(sum(probs) - 1.0) > PROBABILITY_TOL:
@@ -76,7 +79,7 @@ class ChainConfig:
 
     def __post_init__(self) -> None:
         check_dim(self.d)
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValidationError(f"n: hop count must be a positive integer, got {self.n!r}")
         if not isinstance(self.mode, CorrectionMode):
             raise ValidationError(f"mode: expected CorrectionMode, got {self.mode!r}")
@@ -84,8 +87,9 @@ class ChainConfig:
             raise ValidationError(
                 f"noise.probs: expected {self.d} probabilities, got {len(self.noise.probs)}"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed: must be a 64-bit unsigned integer, got {self.seed!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ValidationError(f"seed: must be a 64-bit unsigned integer, got {seed!r}")
 
 
 class HistoryEntry(NamedTuple):
@@ -212,9 +216,10 @@ def run_chain(
     entropies: list[float] = []
     state = psi0
     for i in range(config.n):
+        # the chain applies its correction after the channel noise, so the hop must not
         outcome = teleport_hop(
             state,
-            config.mode,
+            CorrectionMode.DEFERRED_FINAL,
             rng=rng,
             forced=None if forced_outcomes is None else tuple(forced_outcomes[i]),
             record_entropy=record_entropy,
@@ -347,7 +352,8 @@ def full_register_chain(
         if local:
             state = gates.apply_1q(state, gates.pauli_z_power(d, int(a)), receiver)
 
-    # every qudit except the last receiver is collapsed; slice it out exactly
+    # every qudit except the last receiver is collapsed; slice it out exactly and
+    # validate, since the slice is the receiver's state only if the register is a product
     slicer: list[int] = []
     for i in range(n):
         a, b = forced_path[i]

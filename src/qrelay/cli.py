@@ -29,7 +29,7 @@ from .chain import (
     run_chain,
     trial_seed,
 )
-from .core import PureState, ValidationError, basis_state, make_state, random_state
+from .core import PureState, ValidationError, basis_state, check_dim, make_state, random_state
 from .teleport import CorrectionMode
 
 DEFAULT_D = 3
@@ -57,7 +57,7 @@ class ExperimentConfig:
     history: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
             raise ValidationError(f"trials: must be a positive integer, got {self.trials!r}")
         # delegate the chain-level invariants (d, n, mode, noise length, seed)
         self.chain_config(self.seed)
@@ -155,37 +155,25 @@ def _load_config_file(path: str) -> dict:
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge config-file values and command-line flags (flags win)."""
     raw = _load_config_file(args.config) if args.config else {}
-    for key in ("d", "n", "mode", "noise", "seed", "trials", "state", "out", "history"):
+    for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             raw[key] = value
 
-    d = raw.get("d", DEFAULT_D)
-    if not isinstance(d, int):
-        raise ValidationError(f"d: must be an integer, got {d!r}")
-    n = raw.get("n", DEFAULT_N)
-    if not isinstance(n, int):
-        raise ValidationError(f"n: must be an integer, got {n!r}")
+    # d first: the noise and state parsers depend on it
+    d = check_dim(raw.get("d", DEFAULT_D))
     mode = raw.get("mode", DEFAULT_MODE)
     if isinstance(mode, str):
         mode = _parse_mode(mode)
     noise = raw.get("noise")
-    noise_spec = NoiseSpec.noiseless(d) if noise is None else _parse_noise(noise, d)
-    seed = raw.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int):
-        raise ValidationError(f"seed: must be an integer, got {seed!r}")
-    trials = raw.get("trials", DEFAULT_TRIALS)
-    if not isinstance(trials, int):
-        raise ValidationError(f"trials: must be an integer, got {trials!r}")
-    state = _parse_state(raw.get("state", DEFAULT_STATE), d)
     return ExperimentConfig(
         d=d,
-        n=n,
+        n=raw.get("n", DEFAULT_N),
         mode=mode,
-        noise=noise_spec,
-        seed=seed,
-        trials=trials,
-        state=state,
+        noise=NoiseSpec.noiseless(d) if noise is None else _parse_noise(noise, d),
+        seed=raw.get("seed", DEFAULT_SEED),
+        trials=raw.get("trials", DEFAULT_TRIALS),
+        state=_parse_state(raw.get("state", DEFAULT_STATE), d),
         out=raw.get("out"),
         history=raw.get("history"),
     )

@@ -27,7 +27,7 @@ class ValidationError(ValueError):
 
 
 def check_dim(d: int) -> int:
-    if not isinstance(d, (int, np.integer)):
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
         raise ValidationError(f"d: qudit dimension must be an integer, got {type(d).__name__}")
     if not MIN_DIM <= d <= MAX_DIM:
         raise ValidationError(f"d: qudit dimension must be in [{MIN_DIM}, {MAX_DIM}], got {d}")
@@ -57,14 +57,6 @@ def root_of_unity(d: int, k: int) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def mod_add(a: int, b: int, d: int) -> int:
-    """Dit addition (a + b) mod d."""
-    check_dim(d)
-    _check_dit(a, d, "a")
-    _check_dit(b, d, "b")
-    return (a + b) % d
-
-
 def phase_exponent(a: int, b: int, d: int) -> int:
     """Phase exponent (d - a*b) mod d carried by the post-hop expansion.
 
@@ -87,23 +79,13 @@ def flat_index(d: int, digits: Sequence[int]) -> int:
     return index
 
 
-def basis_digits(d: int, num_qudits: int, index: int) -> tuple[int, ...]:
-    """Inverse of flat_index: the big-endian digit string of a flat index."""
-    check_dim(d)
-    size = d**num_qudits
-    if not 0 <= index < size:
-        raise ValueError(f"index must be in [0, {size}), got {index}")
-    out = [0] * num_qudits
-    for pos in range(num_qudits - 1, -1, -1):
-        index, out[pos] = divmod(index, d)
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized amplitude vector over a register of num_qudits qudits.
 
     Compared by identity; use np.allclose on .amps for value comparisons.
+    Direct construction copies and validates the amplitudes; the package's
+    own gate, kron and collapse results go through _trusted instead.
     """
 
     d: int
@@ -130,6 +112,20 @@ class PureState:
         object.__setattr__(self, "num_qudits", int(self.num_qudits))
         object.__setattr__(self, "amps", amps)
 
+    @classmethod
+    def _trusted(cls, d: int, num_qudits: int, amps: np.ndarray) -> "PureState":
+        """Wrap a fresh complex128 array the caller owns, without validation.
+
+        Only for results of unitary ops or collapses of validated states; the
+        invariants are checked by the property tests instead of per call.
+        """
+        amps.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "d", d)
+        object.__setattr__(state, "num_qudits", num_qudits)
+        object.__setattr__(state, "amps", amps)
+        return state
+
     def probabilities(self) -> np.ndarray:
         """Born probabilities over the flat computational basis."""
         return np.abs(self.amps) ** 2
@@ -142,11 +138,11 @@ class PureState:
 def basis_state(d: int, num_qudits: int, digits: Sequence[int]) -> PureState:
     """Standard-basis state |digits> with big-endian digit order."""
     digits = tuple(digits)
-    if len(digits) != num_qudits:
-        raise ValueError(f"expected {num_qudits} digits, got {len(digits)}")
+    if num_qudits < 1 or len(digits) != num_qudits:
+        raise ValueError(f"expected {num_qudits} digits (num_qudits >= 1), got {len(digits)}")
     amps = np.zeros(d**num_qudits, dtype=np.complex128)
     amps[flat_index(d, digits)] = 1.0
-    return PureState(d, num_qudits, amps)
+    return PureState._trusted(d, num_qudits, amps)
 
 
 def make_state(d: int, amps: Sequence[complex]) -> PureState:
@@ -202,7 +198,7 @@ def tensor_product(x: PureState, y: PureState) -> PureState:
     """Kronecker product x (x) y; x supplies the most significant digits."""
     if x.d != y.d:
         raise ValueError(f"dimension mismatch: {x.d} vs {y.d}")
-    return PureState(x.d, x.num_qudits + y.num_qudits, np.kron(x.amps, y.amps))
+    return PureState._trusted(x.d, x.num_qudits + y.num_qudits, np.kron(x.amps, y.amps))
 
 
 @dataclass(frozen=True, eq=False)

@@ -145,7 +145,7 @@ def apply_1q(state: PureState, g: GateMatrix, target: int) -> PureState:
     post = d ** (state.num_qudits - target - 1)
     block = state.amps.reshape(pre, d, post)
     out = np.einsum("st,atb->asb", g.mat, block)
-    return PureState(d, state.num_qudits, out.reshape(-1))
+    return PureState._trusted(d, state.num_qudits, out.reshape(-1))
 
 
 def apply_2q(state: PureState, g: GateMatrix, control: int, target: int) -> PureState:
@@ -168,4 +168,4 @@ def apply_2q(state: PureState, g: GateMatrix, control: int, target: int) -> Pure
     g4 = g.mat.reshape(d, d, d, d)
     out = np.tensordot(g4, tensor, axes=([2, 3], [0, 1]))
     out = np.moveaxis(out, (0, 1), (control, target))
-    return PureState(d, n, out.reshape(-1))
+    return PureState._trusted(d, n, out.reshape(-1))

@@ -32,8 +32,6 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-14
 # forcing an outcome whose Born probability is below this is a contradiction
 FORCED_OUTCOME_MIN_PROB = 1e-15
 
-CIRCUIT_VARIANTS = ("canonical", "alternate")
-
 
 class ImpossibleOutcomeError(ValueError):
     """A forced measurement outcome has (numerically) zero probability."""
@@ -86,28 +84,18 @@ def _check_hop_register(register: PureState) -> None:
         raise ValueError("hop register must be of the form |psi, 0, 0>")
 
 
-def hop_circuit(register: PureState, variant: str = "canonical") -> PureState:
+def hop_circuit(register: PureState) -> PureState:
     """Run the entangling circuit, returning the pre-measurement state.
 
-    Canonical sequence: CNOT with control 0 and target 2, inverse Fourier
-    on qudit 0, Fourier on qudit 1. This realizes amplitudes
+    Sequence: CNOT with control 0 and target 2, inverse Fourier on qudit 0,
+    Fourier on qudit 1. This realizes amplitudes
     (1/d) * w^((d - a*j) mod d) * alpha_j on |a, b, j>, so the carrier
     outcome a alone determines the correction.
-
-    "alternate" swaps in CNOT-dagger on (0, 2) and the forward Fourier on
-    qudit 0; it is kept for comparison and does not reproduce the expansion
-    for d > 2 (see hop_expansion, which arbitrates).
     """
-    if variant not in CIRCUIT_VARIANTS:
-        raise ValueError(f"variant must be one of {CIRCUIT_VARIANTS}, got {variant!r}")
     _check_hop_register(register)
     d = register.d
-    if variant == "canonical":
-        state = gates.apply_2q(register, gates.cnot(d), 0, 2)
-        state = gates.apply_1q(state, gates.hadamard_inverse(d), 0)
-    else:
-        state = gates.apply_2q(register, gates.cnot_dagger(d), 0, 2)
-        state = gates.apply_1q(state, gates.hadamard(d), 0)
+    state = gates.apply_2q(register, gates.cnot(d), 0, 2)
+    state = gates.apply_1q(state, gates.hadamard_inverse(d), 0)
     return gates.apply_1q(state, gates.hadamard(d), 1)
 
 
@@ -163,7 +151,7 @@ def measure_standard(
     prob = float(probs[outcome])
     collapsed = np.zeros_like(block)
     collapsed[:, outcome, :] = block[:, outcome, :] / math.sqrt(prob)
-    return MeasurementResult(outcome, prob, PureState(d, n, collapsed.reshape(-1)))
+    return MeasurementResult(outcome, prob, PureState._trusted(d, n, collapsed.reshape(-1)))
 
 
 def apply_correction(bob: PureState, r: int) -> PureState:
@@ -180,7 +168,6 @@ def teleport_hop(
     mode: CorrectionMode,
     rng: np.random.Generator | None = None,
     forced: tuple[int, int] | None = None,
-    variant: str = "canonical",
     record_entropy: bool = False,
 ) -> HopOutcome:
     """Teleport one qudit through a single hop.
@@ -192,11 +179,12 @@ def teleport_hop(
     """
     if forced is None and rng is None:
         raise ValueError("teleport_hop needs either an rng or forced outcomes")
-    pre = hop_circuit(prepare_hop(psi), variant=variant)
+    pre = hop_circuit(prepare_hop(psi))
     entropy = entanglement_entropy(pre, 2) if record_entropy else None
     forced_a, forced_b = forced if forced is not None else (None, None)
     a, prob_a, state = measure_standard(pre, 0, rng=rng, forced=forced_a)
     b, prob_b, state = measure_standard(state, 1, rng=rng, forced=forced_b)
+    # validated: the slice is the receiver's state only if the register is a product
     bob_pre = PureState(psi.d, 1, state.tensor()[a, b, :])
     if mode is CorrectionMode.LOCAL_EACH_HOP:
         bob_post = apply_correction(bob_pre, a)

@@ -53,6 +53,8 @@ class TestNoiseSpec:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValidationError):
             NoiseSpec((0.5, 0.4))
+        with pytest.raises(ValidationError, match="noise.probs"):
+            NoiseSpec((math.nan, 1.0))
 
     def test_rejects_single_entry(self):
         with pytest.raises(ValidationError):
@@ -63,6 +65,8 @@ class TestChainConfig:
     def test_rejects_bad_hop_count(self):
         with pytest.raises(ValidationError):
             config(n=0)
+        with pytest.raises(ValidationError, match="n:"):
+            config(n=True)
 
     def test_rejects_noise_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -73,6 +77,8 @@ class TestChainConfig:
             config(seed=-1)
         with pytest.raises(ValidationError):
             config(seed=2**64)
+        with pytest.raises(ValidationError, match="seed:"):
+            config(seed=True)
 
     def test_rejects_non_enum_mode(self):
         with pytest.raises(ValidationError):

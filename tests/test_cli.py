@@ -57,6 +57,8 @@ class TestParseConfig:
     def test_noise_sum_error_names_field(self):
         with pytest.raises(ValidationError, match="noise.probs"):
             parse(["run", "--d", "2", "--noise", "0.5,0.4"])
+        with pytest.raises(ValidationError, match="noise.probs"):
+            parse(["run", "--d", "2", "--noise", "nan,1"])
 
     def test_noise_length_error_names_field(self):
         with pytest.raises(ValidationError, match="noise.probs"):
@@ -65,6 +67,8 @@ class TestParseConfig:
     def test_dimension_too_small(self):
         with pytest.raises(ValidationError, match="d:"):
             parse(["run", "--d", "1"])
+        with pytest.raises(ValidationError, match="d:"):
+            parse(["run", "--d", "1", "--noise", "0.5,0.5"])
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValidationError, match="trials"):
@@ -185,9 +189,17 @@ class TestMain:
         assert report["command"] == "run"
         assert report["config"]["d"] == 2
 
-    def test_validation_exit_code(self, capsys):
+    def test_validation_exit_code(self, capsys, tmp_path):
         assert main(["run", "--d", "1"]) == 1
         assert "error:" in capsys.readouterr().err
+        for command in ("run", "enumerate"):
+            assert main([command, "--d", "2", "--n", "2", "--noise", "nan,1"]) == 1
+            assert "noise.probs" in capsys.readouterr().err
+        for key in ("d", "n", "seed", "trials"):
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({"d": 2, key: True}))
+            assert main(["run", "--config", str(path)]) == 1
+            assert f"error: {key}:" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/config.json"]) == 1

@@ -5,24 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrelay import core
+from qrelay import core, gates
+from qrelay.chain import deferred_exponent
 from qrelay.core import (
     DensityMatrix,
     PureState,
     ValidationError,
-    basis_digits,
     basis_state,
     fidelity,
     flat_index,
     inner_product,
     make_state,
-    mod_add,
     phase_exponent,
     random_state,
     reduced_density,
     root_of_unity,
     tensor_product,
 )
+from qrelay.teleport import measure_standard
 
 ALL_DIMS = range(2, 17)
 
@@ -58,19 +58,24 @@ class TestRootOfUnity:
 
 
 class TestModAdd:
+    """Dit addition mod d, as deferred_exponent sums the carrier results."""
+
     def test_wraps(self):
-        assert mod_add(1, 2, 3) == 0
+        assert deferred_exponent([1, 2], 3) == 0
 
     def test_identity_element(self):
         for d in (2, 5, 16):
             for b in range(d):
-                assert mod_add(0, b, d) == b
+                assert deferred_exponent([0, b], d) == b
 
     def test_direct(self):
-        assert mod_add(4, 5, 7) == 2
+        assert deferred_exponent([4, 5], 7) == 2
 
     @pytest.mark.parametrize("d", ALL_DIMS)
     def test_group_axioms(self, d):
+        def mod_add(a, b, d):
+            return deferred_exponent([a, b], d)
+
         values = range(d)
         for a in values:
             assert mod_add(a, (d - a) % d, d) == 0  # inverse
@@ -83,9 +88,9 @@ class TestModAdd:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            mod_add(3, 0, 3)
+            deferred_exponent([3, 0], 3)
         with pytest.raises(ValueError):
-            mod_add(0, -1, 3)
+            deferred_exponent([0, -1], 3)
 
 
 class TestPhaseExponent:
@@ -139,9 +144,7 @@ class TestBasisEncoding:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_round_trip(self, d, n):
         for index in range(d**n):
-            digits = basis_digits(d, n, index)
-            assert len(digits) == n
-            assert all(0 <= digit < d for digit in digits)
+            digits = np.unravel_index(index, (d,) * n)
             assert flat_index(d, digits) == index
 
 
@@ -337,7 +340,45 @@ def test_tensor_norm_and_encoding(d, seed):
     product = tensor_product(random_state(d, 1, rng), random_state(d, 1, rng))
     assert np.linalg.norm(product.amps) == pytest.approx(1.0, abs=1e-12)
     index = int(np.argmax(np.abs(product.amps)))
-    assert flat_index(d, basis_digits(d, 2, index)) == index
+    assert flat_index(d, divmod(index, d)) == index
+
+
+def assert_state_invariants(state, d, num_qudits):
+    assert state.amps.shape == (d**num_qudits,)
+    assert np.all(np.isfinite(state.amps))
+    assert abs(np.linalg.norm(state.amps) - 1.0) <= core.INTERNAL_TOL
+    assert state.amps.flags.writeable is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_trusted_results_keep_state_invariants(d, n, seed):
+    """Gate, kron, basis and collapse results skip validation; check them here."""
+    rng = np.random.default_rng(seed)
+    digits = tuple(int(k) for k in rng.integers(d, size=n))
+    assert_state_invariants(basis_state(d, n, digits), d, n)
+    state = random_state(d, n, rng)
+    assert_state_invariants(tensor_product(state, random_state(d, 1, rng)), d, n + 1)
+    one_qudit = [gates.identity(d), gates.pauli_z(d), gates.pauli_x(d), gates.hadamard(d),
+                 gates.hadamard_inverse(d), gates.pauli_z_power(d, int(rng.integers(d)))]
+    for target in range(n):
+        for gate in one_qudit:
+            state = gates.apply_1q(state, gate, target)
+            assert_state_invariants(state, d, n)
+        for control in range(n):
+            if control != target:
+                for gate in (gates.cnot(d), gates.cnot_dagger(d)):
+                    state = gates.apply_2q(state, gate, control, target)
+                    assert_state_invariants(state, d, n)
+    for target in range(n):
+        forced = measure_standard(state, target, forced=int(rng.integers(d))).state
+        assert_state_invariants(forced, d, n)
+        state = measure_standard(state, target, rng=rng).state
+        assert_state_invariants(state, d, n)
 
 
 def test_internal_tolerance_constants():

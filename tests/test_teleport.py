@@ -73,26 +73,11 @@ class TestHopCircuit:
             circuit = hop_circuit(prepare_hop(psi))
             np.testing.assert_allclose(circuit.amps, hop_expansion(psi).amps, atol=1e-12)
 
-    def test_alternate_variant_differs_for_qutrits(self):
-        psi = random_state(3, 1, np.random.default_rng(4))
-        alternate = hop_circuit(prepare_hop(psi), variant="alternate")
-        deviation = np.max(np.abs(alternate.amps - hop_expansion(psi).amps))
-        assert deviation > 0.01
-
-    def test_alternate_variant_coincides_for_qubits(self):
-        psi = random_state(2, 1, np.random.default_rng(5))
-        alternate = hop_circuit(prepare_hop(psi), variant="alternate")
-        np.testing.assert_allclose(alternate.amps, hop_expansion(psi).amps, atol=1e-12)
-
     def test_rejects_malformed_register(self):
         with pytest.raises(ValueError):
             hop_circuit(basis_state(3, 3, (0, 1, 0)))
         with pytest.raises(ValueError):
             hop_circuit(basis_state(3, 2, (0, 0)))
-
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ValueError):
-            hop_circuit(prepare_hop(basis_state(2, 1, (0,))), variant="mystery")
 
 
 class TestHopExpansion:
