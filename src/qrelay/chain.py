@@ -17,7 +17,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import gates
-from .core import PureState, ValidationError, basis_state, check_dim, fidelity, tensor_product
+from .core import (
+    PureState,
+    ValidationError,
+    basis_state,
+    check_dim,
+    check_positive_int,
+    fidelity,
+    tensor_product,
+)
 from .teleport import (
     CorrectionMode,
     apply_correction,
@@ -43,7 +51,10 @@ class NoiseSpec:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs)
+        try:
+            probs = tuple(float(p) for p in self.probs)
+        except (TypeError, ValueError):
+            raise ValidationError(f"noise.probs: expected reals, got {self.probs!r}") from None
         if len(probs) < 2:
             raise ValidationError("noise.probs: need one probability per dit value")
         if not all(math.isfinite(p) for p in probs):
@@ -79,10 +90,8 @@ class ChainConfig:
 
     def __post_init__(self) -> None:
         check_dim(self.d)
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValidationError(f"n: hop count must be a positive integer, got {self.n!r}")
-        if not isinstance(self.mode, CorrectionMode):
-            raise ValidationError(f"mode: expected CorrectionMode, got {self.mode!r}")
+        check_positive_int("n", self.n)
+        CorrectionMode.check(self.mode)
         if len(self.noise.probs) != self.d:
             raise ValidationError(
                 f"noise.probs: expected {self.d} probabilities, got {len(self.noise.probs)}"
@@ -98,30 +107,20 @@ class HistoryEntry(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class TransmissionHistory:
-    """Ordered (snapshot, r) log: the initial state plus one entry per hop.
+class ChainResult:
+    """Outcome of one chain run, after all corrections.
 
+    `history` is the initial state plus one (snapshot, r) entry per hop.
     Snapshots are recorded after channel noise but before any correction,
     so the applied correction is reconstructible from r.
     """
 
-    entries: tuple[HistoryEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True, eq=False)
-class ChainResult:
-    """Outcome of one chain run, after all corrections."""
-
     final: PureState
     results: tuple[int, ...]
-    history: TransmissionHistory
+    history: tuple[HistoryEntry, ...]
     fidelity_vs_initial: float
     deferred_exponent: int | None
     noise_exponents: tuple[int, ...]
-    hop_entropies: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +188,6 @@ def run_chain(
     psi0: PureState,
     forced_outcomes: Sequence[tuple[int, int]] | None = None,
     forced_noise: Sequence[int] | None = None,
-    record_entropy: bool = False,
 ) -> ChainResult:
     """Send psi0 through n hops and report the corrected received state.
 
@@ -213,7 +211,6 @@ def run_chain(
     history = [HistoryEntry(psi0, 0)]
     results: list[int] = []
     noise_applied: list[int] = []
-    entropies: list[float] = []
     state = psi0
     for i in range(config.n):
         # the chain applies its correction after the channel noise, so the hop must not
@@ -222,10 +219,7 @@ def run_chain(
             CorrectionMode.DEFERRED_FINAL,
             rng=rng,
             forced=None if forced_outcomes is None else tuple(forced_outcomes[i]),
-            record_entropy=record_entropy,
         )
-        if record_entropy:
-            entropies.append(outcome.pre_measure_entropy)
         state, k = apply_phase_noise(
             outcome.bob_pre,
             config.noise,
@@ -245,24 +239,20 @@ def run_chain(
     return ChainResult(
         final=state,
         results=tuple(results),
-        history=TransmissionHistory(tuple(history)),
+        history=tuple(history),
         fidelity_vs_initial=fidelity(psi0, state),
         deferred_exponent=exponent,
         noise_exponents=tuple(noise_applied),
-        hop_entropies=tuple(entropies) if record_entropy else None,
     )
 
 
-def enumerate_branches(
-    config: ChainConfig,
-    psi0: PureState,
-    max_paths: int = DEFAULT_PATH_BUDGET,
-) -> list[BranchOutcome]:
+def enumerate_branches(config: ChainConfig, psi0: PureState) -> list[BranchOutcome]:
     """Exhaustively walk every carrier-outcome path of a chain.
 
     Only the carrier outcome matters per hop (the ancilla outcome provably
     never changes the received state), so d^n paths cover the run exactly,
-    each with probability d^-n. Requires a deterministic noise channel;
+    each with probability d^-n. More than DEFAULT_PATH_BUDGET paths raise
+    ResourceLimitError. Requires a deterministic noise channel;
     stochastic noise has no exact per-path probability and belongs in
     Monte Carlo runs.
     """
@@ -273,9 +263,9 @@ def enumerate_branches(
             "use Monte Carlo runs for stochastic noise"
         )
     total = config.d**config.n
-    if total > max_paths:
+    if total > DEFAULT_PATH_BUDGET:
         raise ResourceLimitError(
-            f"{config.d}^{config.n} = {total} paths exceed the budget of {max_paths}; "
+            f"{config.d}^{config.n} = {total} paths exceed the budget of {DEFAULT_PATH_BUDGET}; "
             "use Monte Carlo runs instead"
         )
     probability = 1.0 / total
@@ -315,8 +305,8 @@ def full_register_chain(
     the register right after its handoff; the protocol keeps it at zero.
     """
     check_dim(d)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_positive_int("n", n)
+    CorrectionMode.check(mode)
     if psi0.num_qudits != 1 or psi0.d != d:
         raise ValueError("psi0 must be a single qudit of dimension d")
     if len(forced_path) != n:

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +21,22 @@ import numpy as np
 from . import selftest
 from .chain import (
     ChainConfig,
-    DEFAULT_PATH_BUDGET,
+    HistoryEntry,
     NoiseSpec,
     ResourceLimitError,
-    TransmissionHistory,
     enumerate_branches,
     run_chain,
     trial_seed,
 )
-from .core import PureState, ValidationError, basis_state, check_dim, make_state, random_state
+from .core import (
+    PureState,
+    ValidationError,
+    basis_state,
+    check_dim,
+    check_positive_int,
+    make_state,
+    random_state,
+)
 from .teleport import CorrectionMode
 
 DEFAULT_D = 3
@@ -44,26 +51,20 @@ _CONFIG_KEYS = {"d", "n", "mode", "noise", "seed", "trials", "state", "out", "hi
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment parameters."""
+    """Fully resolved experiment parameters; `chain.seed` is the master seed."""
 
-    d: int
-    n: int
-    mode: CorrectionMode
-    noise: NoiseSpec
-    seed: int
+    chain: ChainConfig
     trials: int
     state: str | tuple[tuple[float, float], ...]
     out: str | None = None
     history: str | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
-            raise ValidationError(f"trials: must be a positive integer, got {self.trials!r}")
-        # delegate the chain-level invariants (d, n, mode, noise length, seed)
-        self.chain_config(self.seed)
-
-    def chain_config(self, seed: int) -> ChainConfig:
-        return ChainConfig(d=self.d, n=self.n, mode=self.mode, noise=self.noise, seed=seed)
+        check_positive_int("trials", self.trials)
+        for key in ("out", "history"):
+            path = getattr(self, key)
+            if path is not None and not isinstance(path, str):
+                raise ValidationError(f"{key}: expected a file path string, got {path!r}")
 
 
 def _parse_mode(value: str) -> CorrectionMode:
@@ -73,17 +74,13 @@ def _parse_mode(value: str) -> CorrectionMode:
         raise ValidationError(f"mode: expected 'local' or 'deferred', got {value!r}") from None
 
 
-def _parse_noise(value: object, d: int) -> NoiseSpec:
+def _parse_noise(value: object) -> NoiseSpec:
+    # NoiseSpec checks the entries, ChainConfig their count
     if isinstance(value, str):
-        try:
-            value = [float(part) for part in value.split(",")]
-        except ValueError:
-            raise ValidationError(f"noise.probs: expected comma-separated reals, got {value!r}") from None
+        value = value.split(",")
     if not isinstance(value, (list, tuple)):
         raise ValidationError(f"noise.probs: expected a list of reals, got {value!r}")
-    if len(value) != d:
-        raise ValidationError(f"noise.probs: expected {d} probabilities for d={d}, got {len(value)}")
-    return NoiseSpec(tuple(float(p) for p in value))
+    return NoiseSpec(tuple(value))
 
 
 def _parse_state(value: object, d: int) -> str | tuple[tuple[float, float], ...]:
@@ -116,7 +113,10 @@ def _parse_state(value: object, d: int) -> str | tuple[tuple[float, float], ...]
         for i, item in enumerate(value):
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ValidationError(f"state: amplitude {i} must be an [re, im] pair, got {item!r}")
-            pairs.append((float(item[0]), float(item[1])))
+            try:
+                pairs.append((float(item[0]), float(item[1])))
+            except (TypeError, ValueError):
+                raise ValidationError(f"state: amplitude {i} must hold two reals, got {item!r}") from None
         if len(pairs) != d:
             raise ValidationError(f"state: expected {d} amplitude pairs, got {len(pairs)}")
         return tuple(pairs)
@@ -125,25 +125,25 @@ def _parse_state(value: object, d: int) -> str | tuple[tuple[float, float], ...]
 
 def initial_state(config: ExperimentConfig) -> PureState:
     """Realize the configured one-qudit input state."""
-    spec = config.state
+    spec, d = config.state, config.chain.d
     if spec == "uniform":
-        return make_state(config.d, [1.0 / math.sqrt(config.d)] * config.d)
+        return make_state(d, [1.0 / math.sqrt(d)] * d)
     if spec == "random":
-        return random_state(config.d, 1, np.random.default_rng(config.seed))
+        return random_state(d, 1, np.random.default_rng(config.chain.seed))
     if isinstance(spec, str) and spec.startswith("basis:"):
-        return basis_state(config.d, 1, (int(spec.split(":", 1)[1]),))
+        return basis_state(d, 1, (int(spec.split(":", 1)[1]),))
     amps = [complex(re, im) for re, im in spec]
     try:
-        return make_state(config.d, amps)
+        return make_state(d, amps)
     except ValidationError as exc:
         raise ValidationError(f"state: {exc}") from None
 
 
 def _load_config_file(path: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config: {path} is not valid JSON ({exc})") from None
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"config: cannot read {path} as UTF-8 JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValidationError(f"config: {path} must hold a JSON object")
     unknown = sorted(set(data) - _CONFIG_KEYS)
@@ -166,12 +166,15 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     if isinstance(mode, str):
         mode = _parse_mode(mode)
     noise = raw.get("noise")
-    return ExperimentConfig(
+    chain = ChainConfig(
         d=d,
         n=raw.get("n", DEFAULT_N),
         mode=mode,
-        noise=NoiseSpec.noiseless(d) if noise is None else _parse_noise(noise, d),
+        noise=NoiseSpec.noiseless(d) if noise is None else _parse_noise(noise),
         seed=raw.get("seed", DEFAULT_SEED),
+    )
+    return ExperimentConfig(
+        chain=chain,
         trials=raw.get("trials", DEFAULT_TRIALS),
         state=_parse_state(raw.get("state", DEFAULT_STATE), d),
         out=raw.get("out"),
@@ -181,12 +184,13 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _config_echo(config: ExperimentConfig) -> dict:
     state = config.state if isinstance(config.state, str) else [list(pair) for pair in config.state]
+    chain = config.chain
     return {
-        "d": config.d,
-        "n": config.n,
-        "mode": config.mode.value,
-        "noise": list(config.noise.probs),
-        "seed": config.seed,
+        "d": chain.d,
+        "n": chain.n,
+        "mode": chain.mode.value,
+        "noise": list(chain.noise.probs),
+        "seed": chain.seed,
         "trials": config.trials,
         "state": state,
     }
@@ -196,11 +200,11 @@ def _amp_pairs(state: PureState) -> list[list[float]]:
     return [[float(a.real), float(a.imag)] for a in state.amps]
 
 
-def write_history_csv(path: str, history: TransmissionHistory) -> None:
+def write_history_csv(path: str, history: tuple[HistoryEntry, ...]) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["hop", "r", "amplitude_index", "re", "im"])
-        for hop, entry in enumerate(history.entries):
+        for hop, entry in enumerate(history):
             for index, amp in enumerate(entry.state.amps):
                 writer.writerow([hop, entry.r, index, repr(float(amp.real)), repr(float(amp.imag))])
 
@@ -208,12 +212,13 @@ def write_history_csv(path: str, history: TransmissionHistory) -> None:
 def cmd_run(config: ExperimentConfig) -> dict:
     """Execute the configured number of seeded chain runs and aggregate."""
     psi0 = initial_state(config)
-    histogram = [0] * config.d
+    histogram = [0] * config.chain.d
     fidelities = []
     records = []
-    first_history: TransmissionHistory | None = None
+    first_history: tuple[HistoryEntry, ...] | None = None
     for index in range(config.trials):
-        result = run_chain(config.chain_config(trial_seed(config.seed, index)), psi0)
+        seed = trial_seed(config.chain.seed, index)
+        result = run_chain(replace(config.chain, seed=seed), psi0)
         if index == 0:
             first_history = result.history
         for r in result.results:
@@ -222,7 +227,7 @@ def cmd_run(config: ExperimentConfig) -> dict:
         records.append(
             {
                 "trial": index,
-                "seed": trial_seed(config.seed, index),
+                "seed": seed,
                 "results": list(result.results),
                 "deferred_exponent": result.deferred_exponent,
                 "noise_exponents": list(result.noise_exponents),
@@ -247,7 +252,7 @@ def cmd_run(config: ExperimentConfig) -> dict:
 def cmd_enumerate(config: ExperimentConfig) -> dict:
     """Walk every carrier-outcome path exactly (noiseless or fixed noise)."""
     psi0 = initial_state(config)
-    branches = enumerate_branches(config.chain_config(config.seed), psi0, DEFAULT_PATH_BUDGET)
+    branches = enumerate_branches(config.chain, psi0)
     paths = [
         {
             "path": list(branch.path),

@@ -34,6 +34,12 @@ def check_dim(d: int) -> int:
     return int(d)
 
 
+def check_positive_int(name: str, value: object) -> None:
+    """Reject anything but a positive int (bool included), naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"{name}: must be a positive integer, got {value!r}")
+
+
 def _check_dit(value: int, d: int, name: str) -> int:
     if not isinstance(value, (int, np.integer)) or not 0 <= value < d:
         raise ValueError(f"{name} must be an integer in [0, {d}), got {value!r}")

@@ -8,7 +8,7 @@ circuit, and permutations are rebuilt from basis arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -61,18 +61,16 @@ def basis_permutation_cnot(d: int) -> np.ndarray:
     return mat
 
 
-def check_direct_sum_permutation(dims: Iterable[int] = range(2, 17)) -> CheckResult:
-    bad = [d for d in dims if not np.array_equal(gates.cnot(d).mat, basis_permutation_cnot(d))]
+def check_direct_sum_permutation() -> CheckResult:
+    bad = [d for d in range(2, 17) if not np.array_equal(gates.cnot(d).mat, basis_permutation_cnot(d))]
     return _result("cnot direct sum equals basis permutation", not bad, f"mismatch for d={bad}")
 
 
-def check_circuit_matches_expansion(
-    dims: Iterable[int] = (2, 3, 4, 5), states_per_dim: int = 20, seed: int = 7
-) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_circuit_matches_expansion() -> CheckResult:
+    rng = np.random.default_rng(7)
     worst = 0.0
-    for d in dims:
-        for _ in range(states_per_dim):
+    for d in (2, 3, 4, 5):
+        for _ in range(20):
             psi = random_state(d, 1, rng)
             circuit = hop_circuit(prepare_hop(psi)).amps
             expansion = hop_expansion(psi).amps
@@ -82,13 +80,11 @@ def check_circuit_matches_expansion(
     )
 
 
-def check_exact_recovery(
-    dims: Iterable[int] = (2, 3, 5), states_per_dim: int = 5, seed: int = 11
-) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_exact_recovery() -> CheckResult:
+    rng = np.random.default_rng(11)
     worst = 0.0
-    for d in dims:
-        for _ in range(states_per_dim):
+    for d in (2, 3, 5):
+        for _ in range(5):
             psi = random_state(d, 1, rng)
             for a in range(d):
                 for b in range(d):
@@ -99,16 +95,12 @@ def check_exact_recovery(
     )
 
 
-def check_strategy_equivalence(
-    cases: Iterable[tuple[int, int]] = ((2, 4), (3, 3), (5, 2)),
-    states_per_case: int = 5,
-    seed: int = 13,
-) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_strategy_equivalence() -> CheckResult:
+    rng = np.random.default_rng(13)
     worst = 0.0
-    for d, n in cases:
+    for d, n in ((2, 4), (3, 3), (5, 2)):
         noise = NoiseSpec.noiseless(d)
-        for _ in range(states_per_case):
+        for _ in range(5):
             psi = random_state(d, 1, rng)
             path = [(int(rng.integers(d)), int(rng.integers(d))) for _ in range(n)]
             final = {}
@@ -123,7 +115,6 @@ def check_strategy_equivalence(
 
 
 def check_unitarity_sweep(
-    dims: Iterable[int] = range(2, 17),
     hadamard_factory: Callable[[int], gates.GateMatrix] = gates.hadamard,
 ) -> CheckResult:
     """Unitarity of every constructor plus the cyclic and commutation laws.
@@ -132,7 +123,7 @@ def check_unitarity_sweep(
     gate can prove the sweep is able to fail.
     """
     failures = []
-    for d in dims:
+    for d in range(2, 17):
         z, x = gates.pauli_z(d), gates.pauli_x(d)
         constructors = {
             "pauli_z": z,
@@ -157,13 +148,13 @@ def check_unitarity_sweep(
     return _result("gate unitarity and commutation sweep", not failures, "; ".join(failures))
 
 
-def check_noiseless_transmission(seed: int = 17) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_noiseless_transmission() -> CheckResult:
+    rng = np.random.default_rng(17)
     worst = 1.0
     for d, n in ((2, 5), (3, 4)):
         psi = random_state(d, 1, rng)
         config = ChainConfig(
-            d=d, n=n, mode=CorrectionMode.DEFERRED_FINAL, noise=NoiseSpec.noiseless(d), seed=seed
+            d=d, n=n, mode=CorrectionMode.DEFERRED_FINAL, noise=NoiseSpec.noiseless(d), seed=17
         )
         worst = min(worst, run_chain(config, psi).fidelity_vs_initial)
     return _result(

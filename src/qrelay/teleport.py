@@ -20,6 +20,7 @@ import numpy as np
 from . import gates
 from .core import (
     PureState,
+    ValidationError,
     basis_state,
     phase_exponent,
     reduced_density,
@@ -43,6 +44,12 @@ class CorrectionMode(enum.Enum):
     LOCAL_EACH_HOP = "local"
     DEFERRED_FINAL = "deferred"
 
+    @classmethod
+    def check(cls, mode: object) -> None:
+        """Reject anything but a member (a bare "local" included), naming the field."""
+        if not isinstance(mode, cls):
+            raise ValidationError(f"mode: expected CorrectionMode, got {mode!r}")
+
 
 class MeasurementResult(NamedTuple):
     outcome: int
@@ -65,7 +72,6 @@ class HopOutcome:
     prob: float
     bob_pre: PureState
     bob_post: PureState
-    pre_measure_entropy: float | None = None
 
 
 def prepare_hop(psi: PureState) -> PureState:
@@ -168,19 +174,16 @@ def teleport_hop(
     mode: CorrectionMode,
     rng: np.random.Generator | None = None,
     forced: tuple[int, int] | None = None,
-    record_entropy: bool = False,
 ) -> HopOutcome:
     """Teleport one qudit through a single hop.
 
     Measurements consume `rng` in a fixed order (carrier, then ancilla)
-    unless `forced` supplies the pair (a, b). With `record_entropy` the
-    receiver qudit's entanglement with the rest of the register is
-    evaluated just before measurement and stored on the outcome.
+    unless `forced` supplies the pair (a, b).
     """
+    CorrectionMode.check(mode)
     if forced is None and rng is None:
         raise ValueError("teleport_hop needs either an rng or forced outcomes")
     pre = hop_circuit(prepare_hop(psi))
-    entropy = entanglement_entropy(pre, 2) if record_entropy else None
     forced_a, forced_b = forced if forced is not None else (None, None)
     a, prob_a, state = measure_standard(pre, 0, rng=rng, forced=forced_a)
     b, prob_b, state = measure_standard(state, 1, rng=rng, forced=forced_b)
@@ -190,14 +193,7 @@ def teleport_hop(
         bob_post = apply_correction(bob_pre, a)
     else:
         bob_post = bob_pre
-    return HopOutcome(
-        a=a,
-        b=b,
-        prob=prob_a * prob_b,
-        bob_pre=bob_pre,
-        bob_post=bob_post,
-        pre_measure_entropy=entropy,
-    )
+    return HopOutcome(a=a, b=b, prob=prob_a * prob_b, bob_pre=bob_pre, bob_post=bob_post)
 
 
 def entanglement_entropy(state: PureState, target: int | tuple[int, ...]) -> float:

@@ -67,6 +67,10 @@ class TestChainConfig:
             config(n=0)
         with pytest.raises(ValidationError, match="n:"):
             config(n=True)
+        # the joint-register oracle shares the check
+        for n in (0, True, 1.0):
+            with pytest.raises(ValidationError, match="n:"):
+                full_register_chain(2, n, uniform_state(2), [(0, 0)])
 
     def test_rejects_noise_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -83,6 +87,13 @@ class TestChainConfig:
     def test_rejects_non_enum_mode(self):
         with pytest.raises(ValidationError):
             ChainConfig(d=2, n=1, mode="local", noise=NoiseSpec.noiseless(2), seed=0)
+        # a bare string would otherwise skip the local correction or run deferred
+        psi = uniform_state(2)
+        for mode in ("local", "bogus"):
+            with pytest.raises(ValidationError, match="mode:"):
+                teleport_hop(psi, mode, forced=(1, 0))
+            with pytest.raises(ValidationError, match="mode:"):
+                full_register_chain(2, 1, psi, [(1, 0)], mode=mode)
 
 
 class TestDeferredExponent:
@@ -183,16 +194,16 @@ class TestRunChain:
         path = [(2, 1), (1, 0), (0, 2)]
         result = run_chain(config(d=3, n=3, mode=LOCAL), psi, forced_outcomes=path)
         assert len(result.history) == 4
-        first = result.history.entries[0]
+        first = result.history[0]
         assert first.r == 0
         np.testing.assert_array_equal(first.state.amps, psi.amps)
-        assert [entry.r for entry in result.history.entries[1:]] == [2, 1, 0]
+        assert [entry.r for entry in result.history[1:]] == [2, 1, 0]
 
     def test_history_snapshots_are_pre_correction(self):
         psi = random_state(3, 1, np.random.default_rng(37))
         result = run_chain(config(d=3, n=1, mode=LOCAL), psi, forced_outcomes=[(2, 0)])
         hop = teleport_hop(psi, DEFERRED, forced=(2, 0))
-        snapshot = result.history.entries[1].state
+        snapshot = result.history[1].state
         np.testing.assert_allclose(snapshot.amps, hop.bob_pre.amps, atol=1e-12)
         np.testing.assert_allclose(result.final.amps, apply_correction(snapshot, 2).amps, atol=1e-12)
 
@@ -203,7 +214,7 @@ class TestRunChain:
         )
         hop = teleport_hop(psi, DEFERRED, forced=(1, 0))
         noisy, _ = apply_phase_noise(hop.bob_pre, NoiseSpec.noiseless(2), forced=1)
-        np.testing.assert_allclose(result.history.entries[1].state.amps, noisy.amps, atol=1e-12)
+        np.testing.assert_allclose(result.history[1].state.amps, noisy.amps, atol=1e-12)
 
     def test_noise_and_correction_commute(self):
         psi = random_state(3, 1, np.random.default_rng(39))
@@ -234,11 +245,6 @@ class TestRunChain:
         assert first.results == second.results
         assert first.noise_exponents == second.noise_exponents
         np.testing.assert_array_equal(first.final.amps, second.final.amps)
-
-    def test_entropy_recording(self):
-        result = run_chain(config(d=3, n=2), uniform_state(3), record_entropy=True)
-        assert result.hop_entropies is not None
-        assert all(e == pytest.approx(1.0, abs=1e-10) for e in result.hop_entropies)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

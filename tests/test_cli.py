@@ -28,25 +28,25 @@ def parse(argv):
 class TestParseConfig:
     def test_defaults(self):
         config = parse(["run"])
-        assert (config.d, config.n) == (3, 3)
-        assert config.mode is CorrectionMode.DEFERRED_FINAL
-        assert config.noise.probs == (1.0, 0.0, 0.0)
-        assert (config.seed, config.trials) == (0, 1)
+        assert (config.chain.d, config.chain.n) == (3, 3)
+        assert config.chain.mode is CorrectionMode.DEFERRED_FINAL
+        assert config.chain.noise.probs == (1.0, 0.0, 0.0)
+        assert (config.chain.seed, config.trials) == (0, 1)
         assert config.state == "uniform"
 
     def test_flags(self):
         config = parse(["run", "--d", "2", "--n", "5", "--mode", "local", "--noise", "0.5,0.5",
                         "--seed", "9", "--trials", "4", "--state", "basis:1"])
-        assert (config.d, config.n, config.seed, config.trials) == (2, 5, 9, 4)
-        assert config.mode is CorrectionMode.LOCAL_EACH_HOP
-        assert config.noise.probs == (0.5, 0.5)
+        assert (config.chain.d, config.chain.n, config.chain.seed, config.trials) == (2, 5, 9, 4)
+        assert config.chain.mode is CorrectionMode.LOCAL_EACH_HOP
+        assert config.chain.noise.probs == (0.5, 0.5)
         assert config.state == "basis:1"
 
     def test_config_file_with_flag_override(self, tmp_path):
         path = tmp_path / "experiment.json"
         path.write_text(json.dumps({"d": 2, "n": 4, "seed": 11, "state": "basis:0"}))
         config = parse(["run", "--config", str(path), "--n", "7"])
-        assert (config.d, config.n, config.seed) == (2, 7, 11)
+        assert (config.chain.d, config.chain.n, config.chain.seed) == (2, 7, 11)
 
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "experiment.json"
@@ -195,11 +195,25 @@ class TestMain:
         for command in ("run", "enumerate"):
             assert main([command, "--d", "2", "--n", "2", "--noise", "nan,1"]) == 1
             assert "noise.probs" in capsys.readouterr().err
-        for key in ("d", "n", "seed", "trials"):
+        bad_values = [(key, True, key) for key in ("d", "n", "seed", "trials")]
+        bad_values += [
+            ("out", 5, "out"),
+            ("history", 1, "history"),  # an int path would open that file descriptor
+            ("noise", [0.5, "a"], "noise.probs"),
+            ("state", [[1, 0], ["a", 0]], "state"),
+        ]
+        for key, value, field in bad_values:
             path = tmp_path / f"{key}.json"
-            path.write_text(json.dumps({"d": 2, key: True}))
+            path.write_text(json.dumps({"d": 2, key: value}))
             assert main(["run", "--config", str(path)]) == 1
-            assert f"error: {key}:" in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert f"error: {field}:" in captured.err
+            assert captured.out == ""
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"state": "caf\xe9"}')
+        for path in (str(not_utf8), str(tmp_path / "missing.json")):
+            assert main(["run", "--config", path]) == 1
+            assert "error: config:" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/config.json"]) == 1
@@ -229,10 +243,11 @@ class TestReportRendering:
         assert text == '{\n  "a": {\n    "c": [\n      1.5\n    ],\n    "d": 2\n  },\n  "b": 1\n}\n'
 
     def test_experiment_config_validates_on_build(self):
-        from qrelay.chain import NoiseSpec
+        from qrelay.chain import ChainConfig, NoiseSpec
 
-        with pytest.raises(ValidationError):
-            ExperimentConfig(
-                d=2, n=0, mode=CorrectionMode.DEFERRED_FINAL,
-                noise=NoiseSpec.noiseless(2), seed=0, trials=1, state="uniform",
-            )
+        chain = ChainConfig(d=2, n=1, mode=CorrectionMode.DEFERRED_FINAL, noise=NoiseSpec.noiseless(2), seed=0)
+        assert ExperimentConfig(chain=chain, trials=1, state="uniform").chain is chain
+        with pytest.raises(ValidationError, match="trials:"):
+            ExperimentConfig(chain=chain, trials=0, state="uniform")
+        with pytest.raises(ValidationError, match="out:"):
+            ExperimentConfig(chain=chain, trials=1, state="uniform", out=5)

@@ -384,3 +384,11 @@ def test_trusted_results_keep_state_invariants(d, n, seed):
 def test_internal_tolerance_constants():
     assert core.INPUT_NORM_TOL == 1e-9
     assert core.INTERNAL_TOL == 1e-12
+
+
+def test_public_names_resolve_once():
+    import qrelay
+
+    assert len(qrelay.__all__) == len(set(qrelay.__all__))
+    for name in qrelay.__all__:
+        assert hasattr(qrelay, name), name

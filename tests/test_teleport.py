@@ -224,14 +224,11 @@ class TestTeleportHop:
             assert np.max(np.abs(hop.bob_post.amps - psi.amps)) < 1e-12
 
     def test_entropy_diagnostic(self):
-        basis_hop = teleport_hop(
-            basis_state(3, 1, (1,)), CorrectionMode.LOCAL_EACH_HOP, forced=(0, 0), record_entropy=True
-        )
-        assert basis_hop.pre_measure_entropy == pytest.approx(0.0, abs=1e-10)
-        uniform_hop = teleport_hop(
-            uniform_state(3), CorrectionMode.LOCAL_EACH_HOP, forced=(0, 0), record_entropy=True
-        )
-        assert uniform_hop.pre_measure_entropy == pytest.approx(1.0, abs=1e-10)
+        # the receiver's entanglement with the rest of the register, just before measurement
+        basis_pre = hop_circuit(prepare_hop(basis_state(3, 1, (1,))))
+        assert entanglement_entropy(basis_pre, 2) == pytest.approx(0.0, abs=1e-10)
+        uniform_pre = hop_circuit(prepare_hop(uniform_state(3)))
+        assert entanglement_entropy(uniform_pre, 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_requires_randomness_source(self):
         with pytest.raises(ValueError):
