@@ -2,9 +2,17 @@
 
 A chain run is strictly sequential: hop i+1 consumes hop i's output qudit.
 Randomness comes from one seeded generator per run, consumed in a fixed
-order per hop (carrier outcome, ancilla outcome, noise exponent), so runs
-are bit-reproducible. Parallelism only ever exists across independent
-trials, each with its own derived seed.
+order per hop (carrier outcome, ancilla outcome, noise exponent), one
+double per draw, so runs are bit-reproducible. Parallelism only ever
+exists across independent trials, each with its own derived seed.
+
+Two engines share that draw contract. `run_chain` is the state-vector
+oracle: it builds, measures and slices every hop register. Because every
+hop is corrected by a Z power and every channel error is a Z power, a run
+always delivers Z^K psi0 with K = (sum of noise exponents) mod d, so
+`run_trajectories`, the engine `qrelay run` uses, only draws the dits and
+reads the fidelity from a d-entry table. The two agree exactly on the
+dits almost surely: the oracle's Born cdf equals k/d only up to rounding.
 """
 
 from __future__ import annotations
@@ -244,6 +252,106 @@ def run_chain(
         deferred_exponent=exponent,
         noise_exponents=tuple(noise_applied),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class TrajectoryBatch:
+    """Closed-form outcomes of seeded chain runs; row i ran with seeds[i].
+
+    Each row holds what run_chain reports for that seed: `results` and
+    `noise_exponents` are (trials, n) integer arrays, `fidelities` has one
+    entry per trial, and `deferred_exponents` is None in local mode.
+    """
+
+    seeds: tuple[int, ...]
+    results: np.ndarray
+    noise_exponents: np.ndarray
+    fidelities: np.ndarray
+    deferred_exponents: np.ndarray | None
+
+
+def _check_chain_input(config: ChainConfig, psi0: PureState) -> None:
+    if psi0.num_qudits != 1 or psi0.d != config.d:
+        raise ValueError(f"chain input must be a single qudit of dimension d={config.d}")
+
+
+def fidelity_table(psi0: PureState) -> np.ndarray:
+    """F[K] = fidelity(psi0, Z^K psi0) for K = 0..d-1."""
+    d = psi0.d
+    return np.array(
+        [fidelity(psi0, gates.apply_1q(psi0, gates.pauli_z_power(d, k), 0)) for k in range(d)]
+    )
+
+
+def _choice_cdf(probs: Sequence[float]) -> np.ndarray:
+    """The cdf `Generator.choice(d, p=probs / probs.sum())` searches, built its way."""
+    p = np.asarray(probs, dtype=np.float64)
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def run_trajectories(config: ChainConfig, psi0: PureState, trials: int) -> TrajectoryBatch:
+    """Run `trials` chains in closed form, trial i seeded trial_seed(config.seed, i).
+
+    Each trial draws rng.random((n, 3)) from its own generator, one double
+    per hop for the carrier, ancilla and noise draws in run_chain's order.
+    The carrier and noise doubles become dits through the cdf that
+    Generator.choice searches; the ancilla double is discarded, since the
+    ancilla outcome never changes the received state. The fidelity is
+    F[K] from fidelity_table with K = (sum of noise exponents) mod d.
+    """
+    _check_chain_input(config, psi0)
+    check_positive_int("trials", trials)
+    d, n = config.d, config.n
+    seeds = tuple(trial_seed(config.seed, i) for i in range(trials))
+    draws = np.empty((trials, n, 3))
+    for i, seed in enumerate(seeds):
+        draws[i] = np.random.default_rng(seed).random((n, 3))
+    results = _choice_cdf(np.full(d, 1.0 / d)).searchsorted(draws[..., 0], side="right")
+    noise = _choice_cdf(config.noise.probs).searchsorted(draws[..., 2], side="right")
+    local = config.mode is CorrectionMode.LOCAL_EACH_HOP
+    return TrajectoryBatch(
+        seeds=seeds,
+        results=results,
+        noise_exponents=noise,
+        fidelities=fidelity_table(psi0)[noise.sum(axis=1) % d],
+        deferred_exponents=None if local else results.sum(axis=1) % d,
+    )
+
+
+def trajectory_history(
+    config: ChainConfig, psi0: PureState, results: Sequence[int], noise_exponents: Sequence[int]
+) -> tuple[HistoryEntry, ...]:
+    """The history run_chain records for one trajectory, in closed form.
+
+    Entry i >= 1 is Z^m psi0 with m = K_i - A_i in deferred mode and
+    m = K_i - a_i in local mode, where K_i and A_i are the sums of the
+    first i noise exponents and dits: each hop leaves Z^-a_i on the qudit,
+    and local mode has undone the earlier ones.
+    """
+    _check_chain_input(config, psi0)
+    local = config.mode is CorrectionMode.LOCAL_EACH_HOP
+    history = [HistoryEntry(psi0, 0)]
+    noise_sum = dit_sum = 0
+    for a, k in zip(results, noise_exponents):
+        noise_sum += k
+        dit_sum += a
+        z = gates.pauli_z_power(config.d, (noise_sum - (a if local else dit_sum)) % config.d)
+        history.append(HistoryEntry(gates.apply_1q(psi0, z, 0), int(a)))
+    return tuple(history)
+
+
+def expected_fidelity(config: ChainConfig, psi0: PureState) -> float:
+    """Exact mean of run_chain's fidelity over the noise channel.
+
+    K is the sum of n independent exponents drawn from noise.probs, so
+    P(K) is their n-fold cyclic convolution (the inverse DFT of the
+    probabilities' DFT to the n-th power) and E[F] = sum_K P(K) F[K].
+    """
+    _check_chain_input(config, psi0)
+    p_k = np.fft.ifft(np.fft.fft(config.noise.probs) ** config.n).real
+    return float(p_k @ fidelity_table(psi0))
 
 
 def enumerate_branches(config: ChainConfig, psi0: PureState) -> list[BranchOutcome]:

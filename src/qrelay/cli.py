@@ -2,8 +2,10 @@
 
 Reports are JSON with sorted keys so identical configurations produce
 byte-identical output. Complex amplitudes travel as [re, im] pairs, both
-in configuration files and in reports. Exit codes: 0 success, 1 validation
-or I/O error, 2 resource budget exceeded, 3 self-test failure.
+in configuration files and in reports. Exit codes: 0 success, 1 usage,
+validation or I/O error, 2 resource budget exceeded, 3 self-test failure.
+`run` uses the closed-form trajectory engine; `run_chain` stays the
+library's state-vector oracle.
 """
 
 from __future__ import annotations
@@ -12,9 +14,11 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -25,8 +29,8 @@ from .chain import (
     NoiseSpec,
     ResourceLimitError,
     enumerate_branches,
-    run_chain,
-    trial_seed,
+    run_trajectories,
+    trajectory_history,
 )
 from .core import (
     PureState,
@@ -47,6 +51,20 @@ DEFAULT_TRIALS = 1
 DEFAULT_STATE = "uniform"
 
 _CONFIG_KEYS = {"d", "n", "mode", "noise", "seed", "trials", "state", "out", "history"}
+_RUN_ONLY_KEYS = ("trials", "history")
+
+
+def _check_output_path(key: str, path: object) -> None:
+    """Reject an output path that cannot be written, before any work runs."""
+    if not isinstance(path, str):
+        raise ValidationError(f"{key}: expected a file path string, got {path!r}")
+    target = Path(path)
+    if target.is_dir():
+        raise ValidationError(f"{key}: {path} is a directory")
+    if not target.parent.is_dir():
+        raise ValidationError(f"{key}: directory {target.parent} does not exist")
+    if not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise ValidationError(f"{key}: {path} is not writable")
 
 
 @dataclass(frozen=True)
@@ -63,8 +81,8 @@ class ExperimentConfig:
         check_positive_int("trials", self.trials)
         for key in ("out", "history"):
             path = getattr(self, key)
-            if path is not None and not isinstance(path, str):
-                raise ValidationError(f"{key}: expected a file path string, got {path!r}")
+            if path is not None:
+                _check_output_path(key, path)
 
 
 def _parse_mode(value: str) -> CorrectionMode:
@@ -159,6 +177,10 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is not None:
             raw[key] = value
+    if args.command == "enumerate":
+        for key in _RUN_ONLY_KEYS:
+            if key in raw:
+                raise ValidationError(f"{key}: not used by enumerate")
 
     # d first: the noise and state parsers depend on it
     d = check_dim(raw.get("d", DEFAULT_D))
@@ -212,38 +234,34 @@ def write_history_csv(path: str, history: tuple[HistoryEntry, ...]) -> None:
 def cmd_run(config: ExperimentConfig) -> dict:
     """Execute the configured number of seeded chain runs and aggregate."""
     psi0 = initial_state(config)
-    histogram = [0] * config.chain.d
-    fidelities = []
-    records = []
-    first_history: tuple[HistoryEntry, ...] | None = None
-    for index in range(config.trials):
-        seed = trial_seed(config.chain.seed, index)
-        result = run_chain(replace(config.chain, seed=seed), psi0)
-        if index == 0:
-            first_history = result.history
-        for r in result.results:
-            histogram[r] += 1
-        fidelities.append(result.fidelity_vs_initial)
-        records.append(
-            {
-                "trial": index,
-                "seed": seed,
-                "results": list(result.results),
-                "deferred_exponent": result.deferred_exponent,
-                "noise_exponents": list(result.noise_exponents),
-                "fidelity": result.fidelity_vs_initial,
-            }
-        )
-    if config.history and first_history is not None:
-        write_history_csv(config.history, first_history)
+    batch = run_trajectories(config.chain, psi0, config.trials)
+    results = batch.results.tolist()
+    noise = batch.noise_exponents.tolist()
+    if batch.deferred_exponents is None:
+        deferred = [None] * config.trials
+    else:
+        deferred = batch.deferred_exponents.tolist()
+    records = [
+        {
+            "trial": index,
+            "seed": seed,
+            "results": results[index],
+            "deferred_exponent": deferred[index],
+            "noise_exponents": noise[index],
+            "fidelity": fidelity,
+        }
+        for index, (seed, fidelity) in enumerate(zip(batch.seeds, batch.fidelities.tolist()))
+    ]
+    if config.history:
+        write_history_csv(config.history, trajectory_history(config.chain, psi0, results[0], noise[0]))
     return {
         "command": "run",
         "config": _config_echo(config),
         "trials": records,
         "aggregate": {
-            "fidelity_mean": float(np.mean(fidelities)),
-            "fidelity_min": float(np.min(fidelities)),
-            "outcome_histogram": histogram,
+            "fidelity_mean": float(np.mean(batch.fidelities)),
+            "fidelity_min": float(np.min(batch.fidelities)),
+            "outcome_histogram": np.bincount(batch.results.ravel(), minlength=config.chain.d).tolist(),
         },
         "history_path": config.history,
     }
@@ -295,8 +313,16 @@ def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, since 2 means a budget was exceeded."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qrelay",
         description="State-vector simulator for one-way qudit relay chains "
         "with phase-only teleportation correction.",
@@ -309,14 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--mode", choices=["local", "deferred"], help="correction strategy")
     shared.add_argument("--noise", help="comma-separated p0,p1,... for the Z^k channel")
     shared.add_argument("--seed", type=int, help="master seed (default 0)")
-    shared.add_argument("--trials", type=int, help="Monte Carlo trials (default 1)")
     shared.add_argument(
         "--state",
         help="initial state: basis:<j> | uniform | random | re0,im0,re1,im1,...",
     )
     shared.add_argument("--out", help="write the JSON report here instead of stdout")
-    shared.add_argument("--history", help="write the first trial's history CSV here")
-    subparsers.add_parser("run", parents=[shared], help="seeded Monte Carlo transmission runs")
+    run = subparsers.add_parser("run", parents=[shared], help="seeded Monte Carlo transmission runs")
+    run.add_argument("--trials", type=int, help="Monte Carlo trials (default 1)")
+    run.add_argument("--history", help="write the first trial's history CSV here")
     subparsers.add_parser("enumerate", parents=[shared], help="exact outcome-path enumeration")
     subparsers.add_parser("selftest", help="run the embedded acceptance checks")
     return parser

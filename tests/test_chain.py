@@ -11,8 +11,12 @@ from qrelay.chain import (
     apply_phase_noise,
     deferred_exponent,
     enumerate_branches,
+    expected_fidelity,
+    fidelity_table,
     full_register_chain,
     run_chain,
+    run_trajectories,
+    trajectory_history,
     trial_seed,
 )
 from qrelay.core import ValidationError, basis_state, fidelity, make_state, random_state
@@ -255,6 +259,69 @@ class TestRunChain:
             run_chain(config(d=2, n=2), uniform_state(2), forced_outcomes=[(0, 0)])
         with pytest.raises(ValueError):
             run_chain(config(d=2, n=2), uniform_state(2), forced_noise=[0])
+
+
+class TestRunTrajectories:
+    @pytest.mark.parametrize("mode", [LOCAL, DEFERRED])
+    @pytest.mark.parametrize("d", [2, 3, 5, 16])
+    def test_matches_state_vector_oracle(self, d, mode):
+        """The closed-form engine reports what run_chain reports, seed for seed.
+
+        Equal dits are almost sure, not guaranteed: run_chain samples the
+        carrier from Born probabilities that equal 1/d only up to rounding,
+        so a double within an ulp of a cdf step may fall on the other side
+        of it there. This test is also what catches a future numpy change to
+        how Generator.choice turns a double into an index, which the engine
+        reproduces with its own cdf and searchsorted.
+        """
+        rng = np.random.default_rng(46 + d)
+        psi = random_state(d, 1, rng)
+        weights = rng.random(d)
+        noises = (
+            NoiseSpec.noiseless(d),
+            NoiseSpec(tuple(np.eye(d)[1])),  # Z^1 on every hop
+            NoiseSpec(tuple(weights / weights.sum())),
+        )
+        for n, noise, master in itertools.product((1, 4, 16), noises, (0, 2**63 + 5)):
+            chain = config(d=d, n=n, mode=mode, noise=noise, seed=master)
+            batch = run_trajectories(chain, psi, 3)
+            for i, seed in enumerate(batch.seeds):
+                assert seed == trial_seed(master, i)
+                oracle = run_chain(config(d=d, n=n, mode=mode, noise=noise, seed=seed), psi)
+                results, noise_exponents = batch.results[i].tolist(), batch.noise_exponents[i].tolist()
+                assert tuple(results) == oracle.results
+                assert tuple(noise_exponents) == oracle.noise_exponents
+                deferred = None if batch.deferred_exponents is None else batch.deferred_exponents[i]
+                assert deferred == oracle.deferred_exponent
+                assert abs(batch.fidelities[i] - oracle.fidelity_vs_initial) <= 1e-12
+                history = trajectory_history(chain, psi, results, noise_exponents)
+                assert [entry.r for entry in history] == [entry.r for entry in oracle.history]
+                for entry, expected in zip(history, oracle.history, strict=True):
+                    assert np.max(np.abs(entry.state.amps - expected.state.amps)) <= 1e-12
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            run_trajectories(config(d=3), uniform_state(2), 1)
+        with pytest.raises(ValidationError, match="trials:"):
+            run_trajectories(config(d=2), uniform_state(2), 0)
+
+    def test_fidelity_table(self):
+        # a Z power only rephases basis states; Z^1 makes the uniform qubit orthogonal
+        np.testing.assert_allclose(fidelity_table(basis_state(3, 1, (1,))), [1, 1, 1], atol=1e-12)
+        np.testing.assert_allclose(fidelity_table(uniform_state(2)), [1, 0], atol=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (5, 2)])
+    def test_expected_fidelity_sums_the_oracle_over_noise_paths(self, d, n):
+        rng = np.random.default_rng(47 + d)
+        psi = random_state(d, 1, rng)
+        weights = rng.random(d)
+        probs = weights / weights.sum()
+        chain = config(d=d, n=n, noise=NoiseSpec(tuple(probs)))
+        exact = 0.0
+        for path in itertools.product(range(d), repeat=n):
+            result = run_chain(chain, psi, forced_outcomes=random_path(d, n, rng), forced_noise=path)
+            exact += math.prod(probs[k] for k in path) * result.fidelity_vs_initial
+        assert abs(expected_fidelity(chain, psi) - exact) <= 1e-12
 
 
 class TestEnumerateBranches:

@@ -6,7 +6,9 @@ import time
 import numpy as np
 import pytest
 
+import qrelay.cli
 from qrelay import selftest
+from qrelay.chain import expected_fidelity
 from qrelay.cli import (
     ExperimentConfig,
     build_parser,
@@ -155,6 +157,21 @@ class TestCmdRun:
         assert first[0] == "0" and first[1] == "0" and first[2] == "0"
         assert float(first[3]) == pytest.approx(1 / math.sqrt(3))
 
+    @pytest.mark.parametrize(
+        "d,n,noise",
+        [(2, 1, "0.5,0.5"), (3, 4, "0.9,0.05,0.05"), (3, 2, "0,1,0"),
+         (5, 3, "0.6,0.1,0.1,0.1,0.1"), (16, 8, ",".join(["0.0625"] * 16))],
+    )
+    def test_mean_fidelity_matches_exact_channel(self, d, n, noise):
+        trials = 4000
+        config = parse(["run", "--d", str(d), "--n", str(n), "--noise", noise,
+                        "--trials", str(trials), "--seed", "12", "--state", "random"])
+        fidelities = [record["fidelity"] for record in cmd_run(config)["trials"]]
+        exact = expected_fidelity(config.chain, initial_state(config))
+        sigma = np.std(fidelities) / math.sqrt(trials)
+        # a deterministic channel gives every trial the same fidelity, so sigma is 0
+        assert abs(np.mean(fidelities) - exact) <= 5 * sigma + 1e-12
+
     def test_monte_carlo_matches_enumeration(self):
         # sampled outcome frequencies against the exact uniform path law
         trials = 10_000
@@ -214,6 +231,51 @@ class TestMain:
         for path in (str(not_utf8), str(tmp_path / "missing.json")):
             assert main(["run", "--config", path]) == 1
             assert "error: config:" in capsys.readouterr().err
+
+    def test_unwritable_output_path_fails_before_any_trial(self, capsys, monkeypatch, tmp_path):
+        def no_trials(*args):
+            raise AssertionError("trials ran before the output path was checked")
+
+        monkeypatch.setattr(qrelay.cli, "run_trajectories", no_trials)
+        for key, path in (("history", "/nonexistent/h.csv"), ("out", "/nonexistent/r.json"),
+                          ("out", str(tmp_path))):
+            assert main(["run", "--d", "2", "--trials", "1000", f"--{key}", path]) == 1
+            captured = capsys.readouterr()
+            assert f"error: {key}:" in captured.err
+            assert captured.out == ""
+        # checking a writable path does not create the file
+        history = tmp_path / "h.csv"
+        assert parse(["run", "--history", str(history)]).history == str(history)
+        assert not history.exists()
+
+    def test_enumerate_rejects_run_only_fields(self, capsys, tmp_path):
+        for flag in (["--trials", "50"], ["--history", str(tmp_path / "h.csv")]):
+            with pytest.raises(SystemExit) as exc:
+                main(["enumerate", "--d", "2", "--n", "2", *flag])
+            assert exc.value.code == 1
+            assert flag[0] in capsys.readouterr().err
+        for key, value in (("trials", 50), ("history", str(tmp_path / "h.csv"))):
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({"d": 2, "n": 2, key: value}))
+            assert main(["enumerate", "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert f"error: {key}:" in captured.err
+            assert captured.out == ""
+        assert not (tmp_path / "h.csv").exists()
+
+    def test_usage_errors_exit_1_and_help_exits_0(self, capsys):
+        # exit code 2 is reserved for an exceeded budget
+        for argv in (["run", "--d", "x"], ["run", "--bogus"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert "usage: qrelay" in err and "error:" in err
+        for argv in (["--help"], ["run", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert "usage: qrelay" in capsys.readouterr().out
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/config.json"]) == 1
