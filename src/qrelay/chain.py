@@ -191,6 +191,14 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return (master_seed ^ trial_index) & (2**64 - 1)
 
 
+def _check_chain_input(config: ChainConfig, psi0: PureState) -> None:
+    if psi0.num_qudits != 1 or psi0.d != config.d:
+        raise ValueError(
+            f"chain input must be a single qudit of dimension d={config.d}, "
+            f"got {psi0.num_qudits} of d={psi0.d}"
+        )
+
+
 def run_chain(
     config: ChainConfig,
     psi0: PureState,
@@ -205,10 +213,7 @@ def run_chain(
     a single Z^f with f = (sum r_i) mod d closes the run. The history has
     n + 1 entries; entry 0 is (psi0, 0).
     """
-    if psi0.num_qudits != 1:
-        raise ValueError(f"chain input must be a single qudit, got {psi0.num_qudits}")
-    if psi0.d != config.d:
-        raise ValueError(f"state dimension {psi0.d} does not match config d={config.d}")
+    _check_chain_input(config, psi0)
     if forced_outcomes is not None and len(forced_outcomes) != config.n:
         raise ValueError(f"forced_outcomes must list {config.n} (a, b) pairs")
     if forced_noise is not None and len(forced_noise) != config.n:
@@ -270,11 +275,6 @@ class TrajectoryBatch:
     deferred_exponents: np.ndarray | None
 
 
-def _check_chain_input(config: ChainConfig, psi0: PureState) -> None:
-    if psi0.num_qudits != 1 or psi0.d != config.d:
-        raise ValueError(f"chain input must be a single qudit of dimension d={config.d}")
-
-
 def fidelity_table(psi0: PureState) -> np.ndarray:
     """F[K] = fidelity(psi0, Z^K psi0) for K = 0..d-1."""
     d = psi0.d
@@ -318,28 +318,6 @@ def run_trajectories(config: ChainConfig, psi0: PureState, trials: int) -> Traje
         fidelities=fidelity_table(psi0)[noise.sum(axis=1) % d],
         deferred_exponents=None if local else results.sum(axis=1) % d,
     )
-
-
-def trajectory_history(
-    config: ChainConfig, psi0: PureState, results: Sequence[int], noise_exponents: Sequence[int]
-) -> tuple[HistoryEntry, ...]:
-    """The history run_chain records for one trajectory, in closed form.
-
-    Entry i >= 1 is Z^m psi0 with m = K_i - A_i in deferred mode and
-    m = K_i - a_i in local mode, where K_i and A_i are the sums of the
-    first i noise exponents and dits: each hop leaves Z^-a_i on the qudit,
-    and local mode has undone the earlier ones.
-    """
-    _check_chain_input(config, psi0)
-    local = config.mode is CorrectionMode.LOCAL_EACH_HOP
-    history = [HistoryEntry(psi0, 0)]
-    noise_sum = dit_sum = 0
-    for a, k in zip(results, noise_exponents):
-        noise_sum += k
-        dit_sum += a
-        z = gates.pauli_z_power(config.d, (noise_sum - (a if local else dit_sum)) % config.d)
-        history.append(HistoryEntry(gates.apply_1q(psi0, z, 0), int(a)))
-    return tuple(history)
 
 
 def expected_fidelity(config: ChainConfig, psi0: PureState) -> float:

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NoReturn
 
@@ -29,8 +29,8 @@ from .chain import (
     NoiseSpec,
     ResourceLimitError,
     enumerate_branches,
+    run_chain,
     run_trajectories,
-    trajectory_history,
 )
 from .core import (
     PureState,
@@ -253,7 +253,9 @@ def cmd_run(config: ExperimentConfig) -> dict:
         for index, (seed, fidelity) in enumerate(zip(batch.seeds, batch.fidelities.tolist()))
     ]
     if config.history:
-        write_history_csv(config.history, trajectory_history(config.chain, psi0, results[0], noise[0]))
+        # trial 0 once more through the state-vector oracle, for its snapshots
+        first = run_chain(replace(config.chain, seed=batch.seeds[0]), psi0)
+        write_history_csv(config.history, first.history)
     return {
         "command": "run",
         "config": _config_echo(config),

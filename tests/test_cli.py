@@ -156,6 +156,9 @@ class TestCmdRun:
         first = rows[1]
         assert first[0] == "0" and first[1] == "0" and first[2] == "0"
         assert float(first[3]) == pytest.approx(1 / math.sqrt(3))
+        # the CSV is trial 0's history, so its dits are the report's first trial
+        dits = [int(row[1]) for row in rows[1::3]]
+        assert dits == [0] + report["trials"][0]["results"]
 
     @pytest.mark.parametrize(
         "d,n,noise",
