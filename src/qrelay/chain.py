@@ -3,8 +3,9 @@
 A chain run is strictly sequential: hop i+1 consumes hop i's output qudit.
 Randomness comes from one seeded generator per run, consumed in a fixed
 order per hop (carrier outcome, ancilla outcome, noise exponent), one
-double per draw, so runs are bit-reproducible. Parallelism only ever
-exists across independent trials, each with its own derived seed.
+double per draw, mapped to a dit by one rule (`core._draw_dit`), so runs
+are bit-reproducible. Parallelism only ever exists across independent
+trials, each with its own derived seed.
 
 Two engines share that draw contract. `run_chain` is the state-vector
 oracle: it builds, measures and slices every hop register. Because every
@@ -28,6 +29,7 @@ from . import gates
 from .core import (
     PureState,
     ValidationError,
+    _draw_dit,
     basis_state,
     check_dim,
     check_positive_int,
@@ -179,8 +181,7 @@ def apply_phase_noise(
     else:
         if rng is None:
             raise ValueError("apply_phase_noise needs either an rng or a forced exponent")
-        probs = np.asarray(noise.probs)
-        k = int(rng.choice(d, p=probs / probs.sum()))
+        k = int(_draw_dit(noise.probs, rng.random()))
     if k == 0:
         return state, 0
     return gates.apply_1q(state, gates.pauli_z_power(d, k), 0), k
@@ -191,10 +192,10 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return (master_seed ^ trial_index) & (2**64 - 1)
 
 
-def _check_chain_input(config: ChainConfig, psi0: PureState) -> None:
-    if psi0.num_qudits != 1 or psi0.d != config.d:
+def _check_chain_input(d: int, psi0: PureState) -> None:
+    if psi0.num_qudits != 1 or psi0.d != d:
         raise ValueError(
-            f"chain input must be a single qudit of dimension d={config.d}, "
+            f"chain input must be a single qudit of dimension d={d}, "
             f"got {psi0.num_qudits} of d={psi0.d}"
         )
 
@@ -213,7 +214,7 @@ def run_chain(
     a single Z^f with f = (sum r_i) mod d closes the run. The history has
     n + 1 entries; entry 0 is (psi0, 0).
     """
-    _check_chain_input(config, psi0)
+    _check_chain_input(config.d, psi0)
     if forced_outcomes is not None and len(forced_outcomes) != config.n:
         raise ValueError(f"forced_outcomes must list {config.n} (a, b) pairs")
     if forced_noise is not None and len(forced_noise) != config.n:
@@ -283,33 +284,25 @@ def fidelity_table(psi0: PureState) -> np.ndarray:
     )
 
 
-def _choice_cdf(probs: Sequence[float]) -> np.ndarray:
-    """The cdf `Generator.choice(d, p=probs / probs.sum())` searches, built its way."""
-    p = np.asarray(probs, dtype=np.float64)
-    cdf = (p / p.sum()).cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
 def run_trajectories(config: ChainConfig, psi0: PureState, trials: int) -> TrajectoryBatch:
     """Run `trials` chains in closed form, trial i seeded trial_seed(config.seed, i).
 
     Each trial draws rng.random((n, 3)) from its own generator, one double
     per hop for the carrier, ancilla and noise draws in run_chain's order.
-    The carrier and noise doubles become dits through the cdf that
-    Generator.choice searches; the ancilla double is discarded, since the
+    The carrier and noise doubles become dits by the package's draw rule
+    (`core._draw_dit`); the ancilla double is discarded, since the
     ancilla outcome never changes the received state. The fidelity is
     F[K] from fidelity_table with K = (sum of noise exponents) mod d.
     """
-    _check_chain_input(config, psi0)
+    _check_chain_input(config.d, psi0)
     check_positive_int("trials", trials)
     d, n = config.d, config.n
     seeds = tuple(trial_seed(config.seed, i) for i in range(trials))
     draws = np.empty((trials, n, 3))
     for i, seed in enumerate(seeds):
         draws[i] = np.random.default_rng(seed).random((n, 3))
-    results = _choice_cdf(np.full(d, 1.0 / d)).searchsorted(draws[..., 0], side="right")
-    noise = _choice_cdf(config.noise.probs).searchsorted(draws[..., 2], side="right")
+    results = _draw_dit(np.full(d, 1.0 / d), draws[..., 0])
+    noise = _draw_dit(config.noise.probs, draws[..., 2])
     local = config.mode is CorrectionMode.LOCAL_EACH_HOP
     return TrajectoryBatch(
         seeds=seeds,
@@ -327,7 +320,7 @@ def expected_fidelity(config: ChainConfig, psi0: PureState) -> float:
     P(K) is their n-fold cyclic convolution (the inverse DFT of the
     probabilities' DFT to the n-th power) and E[F] = sum_K P(K) F[K].
     """
-    _check_chain_input(config, psi0)
+    _check_chain_input(config.d, psi0)
     p_k = np.fft.ifft(np.fft.fft(config.noise.probs) ** config.n).real
     return float(p_k @ fidelity_table(psi0))
 
@@ -393,8 +386,7 @@ def full_register_chain(
     check_dim(d)
     check_positive_int("n", n)
     CorrectionMode.check(mode)
-    if psi0.num_qudits != 1 or psi0.d != d:
-        raise ValueError("psi0 must be a single qudit of dimension d")
+    _check_chain_input(d, psi0)
     if len(forced_path) != n:
         raise ValueError(f"forced_path must list {n} (a, b) pairs")
     if d ** (3 * n) > FULL_REGISTER_AMPLITUDE_LIMIT:

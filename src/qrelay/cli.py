@@ -50,9 +50,6 @@ DEFAULT_SEED = 0
 DEFAULT_TRIALS = 1
 DEFAULT_STATE = "uniform"
 
-_CONFIG_KEYS = {"d", "n", "mode", "noise", "seed", "trials", "state", "out", "history"}
-_RUN_ONLY_KEYS = ("trials", "history")
-
 
 def _check_output_path(key: str, path: object) -> None:
     """Reject an output path that cannot be written, before any work runs."""
@@ -83,6 +80,9 @@ class ExperimentConfig:
             path = getattr(self, key)
             if path is not None:
                 _check_output_path(key, path)
+        if self.out is not None and self.history is not None:
+            if Path(self.out).resolve() == Path(self.history).resolve():
+                raise ValidationError(f"history: {self.history} is the same file as out")
 
 
 def _parse_mode(value: str) -> CorrectionMode:
@@ -147,7 +147,9 @@ def initial_state(config: ExperimentConfig) -> PureState:
     if spec == "uniform":
         return make_state(d, [1.0 / math.sqrt(d)] * d)
     if spec == "random":
-        return random_state(d, 1, np.random.default_rng(config.chain.seed))
+        # a spawn key no trial seed carries keeps this stream apart from every trial's
+        stream = np.random.SeedSequence(config.chain.seed, spawn_key=(0,))
+        return random_state(d, 1, np.random.default_rng(stream))
     if isinstance(spec, str) and spec.startswith("basis:"):
         return basis_state(d, 1, (int(spec.split(":", 1)[1]),))
     amps = [complex(re, im) for re, im in spec]
@@ -164,23 +166,19 @@ def _load_config_file(path: str) -> dict:
         raise ValidationError(f"config: cannot read {path} as UTF-8 JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValidationError(f"config: {path} must hold a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
-    if unknown:
-        raise ValidationError(f"config: unknown keys {unknown}; allowed keys are {sorted(_CONFIG_KEYS)}")
     return data
 
 
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge config-file values and command-line flags (flags win)."""
+    """Merge config-file values and command-line flags (flags win); the flags name the keys."""
+    flags = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
     raw = _load_config_file(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            raw[key] = value
-    if args.command == "enumerate":
-        for key in _RUN_ONLY_KEYS:
-            if key in raw:
-                raise ValidationError(f"{key}: not used by enumerate")
+    unknown = sorted(set(raw) - set(flags))
+    if unknown:
+        raise ValidationError(
+            f"{unknown[0]}: not a setting of {args.command}; allowed keys are {sorted(flags)}"
+        )
+    raw.update((key, value) for key, value in flags.items() if value is not None)
 
     # d first: the noise and state parsers depend on it
     d = check_dim(raw.get("d", DEFAULT_D))
@@ -205,6 +203,7 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
+    """The settings both commands share, as a config file would give them."""
     state = config.state if isinstance(config.state, str) else [list(pair) for pair in config.state]
     chain = config.chain
     return {
@@ -213,7 +212,6 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "mode": chain.mode.value,
         "noise": list(chain.noise.probs),
         "seed": chain.seed,
-        "trials": config.trials,
         "state": state,
     }
 
@@ -258,7 +256,7 @@ def cmd_run(config: ExperimentConfig) -> dict:
         write_history_csv(config.history, first.history)
     return {
         "command": "run",
-        "config": _config_echo(config),
+        "config": {**_config_echo(config), "trials": config.trials},
         "trials": records,
         "aggregate": {
             "fidelity_mean": float(np.mean(batch.fidelities)),
@@ -366,10 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,6 +40,18 @@ def check_positive_int(name: str, value: object) -> None:
         raise ValidationError(f"{name}: must be a positive integer, got {value!r}")
 
 
+def _draw_dit(probs: Sequence[float] | np.ndarray, u: float | np.ndarray) -> np.ndarray | np.integer:
+    """Map uniform doubles u in [0, 1) to dits drawn from (unnormalized) probs.
+
+    The package's one sampling rule: every measured or noise dit is one
+    rng.random() double mapped through this cdf.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(u, side="right")
+
+
 def _check_dit(value: int, d: int, name: str) -> int:
     if not isinstance(value, (int, np.integer)) or not 0 <= value < d:
         raise ValueError(f"{name} must be an integer in [0, {d}), got {value!r}")
@@ -131,10 +143,6 @@ class PureState:
         object.__setattr__(state, "num_qudits", num_qudits)
         object.__setattr__(state, "amps", amps)
         return state
-
-    def probabilities(self) -> np.ndarray:
-        """Born probabilities over the flat computational basis."""
-        return np.abs(self.amps) ** 2
 
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per qudit (read-only view)."""
@@ -232,10 +240,6 @@ class DensityMatrix:
             raise ValueError("density matrix must be positive semidefinite")
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
-
-    @property
-    def num_qudits(self) -> int:
-        return round(math.log(self.mat.shape[0], self.d))
 
 
 def reduced_density(state: PureState, keep: int | Sequence[int]) -> DensityMatrix:

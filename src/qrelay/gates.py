@@ -44,11 +44,9 @@ def identity(d: int) -> GateMatrix:
     return GateMatrix(d, 1, np.eye(d, dtype=np.complex128))
 
 
-@lru_cache(maxsize=None)
 def pauli_z(d: int) -> GateMatrix:
     """Phase gate Z|j> = w^j |j> with w = exp(2*pi*i/d)."""
-    check_dim(d)
-    return GateMatrix(d, 1, np.diag([root_of_unity(d, j) for j in range(d)]))
+    return pauli_z_power(d, 1)
 
 
 @lru_cache(maxsize=None)

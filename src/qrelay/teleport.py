@@ -21,6 +21,7 @@ from . import gates
 from .core import (
     PureState,
     ValidationError,
+    _draw_dit,
     basis_state,
     phase_exponent,
     reduced_density,
@@ -132,7 +133,8 @@ def measure_standard(
 ) -> MeasurementResult:
     """Standard-basis measurement of one qudit with projective collapse.
 
-    The outcome is Born-sampled from `rng` unless `forced` pins it. Forcing
+    The outcome is Born-sampled from one `rng.random()` double through the
+    package's draw rule (`core._draw_dit`) unless `forced` pins it. Forcing
     an outcome with probability below FORCED_OUTCOME_MIN_PROB raises
     ImpossibleOutcomeError. The collapsed state is renormalized.
     """
@@ -153,7 +155,7 @@ def measure_standard(
     else:
         if rng is None:
             raise ValueError("measurement needs either an rng or a forced outcome")
-        outcome = int(rng.choice(d, p=probs / probs.sum()))
+        outcome = int(_draw_dit(probs, rng.random()))
     prob = float(probs[outcome])
     collapsed = np.zeros_like(block)
     collapsed[:, outcome, :] = block[:, outcome, :] / math.sqrt(prob)

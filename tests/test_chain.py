@@ -269,9 +269,7 @@ class TestRunTrajectories:
         Equal dits are almost sure, not guaranteed: run_chain samples the
         carrier from Born probabilities that equal 1/d only up to rounding,
         so a double within an ulp of a cdf step may fall on the other side
-        of it there. This test is also what catches a future numpy change to
-        how Generator.choice turns a double into an index, which the engine
-        reproduces with its own cdf and searchsorted.
+        of it there.
         """
         rng = np.random.default_rng(46 + d)
         psi = random_state(d, 1, rng)

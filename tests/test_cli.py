@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 
 import qrelay.cli
 from qrelay import selftest
-from qrelay.chain import expected_fidelity
+from qrelay.chain import expected_fidelity, trial_seed
 from qrelay.cli import (
     ExperimentConfig,
     build_parser,
@@ -19,7 +20,7 @@ from qrelay.cli import (
     parse_config,
     render_report,
 )
-from qrelay.core import ValidationError
+from qrelay.core import ValidationError, random_state
 from qrelay.teleport import CorrectionMode
 
 
@@ -53,8 +54,9 @@ class TestParseConfig:
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "experiment.json"
         path.write_text(json.dumps({"d": 2, "hops": 4}))
-        with pytest.raises(ValidationError, match="hops"):
-            parse(["run", "--config", str(path)])
+        for command in ("run", "enumerate"):
+            with pytest.raises(ValidationError, match="^hops:"):
+                parse([command, "--config", str(path)])
 
     def test_noise_sum_error_names_field(self):
         with pytest.raises(ValidationError, match="noise.probs"):
@@ -120,6 +122,18 @@ class TestInitialState:
         np.testing.assert_array_equal(first.amps, second.amps)
         other = initial_state(parse(["run", "--state", "random", "--seed", "6"]))
         assert np.max(np.abs(first.amps - other.amps)) > 1e-6
+
+    def test_random_state_stream_is_not_trial_0s(self, monkeypatch):
+        first_doubles = []
+
+        def recording_random_state(d, num_qudits, rng):
+            first_doubles.append(copy.deepcopy(rng).random())
+            return random_state(d, num_qudits, rng)
+
+        monkeypatch.setattr(qrelay.cli, "random_state", recording_random_state)
+        for master in (0, 1, 5, 123, 2**63 + 5, 2**64 - 1):
+            initial_state(parse(["run", "--state", "random", "--seed", str(master)]))
+            assert first_doubles.pop() != np.random.default_rng(trial_seed(master, 0)).random()
 
 
 class TestCmdRun:
@@ -240,12 +254,17 @@ class TestMain:
             raise AssertionError("trials ran before the output path was checked")
 
         monkeypatch.setattr(qrelay.cli, "run_trajectories", no_trials)
-        for key, path in (("history", "/nonexistent/h.csv"), ("out", "/nonexistent/r.json"),
-                          ("out", str(tmp_path))):
-            assert main(["run", "--d", "2", "--trials", "1000", f"--{key}", path]) == 1
+        monkeypatch.chdir(tmp_path)
+        for key, flags in (("history", ["--history", "/nonexistent/h.csv"]),
+                           ("out", ["--out", "/nonexistent/r.json"]),
+                           ("out", ["--out", str(tmp_path)]),
+                           # one file by two names: the report would overwrite the CSV
+                           ("history", ["--out", "same.out", "--history", str(tmp_path / "same.out")])):
+            assert main(["run", "--d", "2", "--trials", "1000", *flags]) == 1
             captured = capsys.readouterr()
             assert f"error: {key}:" in captured.err
             assert captured.out == ""
+        assert not (tmp_path / "same.out").exists()
         # checking a writable path does not create the file
         history = tmp_path / "h.csv"
         assert parse(["run", "--history", str(history)]).history == str(history)
@@ -265,6 +284,18 @@ class TestMain:
             assert f"error: {key}:" in captured.err
             assert captured.out == ""
         assert not (tmp_path / "h.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--d", "2", "--n", "3", "--mode", "local", "--noise", "0.8,0.2", "--trials", "7",
+         "--seed", "5", "--state", "0.6,0,0,0.8"],
+        ["enumerate", "--d", "3", "--n", "2", "--noise", "0,1,0", "--state", "random", "--seed", "4"],
+    ])
+    def test_config_echo_round_trips(self, tmp_path, argv):
+        first, second, echo = tmp_path / "first.json", tmp_path / "second.json", tmp_path / "echo.json"
+        assert main(argv + ["--out", str(first)]) == 0
+        echo.write_text(json.dumps(json.loads(first.read_text())["config"]))
+        assert main([argv[0], "--config", str(echo), "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
 
     def test_usage_errors_exit_1_and_help_exits_0(self, capsys):
         # exit code 2 is reserved for an exceeded budget
