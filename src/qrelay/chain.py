@@ -14,6 +14,12 @@ always delivers Z^K psi0 with K = (sum of noise exponents) mod d, so
 `run_trajectories`, the engine `qrelay run` uses, only draws the dits and
 reads the fidelity from a d-entry table. The two agree exactly on the
 dits almost surely: the oracle's Born cdf equals k/d only up to rounding.
+
+The same fact makes `qrelay enumerate` closed-form: under a fixed channel
+exponent k every carrier path delivers Z^K psi0 with K = n*k mod d.
+`enumerate_branches` walks the d^n paths through `run_chain` and stays in
+the library as that command's oracle; both share the enumeration
+preconditions (`_enumeration_exponent`).
 """
 
 from __future__ import annotations
@@ -325,15 +331,12 @@ def expected_fidelity(config: ChainConfig, psi0: PureState) -> float:
     return float(p_k @ fidelity_table(psi0))
 
 
-def enumerate_branches(config: ChainConfig, psi0: PureState) -> list[BranchOutcome]:
-    """Exhaustively walk every carrier-outcome path of a chain.
+def _enumeration_exponent(config: ChainConfig) -> int:
+    """The channel's fixed exponent, once the chain is fit for enumeration.
 
-    Only the carrier outcome matters per hop (the ancilla outcome provably
-    never changes the received state), so d^n paths cover the run exactly,
-    each with probability d^-n. More than DEFAULT_PATH_BUDGET paths raise
-    ResourceLimitError. Requires a deterministic noise channel;
-    stochastic noise has no exact per-path probability and belongs in
-    Monte Carlo runs.
+    Stochastic noise has no exact per-path probability and belongs in
+    Monte Carlo runs; more than DEFAULT_PATH_BUDGET paths raise
+    ResourceLimitError.
     """
     forced_k = config.noise.deterministic_exponent()
     if forced_k is None:
@@ -347,7 +350,23 @@ def enumerate_branches(config: ChainConfig, psi0: PureState) -> list[BranchOutco
             f"{config.d}^{config.n} = {total} paths exceed the budget of {DEFAULT_PATH_BUDGET}; "
             "use Monte Carlo runs instead"
         )
-    probability = 1.0 / total
+    return forced_k
+
+
+def enumerate_branches(config: ChainConfig, psi0: PureState) -> list[BranchOutcome]:
+    """Exhaustively walk every carrier-outcome path of a chain through run_chain.
+
+    Only the carrier outcome matters per hop (the ancilla outcome provably
+    never changes the received state), so d^n paths cover the run exactly,
+    each with probability d^-n. More than DEFAULT_PATH_BUDGET paths raise
+    ResourceLimitError. Requires a deterministic noise channel;
+    stochastic noise has no exact per-path probability and belongs in
+    Monte Carlo runs. This is the state-vector oracle for `qrelay
+    enumerate`, which lists the same paths in closed form: with the
+    channel's fixed exponent k, every path delivers Z^K psi0, K = n*k mod d.
+    """
+    forced_k = _enumeration_exponent(config)
+    probability = 1.0 / config.d**config.n
     branches = []
     for path in itertools.product(range(config.d), repeat=config.n):
         result = run_chain(

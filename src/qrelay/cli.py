@@ -4,14 +4,16 @@ Reports are JSON with sorted keys so identical configurations produce
 byte-identical output. Complex amplitudes travel as [re, im] pairs, both
 in configuration files and in reports. Exit codes: 0 success, 1 usage,
 validation or I/O error, 2 resource budget exceeded, 3 self-test failure.
-`run` uses the closed-form trajectory engine; `run_chain` stays the
-library's state-vector oracle.
+Both commands are closed-form: `run` uses the trajectory engine, with
+`run_chain` as the library's state-vector oracle, and `enumerate` lists
+every path's Z^K psi0 directly, with `enumerate_branches` as its oracle.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -22,13 +24,14 @@ from typing import NoReturn
 
 import numpy as np
 
-from . import selftest
+from . import gates, selftest
 from .chain import (
     ChainConfig,
     HistoryEntry,
     NoiseSpec,
     ResourceLimitError,
-    enumerate_branches,
+    _enumeration_exponent,
+    fidelity_table,
     run_chain,
     run_trajectories,
 )
@@ -66,22 +69,30 @@ def _check_output_path(key: str, path: object) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment parameters; `chain.seed` is the master seed."""
+    """Fully resolved experiment parameters; `chain.seed` is the master seed.
+
+    `trials` is None for `enumerate`, which has no trials.
+    """
 
     chain: ChainConfig
-    trials: int
+    trials: int | None
     state: str | tuple[tuple[float, float], ...]
     out: str | None = None
     history: str | None = None
 
     def __post_init__(self) -> None:
-        check_positive_int("trials", self.trials)
+        if self.trials is not None:
+            check_positive_int("trials", self.trials)
         for key in ("out", "history"):
             path = getattr(self, key)
             if path is not None:
                 _check_output_path(key, path)
         if self.out is not None and self.history is not None:
-            if Path(self.out).resolve() == Path(self.history).resolve():
+            out, history = Path(self.out), Path(self.history)
+            # resolved names catch symlinks and new files, inodes catch hard links
+            if out.resolve() == history.resolve() or (
+                out.exists() and history.exists() and out.samefile(history)
+            ):
                 raise ValidationError(f"history: {self.history} is the same file as out")
 
 
@@ -195,7 +206,7 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     )
     return ExperimentConfig(
         chain=chain,
-        trials=raw.get("trials", DEFAULT_TRIALS),
+        trials=raw.get("trials", DEFAULT_TRIALS) if "trials" in flags else None,
         state=_parse_state(raw.get("state", DEFAULT_STATE), d),
         out=raw.get("out"),
         history=raw.get("history"),
@@ -268,28 +279,33 @@ def cmd_run(config: ExperimentConfig) -> dict:
 
 
 def cmd_enumerate(config: ExperimentConfig) -> dict:
-    """Walk every carrier-outcome path exactly (noiseless or fixed noise)."""
+    """List every carrier-outcome path exactly (noiseless or fixed noise).
+
+    With the channel's fixed exponent k, every path delivers Z^K psi0 with
+    K = n*k mod d, so all d^n records share one final state and one F[K]
+    from fidelity_table; `enumerate_branches` is the state-vector oracle.
+    """
     psi0 = initial_state(config)
-    branches = enumerate_branches(config.chain, psi0)
+    chain = config.chain
+    exponent = chain.n * _enumeration_exponent(chain) % chain.d
+    final = _amp_pairs(gates.apply_1q(psi0, gates.pauli_z_power(chain.d, exponent), 0))
+    fid = float(fidelity_table(psi0)[exponent])
+    total = chain.d**chain.n
+    probability = 1.0 / total
     paths = [
-        {
-            "path": list(branch.path),
-            "probability": branch.probability,
-            "fidelity": branch.fidelity,
-            "final_state": _amp_pairs(branch.final),
-        }
-        for branch in branches
+        {"path": list(path), "probability": probability, "fidelity": fid, "final_state": final}
+        for path in itertools.product(range(chain.d), repeat=chain.n)
     ]
-    fidelities = [branch.fidelity for branch in branches]
     return {
         "command": "enumerate",
         "config": _config_echo(config),
         "paths": paths,
         "aggregate": {
-            "path_count": len(branches),
-            "probability_sum": float(sum(branch.probability for branch in branches)),
-            "fidelity_mean": float(np.mean(fidelities)),
-            "fidelity_min": float(np.min(fidelities)),
+            "path_count": total,
+            # added path by path, so the sum checks the listed probabilities
+            "probability_sum": sum(itertools.repeat(probability, total)),
+            "fidelity_mean": fid,
+            "fidelity_min": fid,
         },
     }
 

@@ -2,18 +2,19 @@
 
 Each check is independent of the code path it validates: the golden
 matrices are hard-coded, the expansion oracle is a formula rather than a
-circuit, and permutations are rebuilt from basis arithmetic.
+circuit, permutations are rebuilt from basis arithmetic, and the CLI's
+closed-form engines are compared with the state-vector chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import gates
-from .chain import ChainConfig, NoiseSpec, run_chain
+from .chain import ChainConfig, NoiseSpec, enumerate_branches, run_chain, run_trajectories
 from .core import flat_index, random_state, root_of_unity
 from .teleport import CorrectionMode, hop_circuit, hop_expansion, prepare_hop, teleport_hop
 
@@ -162,6 +163,51 @@ def check_noiseless_transmission() -> CheckResult:
     )
 
 
+def check_engines_match_oracles() -> CheckResult:
+    """`run_trajectories` against `run_chain` seed for seed at d=3, n=3, and
+    `cmd_enumerate` against `enumerate_branches` path by path at d=3, n=2,
+    where the fixed channel's total exponent K = n*k mod d is not 0."""
+    from .cli import ExperimentConfig, cmd_enumerate, initial_state  # cli imports this module
+
+    failures = []
+    chain = ChainConfig(
+        d=3, n=3, mode=CorrectionMode.DEFERRED_FINAL, noise=NoiseSpec((0.4, 0.3, 0.3)), seed=19
+    )
+    psi = random_state(3, 1, np.random.default_rng(19))
+    batch = run_trajectories(chain, psi, 6)
+    for i, seed in enumerate(batch.seeds):
+        oracle = run_chain(replace(chain, seed=seed), psi)
+        if (
+            list(oracle.results) != batch.results[i].tolist()
+            or list(oracle.noise_exponents) != batch.noise_exponents[i].tolist()
+            or abs(oracle.fidelity_vs_initial - batch.fidelities[i]) > TOL
+        ):
+            failures.append(f"run trial {i}")
+
+    fixed = NoiseSpec((0.0, 1.0, 0.0))
+    config = ExperimentConfig(
+        chain=replace(chain, n=2, mode=CorrectionMode.LOCAL_EACH_HOP, noise=fixed),
+        trials=None,
+        state="random",
+    )
+    paths = cmd_enumerate(config)["paths"]
+    branches = enumerate_branches(config.chain, initial_state(config))
+    if len(paths) != len(branches):
+        failures.append(f"enumerate lists {len(paths)} paths, the oracle {len(branches)}")
+    for record, branch in zip(paths, branches):
+        final = np.array([complex(re, im) for re, im in record["final_state"]])
+        if (
+            tuple(record["path"]) != branch.path
+            or record["probability"] != branch.probability
+            or abs(record["fidelity"] - branch.fidelity) > TOL
+            or float(np.max(np.abs(final - branch.final.amps))) > TOL
+        ):
+            failures.append(f"enumerate path {record['path']}")
+    return _result(
+        "closed-form engines match the state-vector oracles", not failures, "; ".join(failures)
+    )
+
+
 def run_all(
     hadamard_factory: Callable[[int], gates.GateMatrix] = gates.hadamard,
 ) -> list[CheckResult]:
@@ -174,6 +220,7 @@ def run_all(
         check_strategy_equivalence(),
         check_unitarity_sweep(hadamard_factory=hadamard_factory),
         check_noiseless_transmission(),
+        check_engines_match_oracles(),
     ]
 
 

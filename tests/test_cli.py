@@ -2,14 +2,16 @@ import copy
 import csv
 import json
 import math
+import os
 import time
 
 import numpy as np
 import pytest
 
+import qrelay.chain
 import qrelay.cli
 from qrelay import selftest
-from qrelay.chain import expected_fidelity, trial_seed
+from qrelay.chain import enumerate_branches, expected_fidelity, trial_seed
 from qrelay.cli import (
     ExperimentConfig,
     build_parser,
@@ -36,6 +38,7 @@ class TestParseConfig:
         assert config.chain.noise.probs == (1.0, 0.0, 0.0)
         assert (config.chain.seed, config.trials) == (0, 1)
         assert config.state == "uniform"
+        assert parse(["enumerate"]).trials is None
 
     def test_flags(self):
         config = parse(["run", "--d", "2", "--n", "5", "--mode", "local", "--noise", "0.5,0.5",
@@ -215,6 +218,41 @@ class TestCmdEnumerate:
         assert main(["enumerate", "--d", "3", "--n", "8"]) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_stochastic_noise_exit_code(self, capsys):
+        assert main(["enumerate", "--d", "2", "--n", "2", "--noise", "0.5,0.5"]) == 1
+        captured = capsys.readouterr()
+        assert "error: noise.probs: enumeration requires a deterministic channel" in captured.err
+        assert captured.out == ""
+
+    # n per d: several chain lengths, at most 512 paths each
+    @pytest.mark.parametrize(
+        "d,ns",
+        [(2, (1, 3, 6)), (3, (1, 2, 4)), (5, (1, 3)), (16, (1, 2))],
+        ids=["d2", "d3", "d5", "d16"],
+    )
+    @pytest.mark.parametrize("mode", ["local", "deferred"])
+    def test_matches_branch_oracle(self, d, ns, mode):
+        for k in sorted({0, 1, d - 1}):
+            noise = ",".join("1" if j == k else "0" for j in range(d))
+            for n in ns:
+                config = parse(["enumerate", "--d", str(d), "--n", str(n), "--mode", mode,
+                                "--noise", noise, "--state", "random", "--seed", str(7 * n + k)])
+                report = cmd_enumerate(config)
+                branches = enumerate_branches(config.chain, initial_state(config))
+                paths = report["paths"]
+                assert [record["path"] for record in paths] == [list(b.path) for b in branches]
+                for record, branch in zip(paths, branches):
+                    assert record["probability"] == branch.probability
+                    assert abs(record["fidelity"] - branch.fidelity) <= 1e-12
+                    final = np.array([complex(re, im) for re, im in record["final_state"]])
+                    assert np.max(np.abs(final - branch.final.amps)) <= 1e-12
+                fidelities = [branch.fidelity for branch in branches]
+                aggregate = report["aggregate"]
+                assert aggregate["path_count"] == len(branches)
+                assert aggregate["probability_sum"] == sum(branch.probability for branch in branches)
+                assert abs(aggregate["fidelity_mean"] - np.mean(fidelities)) <= 1e-12
+                assert abs(aggregate["fidelity_min"] - np.min(fidelities)) <= 1e-12
+
 
 class TestMain:
     def test_run_writes_report_to_stdout(self, capsys):
@@ -259,12 +297,17 @@ class TestMain:
                            ("out", ["--out", "/nonexistent/r.json"]),
                            ("out", ["--out", str(tmp_path)]),
                            # one file by two names: the report would overwrite the CSV
-                           ("history", ["--out", "same.out", "--history", str(tmp_path / "same.out")])):
+                           ("history", ["--out", "same.out", "--history", str(tmp_path / "same.out")]),
+                           ("history", ["--out", "report.json", "--history", "linked.csv"])):
+            if "linked.csv" in flags:
+                (tmp_path / "report.json").write_text("kept")
+                os.link(tmp_path / "report.json", tmp_path / "linked.csv")
             assert main(["run", "--d", "2", "--trials", "1000", *flags]) == 1
             captured = capsys.readouterr()
             assert f"error: {key}:" in captured.err
             assert captured.out == ""
         assert not (tmp_path / "same.out").exists()
+        assert (tmp_path / "linked.csv").read_text() == "kept"
         # checking a writable path does not create the file
         history = tmp_path / "h.csv"
         assert parse(["run", "--history", str(history)]).history == str(history)
@@ -331,6 +374,16 @@ class TestSelftestNegativeControl:
         assert not sweep.passed
         assert "hadamard" in sweep.detail
         assert by_name["qutrit cnot golden matrix"].passed
+
+    @pytest.mark.parametrize(
+        "module,failing", [(qrelay.chain, "run trial"), (qrelay.cli, "enumerate path")]
+    )
+    def test_wrong_closed_form_fails_oracle_check(self, monkeypatch, module, failing):
+        table = qrelay.chain.fidelity_table
+        monkeypatch.setattr(module, "fidelity_table", lambda psi: table(psi)[::-1])
+        check = selftest.check_engines_match_oracles()
+        assert not check.passed
+        assert failing in check.detail
 
 
 class TestReportRendering:
