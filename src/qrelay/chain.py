@@ -1,11 +1,11 @@
 """One-way transmission chains built from teleportation hops.
 
 A chain run is strictly sequential: hop i+1 consumes hop i's output qudit.
-Randomness comes from one seeded generator per run, consumed in a fixed
-order per hop (carrier outcome, ancilla outcome, noise exponent), one
-double per draw, mapped to a dit by one rule (`core._draw_dit`), so runs
-are bit-reproducible. Parallelism only ever exists across independent
-trials, each with its own derived seed.
+Randomness comes from one seeded stream per run, `default_rng(seed)`,
+consumed in a fixed order per hop (carrier outcome, ancilla outcome, noise
+exponent), one double per draw, mapped to a dit by one rule
+(`core._draw_dit`), so runs are bit-reproducible. Trial i is block i of
+3n doubles (`_trial_stream`), so trials are independent and replayable.
 
 Two engines share that draw contract. `run_chain` is the state-vector
 oracle: it builds, measures and slices every hop register. Because every
@@ -193,9 +193,11 @@ def apply_phase_noise(
     return gates.apply_1q(state, gates.pauli_z_power(d, k), 0), k
 
 
-def trial_seed(master_seed: int, trial_index: int) -> int:
-    """Derived per-trial seed: master XOR trial index (pure, order-free)."""
-    return (master_seed ^ trial_index) & (2**64 - 1)
+def _trial_stream(seed: int, n: int, trial: int = 0) -> np.random.Generator:
+    """default_rng(seed) from trial `trial`'s start; trial i owns doubles [3n*i, 3n*(i+1))."""
+    bits = np.random.PCG64(seed)
+    bits.advance(3 * n * trial)
+    return np.random.Generator(bits)
 
 
 def _check_chain_input(d: int, psi0: PureState) -> None:
@@ -211,6 +213,7 @@ def run_chain(
     psi0: PureState,
     forced_outcomes: Sequence[tuple[int, int]] | None = None,
     forced_noise: Sequence[int] | None = None,
+    trial: int = 0,
 ) -> ChainResult:
     """Send psi0 through n hops and report the corrected received state.
 
@@ -218,15 +221,18 @@ def run_chain(
     (state, r) to the history, then in LOCAL_EACH_HOP mode apply Z^r
     immediately. In DEFERRED_FINAL mode the results are only collected and
     a single Z^f with f = (sum r_i) mod d closes the run. The history has
-    n + 1 entries; entry 0 is (psi0, 0).
+    n + 1 entries; entry 0 is (psi0, 0). Drawing trial `trial`'s block of
+    the seed's stream replays that row of run_trajectories.
     """
     _check_chain_input(config.d, psi0)
+    if isinstance(trial, bool) or not isinstance(trial, int) or trial < 0:
+        raise ValidationError(f"trial: must be a non-negative integer, got {trial!r}")
     if forced_outcomes is not None and len(forced_outcomes) != config.n:
         raise ValueError(f"forced_outcomes must list {config.n} (a, b) pairs")
     if forced_noise is not None and len(forced_noise) != config.n:
         raise ValueError(f"forced_noise must list {config.n} exponents")
 
-    rng = np.random.default_rng(config.seed)
+    rng = _trial_stream(config.seed, config.n, trial)
     local = config.mode is CorrectionMode.LOCAL_EACH_HOP
     history = [HistoryEntry(psi0, 0)]
     results: list[int] = []
@@ -268,14 +274,13 @@ def run_chain(
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryBatch:
-    """Closed-form outcomes of seeded chain runs; row i ran with seeds[i].
+    """Closed-form outcomes of one seeded run; row i is trial i.
 
-    Each row holds what run_chain reports for that seed: `results` and
+    Each row holds what run_chain reports for that trial: `results` and
     `noise_exponents` are (trials, n) integer arrays, `fidelities` has one
     entry per trial, and `deferred_exponents` is None in local mode.
     """
 
-    seeds: tuple[int, ...]
     results: np.ndarray
     noise_exponents: np.ndarray
     fidelities: np.ndarray
@@ -291,10 +296,10 @@ def fidelity_table(psi0: PureState) -> np.ndarray:
 
 
 def run_trajectories(config: ChainConfig, psi0: PureState, trials: int) -> TrajectoryBatch:
-    """Run `trials` chains in closed form, trial i seeded trial_seed(config.seed, i).
+    """Run `trials` chains in closed form; trial i is block i of the seed's stream.
 
-    Each trial draws rng.random((n, 3)) from its own generator, one double
-    per hop for the carrier, ancilla and noise draws in run_chain's order.
+    One random((trials, n, 3)) call draws every trial's doubles, one per
+    hop for the carrier, ancilla and noise draws in run_chain's order.
     The carrier and noise doubles become dits by the package's draw rule
     (`core._draw_dit`); the ancilla double is discarded, since the
     ancilla outcome never changes the received state. The fidelity is
@@ -303,15 +308,11 @@ def run_trajectories(config: ChainConfig, psi0: PureState, trials: int) -> Traje
     _check_chain_input(config.d, psi0)
     check_positive_int("trials", trials)
     d, n = config.d, config.n
-    seeds = tuple(trial_seed(config.seed, i) for i in range(trials))
-    draws = np.empty((trials, n, 3))
-    for i, seed in enumerate(seeds):
-        draws[i] = np.random.default_rng(seed).random((n, 3))
+    draws = _trial_stream(config.seed, n).random((trials, n, 3))
     results = _draw_dit(np.full(d, 1.0 / d), draws[..., 0])
     noise = _draw_dit(config.noise.probs, draws[..., 2])
     local = config.mode is CorrectionMode.LOCAL_EACH_HOP
     return TrajectoryBatch(
-        seeds=seeds,
         results=results,
         noise_exponents=noise,
         fidelities=fidelity_table(psi0)[noise.sum(axis=1) % d],
@@ -344,10 +345,10 @@ def _enumeration_exponent(config: ChainConfig) -> int:
             "noise.probs: enumeration requires a deterministic channel; "
             "use Monte Carlo runs for stochastic noise"
         )
-    total = config.d**config.n
-    if total > DEFAULT_PATH_BUDGET:
+    # d >= 2, so a long chain is over budget before d^n is ever built
+    if config.n >= DEFAULT_PATH_BUDGET.bit_length() or config.d**config.n > DEFAULT_PATH_BUDGET:
         raise ResourceLimitError(
-            f"{config.d}^{config.n} = {total} paths exceed the budget of {DEFAULT_PATH_BUDGET}; "
+            f"{config.d}^{config.n} paths exceed the budget of {DEFAULT_PATH_BUDGET}; "
             "use Monte Carlo runs instead"
         )
     return forced_k

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
@@ -158,7 +158,7 @@ def initial_state(config: ExperimentConfig) -> PureState:
     if spec == "uniform":
         return make_state(d, [1.0 / math.sqrt(d)] * d)
     if spec == "random":
-        # a spawn key no trial seed carries keeps this stream apart from every trial's
+        # the spawn key keeps this stream apart from the trials' stream, default_rng(seed)
         stream = np.random.SeedSequence(config.chain.seed, spawn_key=(0,))
         return random_state(d, 1, np.random.default_rng(stream))
     if isinstance(spec, str) and spec.startswith("basis:"):
@@ -253,17 +253,16 @@ def cmd_run(config: ExperimentConfig) -> dict:
     records = [
         {
             "trial": index,
-            "seed": seed,
             "results": results[index],
             "deferred_exponent": deferred[index],
             "noise_exponents": noise[index],
             "fidelity": fidelity,
         }
-        for index, (seed, fidelity) in enumerate(zip(batch.seeds, batch.fidelities.tolist()))
+        for index, fidelity in enumerate(batch.fidelities.tolist())
     ]
     if config.history:
         # trial 0 once more through the state-vector oracle, for its snapshots
-        first = run_chain(replace(config.chain, seed=batch.seeds[0]), psi0)
+        first = run_chain(config.chain, psi0)
         write_history_csv(config.history, first.history)
     return {
         "command": "run",

@@ -204,8 +204,8 @@ def inner_product(x: PureState, y: PureState) -> complex:
 
 
 def fidelity(x: PureState, y: PureState) -> float:
-    """Squared overlap |<x|y>|^2."""
-    return abs(inner_product(x, y)) ** 2
+    """Squared overlap |<x|y>|^2, clipped where unit norms (to 1e-12) round it past 1."""
+    return min(abs(inner_product(x, y)) ** 2, 1.0)
 
 
 def tensor_product(x: PureState, y: PureState) -> PureState:

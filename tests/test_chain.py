@@ -16,9 +16,8 @@ from qrelay.chain import (
     full_register_chain,
     run_chain,
     run_trajectories,
-    trial_seed,
 )
-from qrelay.core import ValidationError, basis_state, fidelity, make_state, random_state
+from qrelay.core import ValidationError, _draw_dit, basis_state, fidelity, make_state, random_state
 from qrelay.teleport import CorrectionMode, apply_correction, teleport_hop
 
 LOCAL = CorrectionMode.LOCAL_EACH_HOP
@@ -258,13 +257,16 @@ class TestRunChain:
             run_chain(config(d=2, n=2), uniform_state(2), forced_outcomes=[(0, 0)])
         with pytest.raises(ValueError):
             run_chain(config(d=2, n=2), uniform_state(2), forced_noise=[0])
+        for trial in (-1, 1.0, True, "0"):
+            with pytest.raises(ValidationError, match="trial:"):
+                run_chain(config(d=2, n=2), uniform_state(2), trial=trial)
 
 
 class TestRunTrajectories:
     @pytest.mark.parametrize("mode", [LOCAL, DEFERRED])
     @pytest.mark.parametrize("d", [2, 3, 5, 16])
     def test_matches_state_vector_oracle(self, d, mode):
-        """The closed-form engine reports what run_chain reports, seed for seed.
+        """The closed-form engine reports what run_chain reports, trial for trial.
 
         Equal dits are almost sure, not guaranteed: run_chain samples the
         carrier from Born probabilities that equal 1/d only up to rounding,
@@ -282,15 +284,31 @@ class TestRunTrajectories:
         for n, noise, master in itertools.product((1, 4, 16), noises, (0, 2**63 + 5)):
             chain = config(d=d, n=n, mode=mode, noise=noise, seed=master)
             batch = run_trajectories(chain, psi, 3)
-            for i, seed in enumerate(batch.seeds):
-                assert seed == trial_seed(master, i)
-                oracle = run_chain(config(d=d, n=n, mode=mode, noise=noise, seed=seed), psi)
+            for i in range(3):
+                oracle = run_chain(chain, psi, trial=i)
                 results, noise_exponents = batch.results[i].tolist(), batch.noise_exponents[i].tolist()
                 assert tuple(results) == oracle.results
                 assert tuple(noise_exponents) == oracle.noise_exponents
                 deferred = None if batch.deferred_exponents is None else batch.deferred_exponents[i]
                 assert deferred == oracle.deferred_exponent
                 assert abs(batch.fidelities[i] - oracle.fidelity_vs_initial) <= 1e-12
+
+    def test_trial_i_is_block_i_of_the_seed_stream(self):
+        """Trial i maps doubles [3n*i, 3n*(i+1)) of default_rng(seed), so adjacent
+        master seeds share no trial, not even in another order."""
+        d, n, trials = 16, 4, 1000
+        noise = NoiseSpec((1 / d,) * d)
+        rows = []
+        for master in (0, 1):
+            chain = config(d=d, n=n, noise=noise, seed=master)
+            batch = run_trajectories(chain, uniform_state(d), trials)
+            doubles = np.random.default_rng(master).random((trials, n, 3))
+            np.testing.assert_array_equal(batch.results, _draw_dit(np.full(d, 1 / d), doubles[..., 0]))
+            np.testing.assert_array_equal(batch.noise_exponents, _draw_dit(noise.probs, doubles[..., 2]))
+            dits = np.hstack([batch.results, batch.noise_exponents])
+            rows.append({tuple(row) for row in dits.tolist()})
+        assert len(rows[0]) == len(rows[1]) == trials
+        assert not rows[0] & rows[1]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -376,17 +394,6 @@ class TestFullRegisterChain:
     def test_path_length_checked(self):
         with pytest.raises(ValueError):
             full_register_chain(2, 2, uniform_state(2), [(0, 0)])
-
-
-class TestTrialSeed:
-    def test_xor_derivation(self):
-        assert trial_seed(0, 0) == 0
-        assert trial_seed(5, 3) == 5 ^ 3
-        assert trial_seed(2**64 - 1, 1) == (2**64 - 1) ^ 1
-
-    def test_distinct_for_small_indices(self):
-        seeds = {trial_seed(12345, index) for index in range(64)}
-        assert len(seeds) == 64
 
 
 def test_monte_carlo_outcome_uniformity():

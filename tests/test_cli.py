@@ -3,6 +3,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 import qrelay.chain
 import qrelay.cli
 from qrelay import selftest
-from qrelay.chain import enumerate_branches, expected_fidelity, trial_seed
+from qrelay.chain import enumerate_branches, expected_fidelity
 from qrelay.cli import (
     ExperimentConfig,
     build_parser,
@@ -136,7 +138,7 @@ class TestInitialState:
         monkeypatch.setattr(qrelay.cli, "random_state", recording_random_state)
         for master in (0, 1, 5, 123, 2**63 + 5, 2**64 - 1):
             initial_state(parse(["run", "--state", "random", "--seed", str(master)]))
-            assert first_doubles.pop() != np.random.default_rng(trial_seed(master, 0)).random()
+            assert first_doubles.pop() != np.random.default_rng(master).random()
 
 
 class TestCmdRun:
@@ -215,8 +217,9 @@ class TestCmdEnumerate:
             assert len(path["final_state"][0]) == 2
 
     def test_budget_exit_code(self, capsys):
-        assert main(["enumerate", "--d", "3", "--n", "8"]) == 2
-        assert "budget" in capsys.readouterr().err
+        for n in ("8", "10000"):
+            assert main(["enumerate", "--d", "3", "--n", n]) == 2
+            assert f"3^{n} paths exceed the budget" in capsys.readouterr().err
 
     def test_stochastic_noise_exit_code(self, capsys):
         assert main(["enumerate", "--d", "2", "--n", "2", "--noise", "0.5,0.5"]) == 1
@@ -356,6 +359,13 @@ class TestMain:
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/config.json"]) == 1
+
+    def test_module_entry_point_propagates_exit_code(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv, code in ((["selftest"], 0), (["enumerate", "--d", "3", "--n", "8"], 2)):
+            done = subprocess.run([sys.executable, "-m", "qrelay", *argv], env=env, capture_output=True)
+            assert done.returncode == code, done.stderr
 
     def test_selftest_passes(self, capsys):
         start = time.monotonic()

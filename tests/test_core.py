@@ -193,6 +193,10 @@ class TestOverlap:
         for d in (2, 3, 5):
             state = random_state(d, 2, rng)
             assert inner_product(state, state) == pytest.approx(1.0, abs=1e-12)
+            assert 0.0 <= fidelity(state, random_state(d, 2, rng)) <= fidelity(state, state) <= 1.0
+        # |<s|s>|^2 of the uniform qubit rounds to 1 + 4e-16 before the clip
+        uniform = make_state(2, [1 / math.sqrt(2)] * 2)
+        assert fidelity(uniform, uniform) == 1.0
 
     def test_orthogonal(self):
         zero = basis_state(2, 1, (0,))
