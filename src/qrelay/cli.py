@@ -1,9 +1,11 @@
 """Command-line front-end: seeded runs, exact enumeration, self-test.
 
 Reports are JSON with sorted keys so identical configurations produce
-byte-identical output. Complex amplitudes travel as [re, im] pairs, both
-in configuration files and in reports. Exit codes: 0 success, 1 usage,
-validation or I/O error, 2 resource budget exceeded, 3 self-test failure.
+byte-identical output: the top level is indented by two spaces, and each
+trial or path record is one compact line. Complex amplitudes travel as
+[re, im] pairs, both in configuration files and in reports. Exit codes:
+0 success, 1 usage, validation or I/O error, 2 resource budget exceeded,
+3 self-test failure.
 Both commands are closed-form: `run` uses the trajectory engine, with
 `run_chain` as the library's state-vector oracle, and `enumerate` lists
 every path's Z^K psi0 directly, with `enumerate_branches` as its oracle.
@@ -240,34 +242,40 @@ def write_history_csv(path: str, history: tuple[HistoryEntry, ...]) -> None:
                 writer.writerow([hop, entry.r, index, repr(float(amp.real)), repr(float(amp.imag))])
 
 
-def cmd_run(config: ExperimentConfig) -> dict:
-    """Execute the configured number of seeded chain runs and aggregate."""
+def _dit_lists(dits: np.ndarray) -> list[str]:
+    """Each row of a 2-D integer array as the inside of a compact JSON list."""
+    # one encoder call for all rows: "[[0,1],[2,0]]" -> ["0,1", "2,0"]
+    return json.dumps(dits.tolist(), separators=(",", ":"))[2:-2].split("],[")
+
+
+def cmd_run(config: ExperimentConfig) -> str:
+    """Execute the configured number of seeded chain runs; return the report text.
+
+    Each trial's record is written from the TrajectoryBatch arrays by one
+    key-sorted template; `.tolist()` yields Python ints and floats, whose
+    str and repr are what json writes.
+    """
     psi0 = initial_state(config)
     batch = run_trajectories(config.chain, psi0, config.trials)
-    results = batch.results.tolist()
-    noise = batch.noise_exponents.tolist()
     if batch.deferred_exponents is None:
-        deferred = [None] * config.trials
+        deferred = itertools.repeat("null")
     else:
-        deferred = batch.deferred_exponents.tolist()
+        deferred = map(str, batch.deferred_exponents.tolist())
+    rows = zip(
+        deferred, batch.fidelities.tolist(), _dit_lists(batch.noise_exponents), _dit_lists(batch.results)
+    )
     records = [
-        {
-            "trial": index,
-            "results": results[index],
-            "deferred_exponent": deferred[index],
-            "noise_exponents": noise[index],
-            "fidelity": fidelity,
-        }
-        for index, fidelity in enumerate(batch.fidelities.tolist())
+        f'{{"deferred_exponent":{exponent},"fidelity":{fidelity!r},'
+        f'"noise_exponents":[{noise}],"results":[{results}],"trial":{index}}}'
+        for index, (exponent, fidelity, noise, results) in enumerate(rows)
     ]
     if config.history:
         # trial 0 once more through the state-vector oracle, for its snapshots
         first = run_chain(config.chain, psi0)
         write_history_csv(config.history, first.history)
-    return {
+    report = {
         "command": "run",
         "config": {**_config_echo(config), "trials": config.trials},
-        "trials": records,
         "aggregate": {
             "fidelity_mean": float(np.mean(batch.fidelities)),
             "fidelity_min": float(np.min(batch.fidelities)),
@@ -275,14 +283,17 @@ def cmd_run(config: ExperimentConfig) -> dict:
         },
         "history_path": config.history,
     }
+    return render_report(report, "trials", records)
 
 
-def cmd_enumerate(config: ExperimentConfig) -> dict:
+def cmd_enumerate(config: ExperimentConfig) -> str:
     """List every carrier-outcome path exactly (noiseless or fixed noise).
 
     With the channel's fixed exponent k, every path delivers Z^K psi0 with
     K = n*k mod d, so all d^n records share one final state and one F[K]
     from fidelity_table; `enumerate_branches` is the state-vector oracle.
+    The shared fields are encoded once, and the records differ only in
+    their path digits. Returns the report text.
     """
     psi0 = initial_state(config)
     chain = config.chain
@@ -291,14 +302,14 @@ def cmd_enumerate(config: ExperimentConfig) -> dict:
     fid = float(fidelity_table(psi0)[exponent])
     total = chain.d**chain.n
     probability = 1.0 / total
-    paths = [
-        {"path": list(path), "probability": probability, "fidelity": fid, "final_state": final}
-        for path in itertools.product(range(chain.d), repeat=chain.n)
-    ]
-    return {
+    # key order: fidelity, final_state, path, probability
+    head = json.dumps({"fidelity": fid, "final_state": final}, separators=(",", ":"))[:-1] + ',"path":['
+    tail = f'],"probability":{probability!r}}}'
+    digits = [str(j) for j in range(chain.d)]
+    records = [head + ",".join(path) + tail for path in itertools.product(digits, repeat=chain.n)]
+    report = {
         "command": "enumerate",
         "config": _config_echo(config),
-        "paths": paths,
         "aggregate": {
             "path_count": total,
             # added path by path, so the sum checks the listed probabilities
@@ -307,6 +318,7 @@ def cmd_enumerate(config: ExperimentConfig) -> dict:
             "fidelity_min": fid,
         },
     }
+    return render_report(report, "paths", records)
 
 
 def cmd_selftest() -> int:
@@ -324,8 +336,16 @@ def cmd_selftest() -> int:
     return 0
 
 
-def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+def render_report(report: dict, key: str, records: list[str]) -> str:
+    """`report` as indent-2 JSON with sorted keys, plus `key` holding `records`.
+
+    The records are already compact, key-sorted JSON objects; the list
+    holds one per line. Every string value is escaped, and nested keys are
+    indented further, so the placeholder line is found exactly once.
+    """
+    placeholder = f'\n  "{key}": []'
+    head, tail = json.dumps({**report, key: []}, indent=2, sort_keys=True).split(placeholder)
+    return f'{head}\n  "{key}": [\n    ' + ",\n    ".join(records) + f"\n  ]{tail}\n"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -369,8 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selftest":
             return cmd_selftest()
         config = parse_config(args)
-        report = cmd_run(config) if args.command == "run" else cmd_enumerate(config)
-        text = render_report(report)
+        text = cmd_run(config) if args.command == "run" else cmd_enumerate(config)
         if config.out:
             Path(config.out).write_text(text)
         else:

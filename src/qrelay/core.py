@@ -175,7 +175,8 @@ def make_state(d: int, amps: Sequence[complex]) -> PureState:
         raise ValidationError(f"amplitude count {arr.size} is not a power of d={d}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("amplitudes must be finite")
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):  # finite amplitudes near 1e308 overflow to norm inf
+        norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > INPUT_NORM_TOL:
         raise ValidationError(
             f"amplitudes must be normalized within {INPUT_NORM_TOL} (norm {norm!r})"

@@ -8,13 +8,14 @@ closed-form engines are compared with the state-vector chain.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import gates
-from .chain import ChainConfig, NoiseSpec, enumerate_branches, run_chain, run_trajectories
+from .chain import ChainConfig, NoiseSpec, enumerate_branches, run_chain
 from .core import flat_index, random_state, root_of_unity
 from .teleport import CorrectionMode, hop_circuit, hop_expansion, prepare_hop, teleport_hop
 
@@ -164,45 +165,52 @@ def check_noiseless_transmission() -> CheckResult:
 
 
 def check_engines_match_oracles() -> CheckResult:
-    """`run_trajectories` against `run_chain` trial for trial at d=3, n=3, and
-    `cmd_enumerate` against `enumerate_branches` path by path at d=3, n=2,
-    where the fixed channel's total exponent K = n*k mod d is not 0."""
-    from .cli import ExperimentConfig, cmd_enumerate, initial_state  # cli imports this module
+    """The rendered `run` and `enumerate` reports against the state-vector
+    oracles in both modes: `run` trial for trial against
+    `run_chain(..., trial=i)` at d=3, n=3, and `enumerate` path by path
+    against `enumerate_branches` at d=3, n=2, where the fixed channel's
+    total exponent K = n*k mod d is not 0. Parsing the report text checks
+    the hand-written records, their `null` and their floats, too."""
+    from .cli import ExperimentConfig, cmd_enumerate, cmd_run, initial_state  # cli imports this module
 
     failures = []
-    chain = ChainConfig(
+    noisy = ChainConfig(
         d=3, n=3, mode=CorrectionMode.DEFERRED_FINAL, noise=NoiseSpec((0.4, 0.3, 0.3)), seed=19
     )
-    psi = random_state(3, 1, np.random.default_rng(19))
-    batch = run_trajectories(chain, psi, 6)
-    for i in range(len(batch.fidelities)):
-        oracle = run_chain(chain, psi, trial=i)
-        if (
-            list(oracle.results) != batch.results[i].tolist()
-            or list(oracle.noise_exponents) != batch.noise_exponents[i].tolist()
-            or abs(oracle.fidelity_vs_initial - batch.fidelities[i]) > TOL
-        ):
-            failures.append(f"run trial {i}")
+    fixed = replace(noisy, n=2, noise=NoiseSpec((0.0, 1.0, 0.0)))
+    for mode in CorrectionMode:
+        config = ExperimentConfig(chain=replace(noisy, mode=mode), trials=6, state="random")
+        psi = initial_state(config)
+        trials = json.loads(cmd_run(config))["trials"]
+        if len(trials) != config.trials:
+            failures.append(f"{mode.value} run lists {len(trials)} trials, not {config.trials}")
+        for i, record in enumerate(trials):
+            oracle = run_chain(config.chain, psi, trial=i)
+            if (
+                record["trial"] != i
+                or record["results"] != list(oracle.results)
+                or record["noise_exponents"] != list(oracle.noise_exponents)
+                or record["deferred_exponent"] != oracle.deferred_exponent
+                or abs(record["fidelity"] - oracle.fidelity_vs_initial) > TOL
+            ):
+                failures.append(f"{mode.value} run trial {i}")
 
-    fixed = NoiseSpec((0.0, 1.0, 0.0))
-    config = ExperimentConfig(
-        chain=replace(chain, n=2, mode=CorrectionMode.LOCAL_EACH_HOP, noise=fixed),
-        trials=None,
-        state="random",
-    )
-    paths = cmd_enumerate(config)["paths"]
-    branches = enumerate_branches(config.chain, initial_state(config))
-    if len(paths) != len(branches):
-        failures.append(f"enumerate lists {len(paths)} paths, the oracle {len(branches)}")
-    for record, branch in zip(paths, branches):
-        final = np.array([complex(re, im) for re, im in record["final_state"]])
-        if (
-            tuple(record["path"]) != branch.path
-            or record["probability"] != branch.probability
-            or abs(record["fidelity"] - branch.fidelity) > TOL
-            or float(np.max(np.abs(final - branch.final.amps))) > TOL
-        ):
-            failures.append(f"enumerate path {record['path']}")
+        config = ExperimentConfig(chain=replace(fixed, mode=mode), trials=None, state="random")
+        paths = json.loads(cmd_enumerate(config))["paths"]
+        branches = enumerate_branches(config.chain, initial_state(config))
+        if len(paths) != len(branches):
+            failures.append(
+                f"{mode.value} enumerate lists {len(paths)} paths, the oracle {len(branches)}"
+            )
+        for record, branch in zip(paths, branches):
+            final = np.array([complex(re, im) for re, im in record["final_state"]])
+            if (
+                tuple(record["path"]) != branch.path
+                or record["probability"] != branch.probability
+                or abs(record["fidelity"] - branch.fidelity) > TOL
+                or float(np.max(np.abs(final - branch.final.amps))) > TOL
+            ):
+                failures.append(f"{mode.value} enumerate path {record['path']}")
     return _result(
         "closed-form engines match the state-vector oracles", not failures, "; ".join(failures)
     )

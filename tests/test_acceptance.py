@@ -6,6 +6,7 @@ from independent reconstructions, never from the code paths under test.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -163,7 +164,7 @@ def test_criterion_8_noise_sanity():
         assert min(branch.fidelity for branch in branches) >= 1 - TOL
     argv = ["run", "--d", "2", "--n", "1", "--noise", "0.5,0.5",
             "--trials", "10000", "--seed", "8", "--state", "uniform"]
-    report = cmd_run(parse_config(build_parser().parse_args(argv)))
+    report = json.loads(cmd_run(parse_config(build_parser().parse_args(argv))))
     mean = report["aggregate"]["fidelity_mean"]
     assert abs(mean - 0.5) <= 0.02, f"mean fidelity {mean}"
     print(f"PASS criterion 8: noiseless paths at fidelity 1; dephased mean {mean:.4f} in 0.50+-0.02")

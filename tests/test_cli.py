@@ -1,11 +1,16 @@
 import copy
 import csv
+import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,10 @@ from qrelay.cli import (
 )
 from qrelay.core import ValidationError, random_state
 from qrelay.teleport import CorrectionMode
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def parse(argv):
@@ -103,6 +112,12 @@ class TestParseConfig:
         config = parse(["run", "--d", "2", "--state", "1,0,1,0"])
         with pytest.raises(ValidationError, match="state"):
             initial_state(config)
+        # a norm that overflows is reported as inf, without a numpy warning
+        config = parse(["run", "--d", "2", "--state", "1e308,0,1e308,0"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^state: .*\(norm inf\)"):
+                initial_state(config)
 
     def test_json_amp_pairs(self, tmp_path):
         path = tmp_path / "experiment.json"
@@ -143,7 +158,8 @@ class TestInitialState:
 
 class TestCmdRun:
     def test_noiseless_report(self):
-        report = cmd_run(parse(["run", "--d", "2", "--n", "2", "--trials", "10", "--state", "random"]))
+        argv = ["run", "--d", "2", "--n", "2", "--trials", "10", "--state", "random"]
+        report = json.loads(cmd_run(parse(argv)))
         aggregate = report["aggregate"]
         assert aggregate["fidelity_min"] == pytest.approx(1.0, abs=1e-12)
         assert aggregate["fidelity_mean"] == pytest.approx(1.0, abs=1e-12)
@@ -154,7 +170,7 @@ class TestCmdRun:
             assert record["deferred_exponent"] == sum(record["results"]) % 2
 
     def test_local_mode_reports_no_deferred_exponent(self):
-        report = cmd_run(parse(["run", "--mode", "local", "--trials", "2"]))
+        report = json.loads(cmd_run(parse(["run", "--mode", "local", "--trials", "2"])))
         assert all(record["deferred_exponent"] is None for record in report["trials"])
 
     def test_determinism_byte_identical(self, tmp_path):
@@ -166,7 +182,7 @@ class TestCmdRun:
 
     def test_history_csv(self, tmp_path):
         history = tmp_path / "history.csv"
-        report = cmd_run(parse(["run", "--d", "3", "--n", "2", "--history", str(history)]))
+        report = json.loads(cmd_run(parse(["run", "--d", "3", "--n", "2", "--history", str(history)])))
         assert report["history_path"] == str(history)
         with open(history, newline="") as handle:
             rows = list(csv.reader(handle))
@@ -188,7 +204,7 @@ class TestCmdRun:
         trials = 4000
         config = parse(["run", "--d", str(d), "--n", str(n), "--noise", noise,
                         "--trials", str(trials), "--seed", "12", "--state", "random"])
-        fidelities = [record["fidelity"] for record in cmd_run(config)["trials"]]
+        fidelities = [record["fidelity"] for record in json.loads(cmd_run(config))["trials"]]
         exact = expected_fidelity(config.chain, initial_state(config))
         sigma = np.std(fidelities) / math.sqrt(trials)
         # a deterministic channel gives every trial the same fidelity, so sigma is 0
@@ -197,7 +213,8 @@ class TestCmdRun:
     def test_monte_carlo_matches_enumeration(self):
         # sampled outcome frequencies against the exact uniform path law
         trials = 10_000
-        report = cmd_run(parse(["run", "--d", "2", "--n", "2", "--trials", str(trials), "--seed", "1"]))
+        argv = ["run", "--d", "2", "--n", "2", "--trials", str(trials), "--seed", "1"]
+        report = json.loads(cmd_run(parse(argv)))
         histogram = report["aggregate"]["outcome_histogram"]
         draws = trials * 2
         sigma = math.sqrt(draws * 0.5 * 0.5)
@@ -206,7 +223,7 @@ class TestCmdRun:
 
 class TestCmdEnumerate:
     def test_exact_paths(self):
-        report = cmd_enumerate(parse(["enumerate", "--d", "2", "--n", "3"]))
+        report = json.loads(cmd_enumerate(parse(["enumerate", "--d", "2", "--n", "3"])))
         aggregate = report["aggregate"]
         assert aggregate["path_count"] == 8
         assert aggregate["probability_sum"] == pytest.approx(1.0, abs=1e-15)
@@ -240,7 +257,7 @@ class TestCmdEnumerate:
             for n in ns:
                 config = parse(["enumerate", "--d", str(d), "--n", str(n), "--mode", mode,
                                 "--noise", noise, "--state", "random", "--seed", str(7 * n + k)])
-                report = cmd_enumerate(config)
+                report = json.loads(cmd_enumerate(config))
                 branches = enumerate_branches(config.chain, initial_state(config))
                 paths = report["paths"]
                 assert [record["path"] for record in paths] == [list(b.path) for b in branches]
@@ -361,11 +378,32 @@ class TestMain:
         assert main(["run", "--config", "/nonexistent/config.json"]) == 1
 
     def test_module_entry_point_propagates_exit_code(self):
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = {**os.environ, "PYTHONPATH": src}
         for argv, code in ((["selftest"], 0), (["enumerate", "--d", "3", "--n", "8"], 2)):
-            done = subprocess.run([sys.executable, "-m", "qrelay", *argv], env=env, capture_output=True)
+            done = subprocess.run([sys.executable, "-m", "qrelay", *argv], env=SRC_ENV, capture_output=True)
             assert done.returncode == code, done.stderr
+
+    def test_readme_command_block_runs_as_written(self, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+        assert commands and all(argv[0] == "qrelay" for argv in commands)
+
+        def qrelay(argv):
+            done = subprocess.run([sys.executable, "-m", "qrelay", *argv[1:]], cwd=tmp_path,
+                                  env=SRC_ENV, capture_output=True)
+            assert done.returncode == 0, (argv, done.stderr)
+            return done.stdout
+
+        for argv in commands:
+            stdout = qrelay(argv)
+            if argv[1] == "selftest":
+                continue
+            if "--out" in argv:
+                at = argv.index("--out")
+                written = (tmp_path / argv[at + 1]).read_bytes()
+                assert written == qrelay(argv[:at] + argv[at + 2:])
+                stdout = written
+            assert json.loads(stdout)["command"] == argv[1]
 
     def test_selftest_passes(self, capsys):
         start = time.monotonic()
@@ -395,11 +433,60 @@ class TestSelftestNegativeControl:
         assert not check.passed
         assert failing in check.detail
 
+    def test_dropped_deferred_exponent_fails_oracle_check(self, monkeypatch):
+        engine = qrelay.chain.run_trajectories
+        monkeypatch.setattr(
+            qrelay.cli, "run_trajectories", lambda *args: replace(engine(*args), deferred_exponents=None)
+        )
+        check = selftest.check_engines_match_oracles()
+        assert not check.passed
+        assert "deferred run trial 0" in check.detail
+        assert "local run" not in check.detail
+
+
+# the sha256 prefix of each report's canonical JSON value, as the indent-2 layout gave it
+REPORT_VALUES = {
+    "run --d 3 --n 4 --mode deferred --noise 0.9,0.05,0.05 --trials 1000 --seed 7 --state uniform":
+        "d181322563be250e",
+    "run --d 2 --n 2 --history history.csv": "1dc096b9253977fc",
+    "enumerate --d 2 --n 3": "62a73daf6d8cc5ef",
+    "run --d 5 --n 6 --mode local --noise 0.6,0.1,0.1,0.1,0.1 --trials 50 --seed 3 --state random":
+        "6d9e358f36cb8100",
+    "enumerate --d 8 --n 4 --mode local --seed 1 --state random": "61ee1bf1242794f2",
+}
+
+
+def canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
 
 class TestReportRendering:
+    @pytest.mark.parametrize("command", REPORT_VALUES, ids=["run-readme", "run-history", "enumerate-readme",
+                                                            "run-local-d5", "enumerate-d8"])
+    def test_value_pinned_and_one_compact_record_per_line(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.chdir(tmp_path)  # --history history.csv is a relative path
+        assert main(command.split()) == 0
+        text = capsys.readouterr().out
+        report = json.loads(text)
+        assert hashlib.sha256(canonical(report).encode()).hexdigest()[:16] == REPORT_VALUES[command]
+        records = report["trials" if report["command"] == "run" else "paths"]
+        lines = [line[4:].removesuffix(",") for line in text.splitlines() if line.startswith("    {")]
+        assert len(lines) == len(records)
+        for line in lines:
+            assert line == canonical(json.loads(line))
+
     def test_sorted_and_stable(self):
-        text = render_report({"b": 1, "a": {"d": 2, "c": [1.5]}})
-        assert text == '{\n  "a": {\n    "c": [\n      1.5\n    ],\n    "d": 2\n  },\n  "b": 1\n}\n'
+        # the record list sorts among the top-level keys and holds one record per line
+        text = render_report({"b": 1, "a": {"d": 2, "c": [1.5]}}, "ab", ['{"x":1}', '{"x":[2,3]}'])
+        assert text == (
+            '{\n  "a": {\n    "c": [\n      1.5\n    ],\n    "d": 2\n  },\n'
+            '  "ab": [\n    {"x":1},\n    {"x":[2,3]}\n  ],\n  "b": 1\n}\n'
+        )
+
+    def test_records_go_under_the_top_level_key_only(self):
+        # a nested key of that name, or a string value that spells its line, is left alone
+        report = {"a": {"ab": []}, "b": '\n  "ab": []'}
+        assert json.loads(render_report(report, "ab", ['{"x":1}'])) == {**report, "ab": [{"x": 1}]}
 
     def test_experiment_config_validates_on_build(self):
         from qrelay.chain import ChainConfig, NoiseSpec

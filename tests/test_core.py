@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,11 @@ class TestMakeState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             make_state(2, [1, 1])
+        # finite amplitudes whose norm overflows get the named error and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"\(norm inf\)"):
+                make_state(2, [1e308, 1e308])
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValidationError):
