@@ -218,7 +218,11 @@ def tensor_product(x: PureState, y: PureState) -> PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix over kept qudits."""
+    """Hermitian, unit-trace, positive-semidefinite matrix over kept qudits.
+
+    Direct construction copies and validates the matrix (one eigvalsh for
+    PSD); reduced_density's partial traces go through _trusted instead.
+    """
 
     d: int
     mat: np.ndarray
@@ -242,6 +246,19 @@ class DensityMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
+    @classmethod
+    def _trusted(cls, d: int, mat: np.ndarray) -> "DensityMatrix":
+        """Wrap a fresh complex128 matrix the caller owns, without validation.
+
+        Only for partial traces of validated states; the property tests check
+        their invariants instead of an eigvalsh per call.
+        """
+        mat.flags.writeable = False
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "d", d)
+        object.__setattr__(rho, "mat", mat)
+        return rho
+
 
 def reduced_density(state: PureState, keep: int | Sequence[int]) -> DensityMatrix:
     """Partial trace keeping the given qudit (or qudits), tracing the rest."""
@@ -256,4 +273,4 @@ def reduced_density(state: PureState, keep: int | Sequence[int]) -> DensityMatri
     others = [q for q in range(state.num_qudits) if q not in keep_tuple]
     tensor = np.moveaxis(state.tensor(), keep_tuple, range(len(keep_tuple)))
     block = tensor.reshape(state.d ** len(keep_tuple), state.d ** len(others))
-    return DensityMatrix(state.d, block @ block.conj().T)
+    return DensityMatrix._trusted(state.d, block @ block.conj().T)

@@ -1,31 +1,70 @@
 """Generalized phase-flip, shift, Fourier and CNOT gates for qudits.
 
-Constructors return small dense unitaries (d or d^2 per side). Application
-to a register works by index arithmetic on the reshaped amplitude tensor;
-the full d^n x d^n operator is never materialized, so 3n-qudit registers
-stay cheap.
+Constructors return small dense unitaries (d or d^2 per side). `GateMatrix`
+records once, at construction, whether its matrix is unitary and whether it
+is diagonal (Z^r), monomial (one nonzero per column: X, CNOT, CNOT^dagger)
+or dense (Fourier). One kernel, `_apply`, serves `apply_1q` and `apply_2q`:
+it views the amplitudes as (pre, d, post) or (pre, d, mid, d, post), with the
+gate's axes left in place, and makes one pass over the register by the
+gate's structure. A diagonal gate is one broadcast multiply, a monomial gate
+is d^arity slice copies or scalings into one fresh array, and a dense gate is
+one BLAS matmul. When the block from the gate's first axis to the end of the
+register is narrow and repeated many times (TRAILING_GEMM_MAX), the gate is
+applied instead as that block's operator, right-multiplying the (pre, block)
+view in one GEMM. The
+full d^n x d^n operator is never materialized and no axis is moved, so
+3n-qudit registers cost one new array per gate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .core import PureState, check_dim, root_of_unity
 
 UNITARITY_TOL = 1e-12
+# when the gate block (the amplitudes from the gate's first axis to the end)
+# is at most this wide and there are more blocks than that, the gate is applied
+# as one block x block operator in one GEMM: numpy loops over that many short
+# runs cost more than the GEMM's flops. Crossover measured at 2^21 amplitudes,
+# d = 2; below it the operator's construction costs more than it saves.
+TRAILING_GEMM_MAX = 32
+
+
+def _unitarity_deviation(mat: np.ndarray) -> float:
+    """max |G G^dagger - I|, the number UNITARITY_TOL bounds."""
+    return float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
+
+
+def _slot_index(d: int, arity: int, flat: int) -> tuple:
+    """Index of one gate basis value into the (pre, d, [mid, d,] post) view."""
+    index: list = [slice(None)]
+    for digit in divmod(flat, d) if arity == 2 else (flat,):
+        index += [digit, slice(None)]
+    return tuple(index)
 
 
 @dataclass(frozen=True, eq=False)
 class GateMatrix:
-    """Dense matrix acting on one or two qudits of dimension d."""
+    """Dense matrix acting on one or two qudits of dimension d.
+
+    Construction records `unitary` (within UNITARITY_TOL) and the structure
+    the gate kernel dispatches on, so applying a cached gate costs no scan.
+    """
 
     d: int
     arity: int
     mat: np.ndarray
+    unitary: bool = field(init=False, repr=False)
+    # a diagonal gate's (real, imaginary or None) parts, shaped (d, 1[, d, 1], 1)
+    # to broadcast over the float view (pre, d, [mid, d,] post, 2); else None
+    _diagonal: tuple | None = field(init=False, repr=False)
+    # one nonzero per column (so per row too, if unitary): X, CNOT, every diagonal
+    _monomial: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_dim(self.d)
@@ -37,6 +76,35 @@ class GateMatrix:
             raise ValueError(f"gate matrix must be {side}x{side}, got shape {mat.shape}")
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "unitary", _unitarity_deviation(mat) <= UNITARITY_TOL)
+        nonzero = mat != 0
+        parts = None
+        if not np.any(nonzero & ~np.eye(side, dtype=bool)):
+            diagonal = np.diagonal(mat).reshape((self.d, 1) * self.arity + (1,))
+            parts = (diagonal.real, diagonal.imag if np.any(diagonal.imag) else None)
+        object.__setattr__(self, "_diagonal", parts)
+        object.__setattr__(self, "_monomial", bool(np.all(nonzero.sum(axis=0) == 1)))
+
+    @cached_property
+    def _terms(self) -> tuple:
+        """Per output slice of the view: (out index, ((in index, coeff), ...)),
+        one source per slice for a monomial gate."""
+        return tuple(
+            (
+                _slot_index(self.d, self.arity, row),
+                tuple(
+                    (_slot_index(self.d, self.arity, int(col)), complex(self.mat[row, col]))
+                    for col in np.flatnonzero(self.mat[row])
+                ),
+            )
+            for row in range(self.mat.shape[0])
+        )
+
+    @cached_property
+    def _slots_swapped(self) -> "GateMatrix":
+        """The same two-qudit gate with its control and target slots exchanged."""
+        d = self.d
+        return GateMatrix(d, 2, self.mat.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d))
 
 
 @lru_cache(maxsize=None)
@@ -124,32 +192,104 @@ def cnot_dagger(d: int) -> GateMatrix:
 
 
 def is_unitary(g: GateMatrix) -> bool:
-    """True iff max |G G^dagger - I| <= UNITARITY_TOL."""
+    """True iff max |G G^dagger - I| <= UNITARITY_TOL (recorded at construction)."""
+    return g.unitary
+
+
+def _diagonal_product(src: np.ndarray, real: np.ndarray, imag: np.ndarray | None) -> np.ndarray:
+    """src * diagonal, each part rounded as wr*xr - wi*xi and wr*xi + wi*xr
+    and then added to 0.0, so that a zero part is +0.
+
+    These are the bits a summed product G @ x gives for a diagonal G. numpy's
+    complex multiply rounds some products differently, which would move the
+    last bits of reported fidelities and phase-corrected amplitudes (and turn
+    some zeros to -0.0) in `run`, `enumerate` and `--history` output.
+    """
+    x = src.view(np.float64).reshape(src.shape + (2,))
+    out = x * real
+    if imag is not None:
+        cross = x * imag
+        out[..., 0] -= cross[..., 1]
+        out[..., 1] += cross[..., 0]
+    out += 0.0
+    return out.view(np.complex128).reshape(src.shape)
+
+
+def _apply_view(g: GateMatrix, src: np.ndarray) -> np.ndarray:
+    """g on axes 1 (and 3) of a (pre, d, post) or (pre, d, mid, d, post) view,
+    written into one fresh array of the view's shape."""
+    if g._diagonal is not None:
+        return _diagonal_product(src, *g._diagonal)
+    pre, post = src.shape[0], src.shape[-1]
     side = g.mat.shape[0]
-    delta = g.mat @ g.mat.conj().T - np.eye(side)
-    return float(np.max(np.abs(delta))) <= UNITARITY_TOL
+    if not g._monomial and pre * side * post == src.size:
+        # dense on adjacent axes: one batched GEMM, G @ (pre, side, post)
+        return np.matmul(g.mat, src.reshape(pre, side, post))
+    out = np.empty_like(src)
+    for out_index, sources in g._terms:
+        (in_index, coeff), *rest = sources
+        if coeff == 1:
+            out[out_index] = src[in_index]
+        else:
+            np.multiply(src[in_index], coeff, out=out[out_index])
+        for in_index, coeff in rest:
+            out[out_index] += coeff * src[in_index]
+    return out
+
+
+def _apply(state: PureState, g: GateMatrix, positions: tuple[int, ...]) -> PureState:
+    """The one gate kernel: g on `positions` (slot order), identity elsewhere.
+
+    The amplitudes are viewed as (pre, d, post), or (pre, d, mid, d, post)
+    with the gate's positions in register order, so no axis is moved and
+    nothing is copied before the one pass that writes the fresh result.
+    """
+    if not g.unitary:
+        raise ValueError(
+            f"gate must be unitary: this d={g.d} arity-{g.arity} gate has "
+            f"max |G G^dagger - I| = {_unitarity_deviation(g.mat):.3e} > {UNITARITY_TOL}"
+        )
+    d, n = state.d, state.num_qudits
+    if len(positions) == 2 and positions[0] > positions[1]:
+        g, positions = g._slots_swapped, positions[::-1]
+    shape, previous = [], -1
+    for q in positions:
+        shape += [d ** (q - previous - 1), d]
+        previous = q
+    shape.append(d ** (n - previous - 1))
+    pre, width = shape[0], state.amps.size // shape[0]
+    if width <= TRAILING_GEMM_MAX < pre:
+        # rows of the identity are the block's basis states, so the view
+        # kernel returns the block operator transposed
+        basis = np.eye(width, dtype=np.complex128).reshape([width] + shape[1:])
+        operator_t = _apply_view(g, basis).reshape(width, width)
+        out = state.amps.reshape(pre, width) @ operator_t
+    else:
+        out = _apply_view(g, state.amps.reshape(shape))
+    return PureState._trusted(d, n, out.reshape(-1))
 
 
 def apply_1q(state: PureState, g: GateMatrix, target: int) -> PureState:
-    """Apply a one-qudit gate to the target position, identity elsewhere."""
+    """Apply a one-qudit unitary to the target position, identity elsewhere.
+
+    Runs the shared kernel on the (pre, d, post) view of the amplitudes; a
+    gate not unitary within UNITARITY_TOL raises ValueError.
+    """
     if g.arity != 1:
         raise ValueError(f"apply_1q requires a one-qudit gate, got arity {g.arity}")
     if g.d != state.d:
         raise ValueError(f"gate dimension {g.d} does not match state dimension {state.d}")
     if not 0 <= target < state.num_qudits:
         raise ValueError(f"target {target} out of range [0, {state.num_qudits})")
-    d = state.d
-    pre = d**target
-    post = d ** (state.num_qudits - target - 1)
-    block = state.amps.reshape(pre, d, post)
-    out = np.einsum("st,atb->asb", g.mat, block)
-    return PureState._trusted(d, state.num_qudits, out.reshape(-1))
+    return _apply(state, g, (target,))
 
 
 def apply_2q(state: PureState, g: GateMatrix, control: int, target: int) -> PureState:
-    """Apply a two-qudit gate with its first slot on control, second on target.
+    """Apply a two-qudit unitary with its first slot on control, second on target.
 
-    Positions may be arbitrary and non-adjacent; control != target.
+    Positions may be arbitrary and non-adjacent; control != target. Runs the
+    shared kernel on the (pre, d, mid, d, post) view; a gate not unitary
+    within UNITARITY_TOL raises ValueError.
     """
     if g.arity != 2:
         raise ValueError(f"apply_2q requires a two-qudit gate, got arity {g.arity}")
@@ -161,9 +301,4 @@ def apply_2q(state: PureState, g: GateMatrix, control: int, target: int) -> Pure
     for name, q in (("control", control), ("target", target)):
         if not 0 <= q < n:
             raise ValueError(f"{name} {q} out of range [0, {n})")
-    d = state.d
-    tensor = np.moveaxis(state.tensor(), (control, target), (0, 1))
-    g4 = g.mat.reshape(d, d, d, d)
-    out = np.tensordot(g4, tensor, axes=([2, 3], [0, 1]))
-    out = np.moveaxis(out, (0, 1), (control, target))
-    return PureState._trusted(d, n, out.reshape(-1))
+    return _apply(state, g, (control, target))

@@ -2,7 +2,8 @@
 
 Each check is independent of the code path it validates: the golden
 matrices are hard-coded, the expansion oracle is a formula rather than a
-circuit, permutations are rebuilt from basis arithmetic, and the CLI's
+circuit, permutations are rebuilt from basis arithmetic, the joint
+3n-qudit register is compared with the factorized chain, and the CLI's
 closed-form engines are compared with the state-vector chain.
 """
 
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import gates
-from .chain import ChainConfig, NoiseSpec, enumerate_branches, run_chain
+from .chain import ChainConfig, NoiseSpec, enumerate_branches, full_register_chain, run_chain
 from .core import flat_index, random_state, root_of_unity
 from .teleport import CorrectionMode, hop_circuit, hop_expansion, prepare_hop, teleport_hop
 
@@ -164,6 +165,29 @@ def check_noiseless_transmission() -> CheckResult:
     )
 
 
+def check_joint_register() -> CheckResult:
+    """The joint 3n-qudit register at d in {2, 3}, n = 2, both modes: the
+    final state is psi, every handoff boundary is unentangled, and the final
+    state equals run_chain's on the same forced path."""
+    rng = np.random.default_rng(29)
+    failures = []
+    for d in (2, 3):
+        psi = random_state(d, 1, rng)
+        for _ in range(2):
+            path = [(int(rng.integers(d)), int(rng.integers(d))) for _ in range(2)]
+            for mode in CorrectionMode:
+                joint = full_register_chain(d, 2, psi, path, mode)
+                config = ChainConfig(d=d, n=2, mode=mode, noise=NoiseSpec.noiseless(d), seed=0)
+                factorized = run_chain(config, psi, forced_outcomes=path).final
+                if (
+                    float(np.max(np.abs(joint.final.amps - psi.amps))) > TOL
+                    or float(np.max(np.abs(joint.final.amps - factorized.amps))) > TOL
+                    or max(joint.boundary_entropies) > TOL
+                ):
+                    failures.append(f"d={d} {mode.value} path {path}")
+    return _result("joint register matches psi and the factorized chain", not failures, "; ".join(failures))
+
+
 def check_engines_match_oracles() -> CheckResult:
     """The rendered `run` and `enumerate` reports against the state-vector
     oracles in both modes: `run` trial for trial against
@@ -228,6 +252,7 @@ def run_all(
         check_strategy_equivalence(),
         check_unitarity_sweep(hadamard_factory=hadamard_factory),
         check_noiseless_transmission(),
+        check_joint_register(),
         check_engines_match_oracles(),
     ]
 

@@ -142,8 +142,11 @@ def measure_standard(
     if not 0 <= target < n:
         raise ValueError(f"target {target} out of range [0, {n})")
     d = state.d
-    block = state.amps.reshape(d**target, d, d ** (n - target - 1))
-    probs = np.sum(np.abs(block) ** 2, axis=(0, 2))
+    shape = (d**target, d, d ** (n - target - 1))
+    block = state.amps.reshape(shape)
+    # Born probabilities in one pass: |amp|^2 = re^2 + im^2 over a float view
+    floats = state.amps.view(np.float64).reshape(shape[0], d, 2 * shape[2])
+    probs = np.einsum("atb,atb->t", floats, floats)
     if forced is not None:
         if not 0 <= forced < d:
             raise ValueError(f"forced outcome must be in [0, {d}), got {forced}")
@@ -157,8 +160,8 @@ def measure_standard(
             raise ValueError("measurement needs either an rng or a forced outcome")
         outcome = int(_draw_dit(probs, rng.random()))
     prob = float(probs[outcome])
-    collapsed = np.zeros_like(block)
-    collapsed[:, outcome, :] = block[:, outcome, :] / math.sqrt(prob)
+    collapsed = np.zeros(shape, dtype=np.complex128)
+    np.divide(block[:, outcome, :], math.sqrt(prob), out=collapsed[:, outcome, :])
     return MeasurementResult(outcome, prob, PureState._trusted(d, n, collapsed.reshape(-1)))
 
 

@@ -421,7 +421,19 @@ class TestSelftestNegativeControl:
         sweep = by_name["gate unitarity and commutation sweep"]
         assert not sweep.passed
         assert "hadamard" in sweep.detail
-        assert by_name["qutrit cnot golden matrix"].passed
+        assert [check.name for check in results if not check.passed] == [sweep.name]
+
+    def test_wrong_joint_register_fails_its_check(self, monkeypatch):
+        joint = qrelay.selftest.full_register_chain
+
+        def off_by_one_phase(d, n, psi, path, mode):
+            result = joint(d, n, psi, path, mode)
+            return replace(result, final=qrelay.gates.apply_1q(result.final, qrelay.gates.pauli_z(d), 0))
+
+        monkeypatch.setattr(qrelay.selftest, "full_register_chain", off_by_one_phase)
+        check = selftest.check_joint_register()
+        assert not check.passed
+        assert "d=2 local" in check.detail
 
     @pytest.mark.parametrize(
         "module,failing", [(qrelay.chain, "run trial"), (qrelay.cli, "enumerate path")]

@@ -287,7 +287,7 @@ class TestReducedDensity:
             for _ in range(per_case):
                 state = random_state(d, n, rng)
                 rho = reduced_density(state, int(rng.integers(n)))
-                # DensityMatrix construction enforces trace/Hermiticity/PSD
+                # reduced_density skips validation, so check its invariants here
                 assert abs(np.trace(rho.mat) - 1.0) < 1e-12
                 assert np.min(np.linalg.eigvalsh(rho.mat)) > -1e-12
 
@@ -321,6 +321,10 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             DensityMatrix(2, np.eye(2))
 
+    def test_density_matrix_rejects_negative_eigenvalue(self):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            DensityMatrix(2, np.diag([1.5, -0.5]))
+
 
 amplitude_lists = st.lists(
     st.tuples(
@@ -351,6 +355,25 @@ def test_tensor_norm_and_encoding(d, seed):
     assert np.linalg.norm(product.amps) == pytest.approx(1.0, abs=1e-12)
     index = int(np.argmax(np.abs(product.amps)))
     assert flat_index(d, divmod(index, d)) == index
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_reduced_density_is_a_density_matrix(d, n, seed):
+    """reduced_density skips DensityMatrix validation; check its invariants here."""
+    rng = np.random.default_rng(seed)
+    state = random_state(d, n, rng)
+    keep = tuple(int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))])
+    rho = reduced_density(state, keep).mat
+    assert rho.shape == (d ** len(keep),) * 2
+    assert rho.flags.writeable is False
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
 
 
 def assert_state_invariants(state, d, num_qudits):

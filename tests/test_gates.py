@@ -295,6 +295,113 @@ class TestTensorStructure:
         np.testing.assert_allclose(applied.amps, expected.amps, atol=1e-14)
 
 
+def embedded_1q(g, n, target):
+    """kron(I_pre, G, I_post): the full operator of a one-qudit gate."""
+    d = g.d
+    return np.kron(np.kron(np.eye(d**target), g.mat), np.eye(d ** (n - target - 1)))
+
+
+def embedded_2q(g, n, control, target):
+    """Full operator of a two-qudit gate, column by column from basis arithmetic."""
+    d = g.d
+    columns = np.arange(d**n)
+    digits = np.stack(np.unravel_index(columns, (d,) * n), axis=1)
+    slot_in = digits[:, control] * d + digits[:, target]
+    op = np.zeros((d**n, d**n), dtype=complex)
+    for slot_out in range(d * d):
+        moved = digits.copy()
+        moved[:, control], moved[:, target] = divmod(slot_out, d)
+        op[np.ravel_multi_index(moved.T, (d,) * n), columns] = g.mat[slot_out, slot_in]
+    return op
+
+
+def random_unitary(side, rng):
+    q, r = np.linalg.qr(rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def one_qudit_gates(d, rng):
+    """Diagonal, monomial (with and without phases) and dense one-qudit gates."""
+    return {
+        "pauli_z_power": gates.pauli_z_power(d, d - 1),
+        "pauli_x": gates.pauli_x(d),
+        "phased_shift": gates.GateMatrix(d, 1, gates.pauli_x(d).mat @ gates.pauli_z(d).mat),
+        "hadamard": gates.hadamard(d),
+        "random_dense": gates.GateMatrix(d, 1, random_unitary(d, rng)),
+    }
+
+
+def two_qudit_gates(d, rng):
+    """Diagonal, monomial (with and without phases) and dense two-qudit gates."""
+    return {
+        "random_phases": gates.GateMatrix(d, 2, np.diag(np.exp(2j * np.pi * rng.random(d * d)))),
+        "cnot": gates.cnot(d),
+        "cnot_dagger": gates.cnot_dagger(d),
+        "phased_cnot": gates.GateMatrix(d, 2, np.kron(gates.pauli_z(d).mat, np.eye(d)) @ gates.cnot(d).mat),
+        "random_dense": gates.GateMatrix(d, 2, random_unitary(d * d, rng)),
+    }
+
+
+# every kernel branch: pre = 1 and pre > 1 around the gate, adjacent and
+# split axes, and (at d = 5 and the two wider registers) the trailing-block
+# GEMM, which needs a block of at most TRAILING_GEMM_MAX amplitudes repeated
+# more than that many times
+KERNEL_CASES = [(d, n) for d in (2, 3, 5) for n in range(1, 5)] + [(3, 5), (2, 8)]
+
+
+class TestKernelAgainstFullOperator:
+    @staticmethod
+    def check(out, expected_amps, label):
+        assert out.amps.flags.writeable is False
+        np.testing.assert_allclose(out.amps, expected_amps, rtol=0, atol=1e-12, err_msg=label)
+
+    @pytest.mark.parametrize("d,n", KERNEL_CASES)
+    def test_apply_1q_every_target(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        state = random_state(d, n, rng)
+        before = state.amps.copy()
+        for name, g in one_qudit_gates(d, rng).items():
+            for target in range(n):
+                out = gates.apply_1q(state, g, target)
+                self.check(out, embedded_1q(g, n, target) @ before, f"{name} on {target}")
+        np.testing.assert_array_equal(state.amps, before)
+
+    @pytest.mark.parametrize("d,n", [case for case in KERNEL_CASES if case[1] >= 2])
+    def test_apply_2q_every_pair(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        state = random_state(d, n, rng)
+        before = state.amps.copy()
+        pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+        for name, g in two_qudit_gates(d, rng).items():
+            for control, target in pairs:
+                out = gates.apply_2q(state, g, control, target)
+                self.check(out, embedded_2q(g, n, control, target) @ before, f"{name} on {control}, {target}")
+        np.testing.assert_array_equal(state.amps, before)
+
+    def test_gate_structure_is_recorded(self):
+        assert gates.pauli_z_power(3, 1)._diagonal is not None
+        assert gates.cnot(3)._diagonal is None and gates.cnot(3)._monomial
+        assert not gates.hadamard(3)._monomial
+
+
+class TestNonUnitaryGate:
+    def test_unitarity_is_recorded(self):
+        assert gates.hadamard(3).unitary
+        assert not gates.GateMatrix(2, 1, np.ones((2, 2))).unitary
+        # within the tolerance still counts as unitary
+        assert gates.GateMatrix(2, 1, np.eye(2) * (1 + 4e-13)).unitary
+
+    def test_apply_1q_rejects(self):
+        g = gates.GateMatrix(2, 1, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="unitary"):
+            gates.apply_1q(basis_state(2, 2, (0, 0)), g, 0)
+
+    def test_apply_2q_rejects(self):
+        g = gates.GateMatrix(2, 2, 3 * np.eye(4))
+        with pytest.raises(ValueError, match="unitary"):
+            gates.apply_2q(basis_state(2, 2, (0, 0)), g, 0, 1)
+
+
 def test_gate_matrix_shape_validation():
     with pytest.raises(ValueError):
         gates.GateMatrix(2, 1, np.eye(3))

@@ -4,9 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from qrelay.core import basis_state, fidelity, make_state, random_state, reduced_density, tensor_product
+from qrelay.core import (
+    PureState,
+    basis_state,
+    fidelity,
+    make_state,
+    random_state,
+    reduced_density,
+    tensor_product,
+)
 from qrelay.gates import apply_1q, apply_2q, cnot, hadamard
 from qrelay.teleport import (
+    FORCED_OUTCOME_MIN_PROB,
     CorrectionMode,
     ImpossibleOutcomeError,
     apply_correction,
@@ -145,6 +154,29 @@ class TestMeasureStandard:
                 assert pa * pb == pytest.approx(qb * qa, abs=1e-12)
                 np.testing.assert_allclose(s01.amps, s10.amps, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_every_target_of_four_qudits(self, d):
+        rng = np.random.default_rng(30 + d)
+        state = random_state(d, 4, rng)
+        for target in range(4):
+            block = state.amps.reshape(d**target, d, d ** (3 - target))
+            expected = np.sum(np.abs(block) ** 2, axis=(0, 2))
+            for outcome in range(d):
+                _, prob, collapsed = measure_standard(state, target, forced=outcome)
+                assert abs(prob - expected[outcome]) <= 1e-15
+                kept = collapsed.amps.reshape(block.shape)
+                assert np.all(np.delete(kept, outcome, axis=1) == 0)
+                np.testing.assert_allclose(
+                    kept[:, outcome, :], block[:, outcome, :] / math.sqrt(prob), rtol=0, atol=1e-15
+                )
+            # an outcome whose whole slice carries less than the floor cannot be forced
+            faint = block.copy()
+            faint[:, d - 1, :] = 0
+            faint[0, d - 1, 0] = math.sqrt(FORCED_OUTCOME_MIN_PROB / 4)
+            faint_state = PureState(d, 4, faint.reshape(-1) / np.linalg.norm(faint))
+            with pytest.raises(ImpossibleOutcomeError):
+                measure_standard(faint_state, target, forced=d - 1)
+
     def test_requires_rng_or_forced(self):
         with pytest.raises(ValueError):
             measure_standard(basis_state(2, 1, (0,)), 0)
@@ -236,6 +268,13 @@ class TestTeleportHop:
 
 
 class TestEntanglementEntropy:
+    def test_one_eigendecomposition_per_entropy(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append(mat.shape) or eigvalsh(mat))
+        entanglement_entropy(random_state(3, 3, np.random.default_rng(31)), (0, 1))
+        assert calls == [(9, 9)]
+
     def test_product_state_is_zero(self):
         rng = np.random.default_rng(20)
         state = tensor_product(random_state(3, 1, rng), random_state(3, 1, rng))
