@@ -35,6 +35,7 @@ from . import gates
 from .core import (
     PureState,
     ValidationError,
+    _check_dit,
     _draw_dit,
     basis_state,
     check_dim,
@@ -158,12 +159,7 @@ class FullRegisterResult:
 def deferred_exponent(results: Sequence[int], d: int) -> int:
     """Single end-of-chain correction exponent, (sum of results) mod d."""
     check_dim(d)
-    total = 0
-    for i, r in enumerate(results):
-        if not isinstance(r, (int, np.integer)) or not 0 <= r < d:
-            raise ValueError(f"results[{i}] must be in [0, {d}), got {r!r}")
-        total += int(r)
-    return total % d
+    return sum(_check_dit(r, d, f"results[{i}]") for i, r in enumerate(results)) % d
 
 
 def apply_phase_noise(
@@ -181,9 +177,7 @@ def apply_phase_noise(
     if len(noise.probs) != d:
         raise ValueError(f"noise has {len(noise.probs)} probabilities but state has d={d}")
     if forced is not None:
-        if not 0 <= forced < d:
-            raise ValueError(f"forced noise exponent must be in [0, {d}), got {forced}")
-        k = int(forced)
+        k = _check_dit(forced, d, "forced")
     else:
         if rng is None:
             raise ValueError("apply_phase_noise needs either an rng or a forced exponent")

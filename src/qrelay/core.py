@@ -53,7 +53,8 @@ def _draw_dit(probs: Sequence[float] | np.ndarray, u: float | np.ndarray) -> np.
 
 
 def _check_dit(value: int, d: int, name: str) -> int:
-    if not isinstance(value, (int, np.integer)) or not 0 <= value < d:
+    """The package's one dit rule: an int or numpy integer (not a bool) in [0, d)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < d:
         raise ValueError(f"{name} must be an integer in [0, {d}), got {value!r}")
     return int(value)
 
@@ -112,8 +113,9 @@ class PureState:
 
     def __post_init__(self) -> None:
         check_dim(self.d)
-        if not isinstance(self.num_qudits, (int, np.integer)) or self.num_qudits < 1:
-            raise ValueError(f"num_qudits must be a positive integer, got {self.num_qudits!r}")
+        n = self.num_qudits
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"num_qudits must be a positive integer, got {n!r}")
         amps = np.array(self.amps, dtype=np.complex128)
         expected = self.d**self.num_qudits
         if amps.shape != (expected,):
@@ -216,52 +218,13 @@ def tensor_product(x: PureState, y: PureState) -> PureState:
     return PureState._trusted(x.d, x.num_qudits + y.num_qudits, np.kron(x.amps, y.amps))
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix over kept qudits.
+def reduced_density(state: PureState, keep: int | Sequence[int]) -> np.ndarray:
+    """Partial trace keeping the given qudit (or qudits), tracing the rest.
 
-    Direct construction copies and validates the matrix (one eigvalsh for
-    PSD); reduced_density's partial traces go through _trusted instead.
+    Returns the read-only (d^k, d^k) complex128 density matrix of the k kept
+    qudits. It is not re-checked; a property test checks that it is
+    Hermitian, has unit trace and is positive semidefinite.
     """
-
-    d: int
-    mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        check_dim(self.d)
-        mat = np.array(self.mat, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        side = mat.shape[0]
-        k = round(math.log(side, self.d))
-        if self.d**k != side:
-            raise ValueError(f"matrix side {side} is not a power of d={self.d}")
-        if np.max(np.abs(mat - mat.conj().T)) > INTERNAL_TOL:
-            raise ValueError("density matrix must be Hermitian")
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > INTERNAL_TOL:
-            raise ValueError(f"density matrix trace must be 1, got {trace!r}")
-        if float(np.min(np.linalg.eigvalsh(mat))) < -INTERNAL_TOL:
-            raise ValueError("density matrix must be positive semidefinite")
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
-
-    @classmethod
-    def _trusted(cls, d: int, mat: np.ndarray) -> "DensityMatrix":
-        """Wrap a fresh complex128 matrix the caller owns, without validation.
-
-        Only for partial traces of validated states; the property tests check
-        their invariants instead of an eigvalsh per call.
-        """
-        mat.flags.writeable = False
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "d", d)
-        object.__setattr__(rho, "mat", mat)
-        return rho
-
-
-def reduced_density(state: PureState, keep: int | Sequence[int]) -> DensityMatrix:
-    """Partial trace keeping the given qudit (or qudits), tracing the rest."""
     keep_tuple = (keep,) if isinstance(keep, (int, np.integer)) else tuple(keep)
     if not keep_tuple:
         raise ValueError("must keep at least one qudit")
@@ -273,4 +236,6 @@ def reduced_density(state: PureState, keep: int | Sequence[int]) -> DensityMatri
     others = [q for q in range(state.num_qudits) if q not in keep_tuple]
     tensor = np.moveaxis(state.tensor(), keep_tuple, range(len(keep_tuple)))
     block = tensor.reshape(state.d ** len(keep_tuple), state.d ** len(others))
-    return DensityMatrix._trusted(state.d, block @ block.conj().T)
+    rho = block @ block.conj().T
+    rho.flags.writeable = False
+    return rho

@@ -107,11 +107,6 @@ class GateMatrix:
         return GateMatrix(d, 2, self.mat.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d))
 
 
-@lru_cache(maxsize=None)
-def identity(d: int) -> GateMatrix:
-    return GateMatrix(d, 1, np.eye(d, dtype=np.complex128))
-
-
 def pauli_z(d: int) -> GateMatrix:
     """Phase gate Z|j> = w^j |j> with w = exp(2*pi*i/d)."""
     return pauli_z_power(d, 1)
@@ -189,11 +184,6 @@ def cnot(d: int) -> GateMatrix:
 def cnot_dagger(d: int) -> GateMatrix:
     """Hermitian conjugate of cnot(d); acts as |a,b> -> |a,(b-a) mod d>."""
     return GateMatrix(d, 2, cnot(d).mat.conj().T)
-
-
-def is_unitary(g: GateMatrix) -> bool:
-    """True iff max |G G^dagger - I| <= UNITARITY_TOL (recorded at construction)."""
-    return g.unitary
 
 
 def _diagonal_product(src: np.ndarray, real: np.ndarray, imag: np.ndarray | None) -> np.ndarray:

@@ -138,7 +138,7 @@ def check_unitarity_sweep(
             "pauli_z_power": gates.pauli_z_power(d, d - 1),
         }
         for name, gate in constructors.items():
-            if not gates.is_unitary(gate):
+            if not gate.unitary:
                 failures.append(f"{name}(d={d}) not unitary")
         eye = np.eye(d)
         if float(np.max(np.abs(gates.gate_power(z, d).mat - eye))) > TOL:

@@ -21,6 +21,7 @@ from . import gates
 from .core import (
     PureState,
     ValidationError,
+    _check_dit,
     _draw_dit,
     basis_state,
     phase_exponent,
@@ -148,9 +149,7 @@ def measure_standard(
     floats = state.amps.view(np.float64).reshape(shape[0], d, 2 * shape[2])
     probs = np.einsum("atb,atb->t", floats, floats)
     if forced is not None:
-        if not 0 <= forced < d:
-            raise ValueError(f"forced outcome must be in [0, {d}), got {forced}")
-        outcome = int(forced)
+        outcome = _check_dit(forced, d, "forced")
         if probs[outcome] < FORCED_OUTCOME_MIN_PROB:
             raise ImpossibleOutcomeError(
                 f"outcome {outcome} on qudit {target} has probability {probs[outcome]:.3e}"
@@ -169,9 +168,7 @@ def apply_correction(bob: PureState, r: int) -> PureState:
     """Apply the phase correction Z^r to the received qudit."""
     if bob.num_qudits != 1:
         raise ValueError(f"correction target must be a single qudit, got {bob.num_qudits}")
-    if not 0 <= r < bob.d:
-        raise ValueError(f"correction exponent must be in [0, {bob.d}), got {r}")
-    return gates.apply_1q(bob, gates.pauli_z_power(bob.d, r), 0)
+    return gates.apply_1q(bob, gates.pauli_z_power(bob.d, _check_dit(r, bob.d, "r")), 0)
 
 
 def teleport_hop(
@@ -208,8 +205,7 @@ def entanglement_entropy(state: PureState, target: int | tuple[int, ...]) -> flo
     independent of d. Eigenvalues below ENTROPY_EIGENVALUE_FLOOR are
     treated as exact zeros.
     """
-    rho = reduced_density(state, target)
-    eigenvalues = np.linalg.eigvalsh(rho.mat)
+    eigenvalues = np.linalg.eigvalsh(reduced_density(state, target))
     total = 0.0
     for value in eigenvalues:
         if value > ENTROPY_EIGENVALUE_FLOOR:

@@ -405,6 +405,13 @@ class TestMain:
                 stdout = written
             assert json.loads(stdout)["command"] == argv[1]
 
+    def test_readme_library_block_runs_as_written(self, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        assert "import qrelay" in block
+        done = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=SRC_ENV, capture_output=True)
+        assert done.returncode == 0, done.stderr
+
     def test_selftest_passes(self, capsys):
         start = time.monotonic()
         assert main(["selftest"]) == 0

@@ -1,15 +1,23 @@
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrelay import core, gates
-from qrelay.chain import deferred_exponent
+from qrelay import core, gates, teleport
+from qrelay.chain import (
+    ChainConfig,
+    NoiseSpec,
+    apply_phase_noise,
+    deferred_exponent,
+    full_register_chain,
+    run_chain,
+)
 from qrelay.core import (
-    DensityMatrix,
     PureState,
     ValidationError,
     basis_state,
@@ -23,7 +31,7 @@ from qrelay.core import (
     root_of_unity,
     tensor_product,
 )
-from qrelay.teleport import measure_standard
+from qrelay.teleport import CorrectionMode, apply_correction, measure_standard
 
 ALL_DIMS = range(2, 17)
 
@@ -258,26 +266,26 @@ class TestReducedDensity:
         factor = random_state(3, 1, rng)
         state = tensor_product(factor, basis_state(3, 1, (2,)))
         rho = reduced_density(state, 0)
-        np.testing.assert_allclose(rho.mat, np.outer(factor.amps, factor.amps.conj()), atol=1e-14)
+        np.testing.assert_allclose(rho, np.outer(factor.amps, factor.amps.conj()), atol=1e-14)
 
     @pytest.mark.parametrize("keep", [0, 1])
     def test_maximally_entangled_qubits(self, keep):
         bell = make_state(2, np.array([1, 0, 0, 1]) / math.sqrt(2))
         rho = reduced_density(bell, keep)
-        np.testing.assert_allclose(rho.mat, np.eye(2) / 2, atol=1e-14)
+        np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-14)
 
     def test_maximally_entangled_qutrits(self):
         amps = np.zeros(9)
         amps[[0, 4, 8]] = 1 / math.sqrt(3)
         rho = reduced_density(make_state(3, amps), 1)
-        np.testing.assert_allclose(rho.mat, np.eye(3) / 3, atol=1e-14)
+        np.testing.assert_allclose(rho, np.eye(3) / 3, atol=1e-14)
 
     def test_multi_qudit_keep(self):
         rng = np.random.default_rng(12)
         left = random_state(2, 2, rng)
         state = tensor_product(left, random_state(2, 1, rng))
         rho = reduced_density(state, (0, 1))
-        np.testing.assert_allclose(rho.mat, np.outer(left.amps, left.amps.conj()), atol=1e-13)
+        np.testing.assert_allclose(rho, np.outer(left.amps, left.amps.conj()), atol=1e-13)
 
     def test_invariants_on_random_states(self):
         rng = np.random.default_rng(13)
@@ -288,8 +296,8 @@ class TestReducedDensity:
                 state = random_state(d, n, rng)
                 rho = reduced_density(state, int(rng.integers(n)))
                 # reduced_density skips validation, so check its invariants here
-                assert abs(np.trace(rho.mat) - 1.0) < 1e-12
-                assert np.min(np.linalg.eigvalsh(rho.mat)) > -1e-12
+                assert abs(np.trace(rho) - 1.0) < 1e-12
+                assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
@@ -313,17 +321,43 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             PureState(2, 2, np.array([1.0, 0.0]))
 
-    def test_density_matrix_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(2, np.array([[0.5, 0.5], [0.0, 0.5]]))
+    @pytest.mark.parametrize("num_qudits", [0.5, 1.0, True, -1, 0])
+    def test_rejects_non_integer_num_qudits(self, num_qudits):
+        with pytest.raises(ValueError, match="num_qudits must be a positive integer"):
+            PureState(2, num_qudits, np.array([1.0, 0.0]))
 
-    def test_density_matrix_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(2, np.eye(2))
 
-    def test_density_matrix_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            DensityMatrix(2, np.diag([1.5, -0.5]))
+# every library entry point that takes a dit, with the argument its error names
+DIT_ARGUMENTS = {
+    "measure_standard": (lambda v: measure_standard(basis_state(2, 2, (0, 0)), 1, forced=v), "forced"),
+    "apply_phase_noise": (
+        lambda v: apply_phase_noise(basis_state(2, 1, (0,)), NoiseSpec.noiseless(2), forced=v),
+        "forced",
+    ),
+    "apply_correction": (lambda v: apply_correction(basis_state(2, 1, (0,)), v), "r"),
+    "deferred_exponent": (lambda v: deferred_exponent([0, v], 2), "results[1]"),
+    "run_chain": (
+        lambda v: run_chain(
+            ChainConfig(2, 2, CorrectionMode.LOCAL_EACH_HOP, NoiseSpec.noiseless(2), 0),
+            basis_state(2, 1, (0,)),
+            forced_noise=[v, 0],
+        ),
+        "forced",
+    ),
+    "full_register_chain": (
+        lambda v: full_register_chain(2, 1, basis_state(2, 1, (0,)), [(v, 0)]),
+        "forced",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True, -1, 2])
+@pytest.mark.parametrize("entry", sorted(DIT_ARGUMENTS))
+def test_dit_arguments_reject_non_dits(entry, value):
+    """Floats, bools and out-of-range values all fail the one dit rule (d = 2)."""
+    call, name = DIT_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer in [0, 2), got {value!r}")):
+        call(value)
 
 
 amplitude_lists = st.lists(
@@ -364,11 +398,11 @@ def test_tensor_norm_and_encoding(d, seed):
     st.integers(min_value=0, max_value=10**6),
 )
 def test_reduced_density_is_a_density_matrix(d, n, seed):
-    """reduced_density skips DensityMatrix validation; check its invariants here."""
+    """reduced_density returns its partial trace unchecked; check its invariants here."""
     rng = np.random.default_rng(seed)
     state = random_state(d, n, rng)
     keep = tuple(int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))])
-    rho = reduced_density(state, keep).mat
+    rho = reduced_density(state, keep)
     assert rho.shape == (d ** len(keep),) * 2
     assert rho.flags.writeable is False
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
@@ -396,7 +430,7 @@ def test_trusted_results_keep_state_invariants(d, n, seed):
     assert_state_invariants(basis_state(d, n, digits), d, n)
     state = random_state(d, n, rng)
     assert_state_invariants(tensor_product(state, random_state(d, 1, rng)), d, n + 1)
-    one_qudit = [gates.identity(d), gates.pauli_z(d), gates.pauli_x(d), gates.hadamard(d),
+    one_qudit = [gates.pauli_z_power(d, 0), gates.pauli_z(d), gates.pauli_x(d), gates.hadamard(d),
                  gates.hadamard_inverse(d), gates.pauli_z_power(d, int(rng.integers(d)))]
     for target in range(n):
         for gate in one_qudit:
@@ -419,9 +453,29 @@ def test_internal_tolerance_constants():
     assert core.INTERNAL_TOL == 1e-12
 
 
+# the documented library face: every name README.md or benchmarks/ uses, plus
+# the exceptions callers catch
+PUBLIC_NAMES = [
+    "ChainConfig", "CorrectionMode", "GateMatrix", "HistoryEntry", "ImpossibleOutcomeError",
+    "NoiseSpec", "PureState", "ResourceLimitError", "ValidationError", "__version__",
+    "apply_1q", "apply_2q", "apply_phase_noise", "basis_state", "enumerate_branches",
+    "expected_fidelity", "fidelity", "full_register_chain", "hop_expansion", "inner_product",
+    "make_state", "measure_standard", "random_state", "reduced_density", "run_chain",
+    "run_trajectories", "teleport_hop", "tensor_product",
+]
+
+
 def test_public_names_resolve_once():
     import qrelay
 
     assert len(qrelay.__all__) == len(set(qrelay.__all__))
+    assert sorted(qrelay.__all__) == PUBLIC_NAMES
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for name in qrelay.__all__:
         assert hasattr(qrelay, name), name
+        value = getattr(qrelay, name)
+        if name != "__version__" and not (isinstance(value, type) and issubclass(value, Exception)):
+            assert re.search(rf"\b{name}\b", readme), f"{name} is exported but README.md never names it"
+    for module in (core, gates, teleport):
+        for deleted in ("DensityMatrix", "identity", "is_unitary"):
+            assert not hasattr(module, deleted), f"{module.__name__}.{deleted}"

@@ -50,7 +50,7 @@ class TestPrepareHop:
     def test_receiver_starts_in_zero(self):
         register = prepare_hop(random_state(3, 1, np.random.default_rng(1)))
         rho = reduced_density(register, 2)
-        np.testing.assert_allclose(rho.mat, np.outer([1, 0, 0], [1, 0, 0]), atol=1e-14)
+        np.testing.assert_allclose(rho, np.outer([1, 0, 0], [1, 0, 0]), atol=1e-14)
 
     def test_rejects_multi_qudit_input(self):
         with pytest.raises(ValueError):
