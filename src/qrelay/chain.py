@@ -37,17 +37,15 @@ from .core import (
     ValidationError,
     _check_dit,
     _draw_dit,
-    basis_state,
     check_dim,
     check_positive_int,
     fidelity,
-    tensor_product,
 )
 from .teleport import (
     CorrectionMode,
+    _collapse,
     apply_correction,
     entanglement_entropy,
-    measure_standard,
     teleport_hop,
 )
 
@@ -202,6 +200,20 @@ def _check_chain_input(d: int, psi0: PureState) -> None:
         )
 
 
+def _check_forced_pairs(name: str, pairs: Sequence, n: int, d: int) -> list[tuple[int, int]]:
+    """A forced path's n (a, b) dit pairs, checked before any work: its length,
+    then each entry's shape, then each dit, naming the first bad field."""
+    if len(pairs) != n:
+        raise ValueError(f"{name} must list {n} (a, b) pairs")
+    for i, pair in enumerate(pairs):
+        if not hasattr(pair, "__len__") or len(pair) != 2:
+            raise ValueError(f"{name}[{i}] must be an (a, b) pair, got {pair!r}")
+    return [
+        (_check_dit(a, d, f"{name}[{i}][0]"), _check_dit(b, d, f"{name}[{i}][1]"))
+        for i, (a, b) in enumerate(pairs)
+    ]
+
+
 def run_chain(
     config: ChainConfig,
     psi0: PureState,
@@ -221,10 +233,12 @@ def run_chain(
     _check_chain_input(config.d, psi0)
     if isinstance(trial, bool) or not isinstance(trial, int) or trial < 0:
         raise ValidationError(f"trial: must be a non-negative integer, got {trial!r}")
-    if forced_outcomes is not None and len(forced_outcomes) != config.n:
-        raise ValueError(f"forced_outcomes must list {config.n} (a, b) pairs")
-    if forced_noise is not None and len(forced_noise) != config.n:
-        raise ValueError(f"forced_noise must list {config.n} exponents")
+    if forced_outcomes is not None:
+        forced_outcomes = _check_forced_pairs("forced_outcomes", forced_outcomes, config.n, config.d)
+    if forced_noise is not None:
+        if len(forced_noise) != config.n:
+            raise ValueError(f"forced_noise must list {config.n} exponents")
+        forced_noise = [_check_dit(k, config.d, f"forced_noise[{i}]") for i, k in enumerate(forced_noise)]
 
     rng = _trial_stream(config.seed, config.n, trial)
     local = config.mode is CorrectionMode.LOCAL_EACH_HOP
@@ -238,7 +252,7 @@ def run_chain(
             state,
             CorrectionMode.DEFERRED_FINAL,
             rng=rng,
-            forced=None if forced_outcomes is None else tuple(forced_outcomes[i]),
+            forced=None if forced_outcomes is None else forced_outcomes[i],
         )
         state, k = apply_phase_noise(
             outcome.bob_pre,
@@ -394,55 +408,56 @@ def full_register_chain(
     repeater block (carrier, ancilla, receiver) lives in the same state
     vector, the received qudit is handed to the next block's carrier with
     a CNOT / CNOT-dagger pair, and measurements are forced along the given
-    path. boundary_entropies[i] is block i's entanglement with the rest of
-    the register right after its handoff; the protocol keeps it at zero.
+    path, which is checked in full before any register work.
+    boundary_entropies[i] is block i's entanglement with the rest of the
+    register right after its handoff; the protocol keeps it at zero.
+
+    The register lives in two d^(3n) buffers allocated once: every gate
+    writes the gate kernel's result into the spare buffer and the two swap,
+    and every measurement collapses the live buffer in place. Only the final
+    receiver slice leaves, as a validated PureState copy.
     """
     check_dim(d)
     check_positive_int("n", n)
     CorrectionMode.check(mode)
     _check_chain_input(d, psi0)
-    if len(forced_path) != n:
-        raise ValueError(f"forced_path must list {n} (a, b) pairs")
-    if d ** (3 * n) > FULL_REGISTER_AMPLITUDE_LIMIT:
+    path = _check_forced_pairs("forced_path", forced_path, n, d)
+    width = 3 * n
+    if d**width > FULL_REGISTER_AMPLITUDE_LIMIT:
         raise ResourceLimitError(
-            f"{d}^{3 * n} amplitudes exceed the joint-register limit of "
+            f"{d}^{width} amplitudes exceed the joint-register limit of "
             f"{FULL_REGISTER_AMPLITUDE_LIMIT}"
         )
 
     local = mode is CorrectionMode.LOCAL_EACH_HOP
-    state = tensor_product(psi0, basis_state(d, 3 * n - 1, (0,) * (3 * n - 1)))
+    # psi0 (x) |0...0>: psi0's amplitudes sit at stride d^(3n-1) of a zeroed buffer
+    amps = np.zeros(d**width, dtype=np.complex128)
+    amps[:: d ** (width - 1)] = psi0.amps
+    spare = np.empty_like(amps)
     cnot = gates.cnot(d)
     cnot_dag = gates.cnot_dagger(d)
     fourier_inv = gates.hadamard_inverse(d)
     fourier = gates.hadamard(d)
     boundary: list[float] = []
-    results: list[int] = []
-    for i in range(n):
+    for i, (a, b) in enumerate(path):
         carrier, ancilla, receiver = 3 * i, 3 * i + 1, 3 * i + 2
         if i > 0:
             # hand the previous receiver's state to this block's fresh carrier
-            state = gates.apply_2q(state, cnot, carrier - 1, carrier)
-            state = gates.apply_2q(state, cnot_dag, carrier, carrier - 1)
-            boundary.append(entanglement_entropy(state, (carrier - 3, carrier - 2, carrier - 1)))
-        state = gates.apply_2q(state, cnot, carrier, receiver)
-        state = gates.apply_1q(state, fourier_inv, carrier)
-        state = gates.apply_1q(state, fourier, ancilla)
-        a, b = forced_path[i]
-        _, _, state = measure_standard(state, carrier, forced=a)
-        _, _, state = measure_standard(state, ancilla, forced=b)
-        results.append(int(a))
+            for g, positions in ((cnot, (carrier - 1, carrier)), (cnot_dag, (carrier, carrier - 1))):
+                amps, spare = gates._apply(g, amps, positions, spare), amps
+            live = PureState._trusted(d, width, amps.view())
+            boundary.append(entanglement_entropy(live, (carrier - 3, carrier - 2, carrier - 1)))
+        for g, positions in ((cnot, (carrier, receiver)), (fourier_inv, (carrier,)), (fourier, (ancilla,))):
+            amps, spare = gates._apply(g, amps, positions, spare), amps
+        _collapse(amps, d, carrier, None, a, amps)
+        _collapse(amps, d, ancilla, None, b, amps)
         if local:
-            state = gates.apply_1q(state, gates.pauli_z_power(d, int(a)), receiver)
+            amps, spare = gates._apply(gates.pauli_z_power(d, a), amps, (receiver,), spare), amps
 
     # every qudit except the last receiver is collapsed; slice it out exactly and
     # validate, since the slice is the receiver's state only if the register is a product
-    slicer: list[int] = []
-    for i in range(n):
-        a, b = forced_path[i]
-        slicer.extend((int(a), int(b)))
-        if i < n - 1:
-            slicer.append(0)
-    final = PureState(d, 1, state.tensor()[tuple(slicer)])
+    slicer = [dit for i, (a, b) in enumerate(path) for dit in ((a, b, 0) if i < n - 1 else (a, b))]
+    final = PureState(d, 1, amps.reshape((d,) * width)[tuple(slicer)])
     if not local:
-        final = apply_correction(final, deferred_exponent(results, d))
+        final = apply_correction(final, deferred_exponent([a for a, _ in path], d))
     return FullRegisterResult(final=final, boundary_entropies=tuple(boundary))

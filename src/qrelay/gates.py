@@ -6,14 +6,16 @@ is diagonal (Z^r), monomial (one nonzero per column: X, CNOT, CNOT^dagger)
 or dense (Fourier). One kernel, `_apply`, serves `apply_1q` and `apply_2q`:
 it views the amplitudes as (pre, d, post) or (pre, d, mid, d, post), with the
 gate's axes left in place, and makes one pass over the register by the
-gate's structure. A diagonal gate is one broadcast multiply, a monomial gate
-is d^arity slice copies or scalings into one fresh array, and a dense gate is
-one BLAS matmul. When the block from the gate's first axis to the end of the
-register is narrow and repeated many times (TRAILING_GEMM_MAX), the gate is
-applied instead as that block's operator, right-multiplying the (pre, block)
-view in one GEMM. The
-full d^n x d^n operator is never materialized and no axis is moved, so
-3n-qudit registers cost one new array per gate.
+gate's structure, writing every amplitude of its destination. A diagonal gate
+is one broadcast multiply, a monomial gate is d^arity slice copies or
+scalings, and a dense gate is one BLAS matmul. When the block from the gate's
+first axis to the end of the register is narrow and repeated many times
+(TRAILING_GEMM_MAX), the gate is applied instead as that block's operator,
+right-multiplying the (pre, block) view in one GEMM. The full d^n x d^n
+operator is never materialized and no axis is moved. `apply_1q` and
+`apply_2q` give the kernel a fresh destination; the joint register of
+`chain.full_register_chain` passes its spare buffer instead, so a 3n-qudit
+run allocates no register-sized array per gate.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ UNITARITY_TOL = 1e-12
 # runs cost more than the GEMM's flops. Crossover measured at 2^21 amplitudes,
 # d = 2; below it the operator's construction costs more than it saves.
 TRAILING_GEMM_MAX = 32
+# a diagonal gate with complex entries forms its cross products in scratch
+# blocks of at most about this many doubles (1 MiB), not in a register-sized temporary
+SCRATCH_FLOATS = 2**17
 
 
 def _unitarity_deviation(mat: np.ndarray) -> float:
@@ -186,36 +191,54 @@ def cnot_dagger(d: int) -> GateMatrix:
     return GateMatrix(d, 2, cnot(d).mat.conj().T)
 
 
-def _diagonal_product(src: np.ndarray, real: np.ndarray, imag: np.ndarray | None) -> np.ndarray:
-    """src * diagonal, each part rounded as wr*xr - wi*xi and wr*xi + wi*xr
+def _blocks(shape: tuple[int, ...], limit: int):
+    """Index tuples cutting an array of `shape` into pieces of at most about
+    `limit` elements along its first and last-but-one axes (pre and post of
+    the float view), where a gate's diagonal does not vary."""
+    inner = math.prod(shape[1:-2]) * shape[-1]
+    cols = min(shape[-2], max(1, limit // inner))
+    rows = max(1, limit // (inner * cols))
+    for p in range(0, shape[0], rows):
+        for s in range(0, shape[-2], cols):
+            yield (slice(p, p + rows), Ellipsis, slice(s, s + cols), slice(None))
+
+
+def _diagonal_product(
+    src: np.ndarray, real: np.ndarray, imag: np.ndarray | None, out: np.ndarray
+) -> None:
+    """out = src * diagonal, each part rounded as wr*xr - wi*xi and wr*xi + wi*xr
     and then added to 0.0, so that a zero part is +0.
 
     These are the bits a summed product G @ x gives for a diagonal G. numpy's
     complex multiply rounds some products differently, which would move the
     last bits of reported fidelities and phase-corrected amplitudes (and turn
-    some zeros to -0.0) in `run`, `enumerate` and `--history` output.
+    some zeros to -0.0) in `run`, `enumerate` and `--history` output. The
+    cross products go through a scratch block of at most about SCRATCH_FLOATS
+    numbers at a time.
     """
     x = src.view(np.float64).reshape(src.shape + (2,))
-    out = x * real
+    y = out.view(np.float64).reshape(x.shape)
+    np.multiply(x, real, out=y)
     if imag is not None:
-        cross = x * imag
-        out[..., 0] -= cross[..., 1]
-        out[..., 1] += cross[..., 0]
-    out += 0.0
-    return out.view(np.complex128).reshape(src.shape)
+        for block in _blocks(x.shape, SCRATCH_FLOATS):
+            cross = x[block] * imag
+            y[block][..., 0] -= cross[..., 1]
+            y[block][..., 1] += cross[..., 0]
+    y += 0.0
 
 
-def _apply_view(g: GateMatrix, src: np.ndarray) -> np.ndarray:
+def _apply_view(g: GateMatrix, src: np.ndarray, out: np.ndarray) -> None:
     """g on axes 1 (and 3) of a (pre, d, post) or (pre, d, mid, d, post) view,
-    written into one fresh array of the view's shape."""
+    written into `out`, an array of the view's shape that src does not overlap."""
     if g._diagonal is not None:
-        return _diagonal_product(src, *g._diagonal)
+        _diagonal_product(src, *g._diagonal, out)
+        return
     pre, post = src.shape[0], src.shape[-1]
     side = g.mat.shape[0]
     if not g._monomial and pre * side * post == src.size:
         # dense on adjacent axes: one batched GEMM, G @ (pre, side, post)
-        return np.matmul(g.mat, src.reshape(pre, side, post))
-    out = np.empty_like(src)
+        np.matmul(g.mat, src.reshape(pre, side, post), out=out.reshape(pre, side, post))
+        return
     for out_index, sources in g._terms:
         (in_index, coeff), *rest = sources
         if coeff == 1:
@@ -224,39 +247,54 @@ def _apply_view(g: GateMatrix, src: np.ndarray) -> np.ndarray:
             np.multiply(src[in_index], coeff, out=out[out_index])
         for in_index, coeff in rest:
             out[out_index] += coeff * src[in_index]
-    return out
 
 
-def _apply(state: PureState, g: GateMatrix, positions: tuple[int, ...]) -> PureState:
-    """The one gate kernel: g on `positions` (slot order), identity elsewhere.
+def _apply(
+    g: GateMatrix,
+    amps: np.ndarray,
+    positions: tuple[int, ...],
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The one gate kernel: g on `positions` (slot order) of the register
+    whose amplitudes are the flat array `amps`, identity elsewhere.
 
     The amplitudes are viewed as (pre, d, post), or (pre, d, mid, d, post)
     with the gate's positions in register order, so no axis is moved and
-    nothing is copied before the one pass that writes the fresh result.
+    nothing is copied before the one pass that writes the result. That
+    result goes to `out` (a flat complex128 array of amps' size that does not
+    overlap amps), or to a fresh array when `out` is None; it is returned.
+    amps is never written.
     """
     if not g.unitary:
         raise ValueError(
             f"gate must be unitary: this d={g.d} arity-{g.arity} gate has "
             f"max |G G^dagger - I| = {_unitarity_deviation(g.mat):.3e} > {UNITARITY_TOL}"
         )
-    d, n = state.d, state.num_qudits
+    if out is None:
+        out = np.empty_like(amps)
+    elif np.may_share_memory(out, amps):
+        raise ValueError("gate destination must not share memory with the source")
+    d, size = g.d, amps.size
     if len(positions) == 2 and positions[0] > positions[1]:
         g, positions = g._slots_swapped, positions[::-1]
-    shape, previous = [], -1
+    shape, rest = [], size
     for q in positions:
-        shape += [d ** (q - previous - 1), d]
-        previous = q
-    shape.append(d ** (n - previous - 1))
-    pre, width = shape[0], state.amps.size // shape[0]
+        # rest: amplitudes from just after the previous gate digit; tail: from q's
+        tail = size // d**q
+        shape += [rest // tail, d]
+        rest = tail // d
+    shape.append(rest)
+    pre, width = shape[0], size // shape[0]
     if width <= TRAILING_GEMM_MAX < pre:
         # rows of the identity are the block's basis states, so the view
-        # kernel returns the block operator transposed
+        # kernel yields the block operator transposed
         basis = np.eye(width, dtype=np.complex128).reshape([width] + shape[1:])
-        operator_t = _apply_view(g, basis).reshape(width, width)
-        out = state.amps.reshape(pre, width) @ operator_t
+        operator_t = np.empty_like(basis)
+        _apply_view(g, basis, operator_t)
+        np.matmul(amps.reshape(pre, width), operator_t.reshape(width, width), out=out.reshape(pre, width))
     else:
-        out = _apply_view(g, state.amps.reshape(shape))
-    return PureState._trusted(d, n, out.reshape(-1))
+        _apply_view(g, amps.reshape(shape), out.reshape(shape))
+    return out
 
 
 def apply_1q(state: PureState, g: GateMatrix, target: int) -> PureState:
@@ -271,7 +309,7 @@ def apply_1q(state: PureState, g: GateMatrix, target: int) -> PureState:
         raise ValueError(f"gate dimension {g.d} does not match state dimension {state.d}")
     if not 0 <= target < state.num_qudits:
         raise ValueError(f"target {target} out of range [0, {state.num_qudits})")
-    return _apply(state, g, (target,))
+    return PureState._trusted(state.d, state.num_qudits, _apply(g, state.amps, (target,)))
 
 
 def apply_2q(state: PureState, g: GateMatrix, control: int, target: int) -> PureState:
@@ -291,4 +329,4 @@ def apply_2q(state: PureState, g: GateMatrix, control: int, target: int) -> Pure
     for name, q in (("control", control), ("target", target)):
         if not 0 <= q < n:
             raise ValueError(f"{name} {q} out of range [0, {n})")
-    return _apply(state, g, (control, target))
+    return PureState._trusted(state.d, state.num_qudits, _apply(g, state.amps, (control, target)))

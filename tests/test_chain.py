@@ -1,9 +1,12 @@
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qrelay import gates
 from qrelay.chain import (
     ChainConfig,
     NoiseSpec,
@@ -17,8 +20,23 @@ from qrelay.chain import (
     run_chain,
     run_trajectories,
 )
-from qrelay.core import ValidationError, _draw_dit, basis_state, fidelity, make_state, random_state
-from qrelay.teleport import CorrectionMode, apply_correction, teleport_hop
+from qrelay.core import (
+    ValidationError,
+    _draw_dit,
+    basis_state,
+    fidelity,
+    make_state,
+    random_state,
+    tensor_product,
+)
+from qrelay.gates import apply_1q, apply_2q
+from qrelay.teleport import (
+    CorrectionMode,
+    apply_correction,
+    entanglement_entropy,
+    measure_standard,
+    teleport_hop,
+)
 
 LOCAL = CorrectionMode.LOCAL_EACH_HOP
 DEFERRED = CorrectionMode.DEFERRED_FINAL
@@ -394,6 +412,109 @@ class TestFullRegisterChain:
     def test_path_length_checked(self):
         with pytest.raises(ValueError):
             full_register_chain(2, 2, uniform_state(2), [(0, 0)])
+
+    @pytest.mark.parametrize("mode", [LOCAL, DEFERRED])
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_matches_public_api_oracle_on_every_path(self, d, n, mode):
+        psi = random_state(d, 1, np.random.default_rng(10 * d + n))
+        for path in itertools.product(itertools.product(range(d), repeat=2), repeat=n):
+            joint = full_register_chain(d, n, psi, list(path), mode=mode)
+            final, entropies = joint_register_oracle(d, n, psi, path, mode)
+            np.testing.assert_allclose(joint.final.amps, final, rtol=0, atol=1e-12, err_msg=str(path))
+            assert len(joint.boundary_entropies) == len(entropies) == n - 1
+            np.testing.assert_allclose(joint.boundary_entropies, entropies, rtol=0, atol=1e-12)
+
+    def test_peak_memory_is_two_registers(self):
+        # two d^(3n) buffers plus bounded scratch; allocating each gate's and
+        # measurement's result, as the public API does, peaks at three
+        psi = random_state(2, 1, np.random.default_rng(45))
+        path = [(1, 0), (0, 1), (1, 1), (0, 0), (1, 0), (0, 1)]
+        full_register_chain(2, 6, psi, path)  # builds the cached gates first
+        tracemalloc.start()
+        try:
+            full_register_chain(2, 6, psi, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**18 * 16
+
+
+def joint_register_oracle(d, n, psi0, path, mode):
+    """The joint 3n-qudit register rebuilt from the allocating public API:
+    (final receiver amplitudes, boundary entropies)."""
+    state = tensor_product(psi0, basis_state(d, 3 * n - 1, (0,) * (3 * n - 1)))
+    entropies = []
+    for i, (a, b) in enumerate(path):
+        carrier, ancilla, receiver = 3 * i, 3 * i + 1, 3 * i + 2
+        if i > 0:
+            state = apply_2q(state, gates.cnot(d), carrier - 1, carrier)
+            state = apply_2q(state, gates.cnot_dagger(d), carrier, carrier - 1)
+            entropies.append(entanglement_entropy(state, (carrier - 3, carrier - 2, carrier - 1)))
+        state = apply_2q(state, gates.cnot(d), carrier, receiver)
+        state = apply_1q(state, gates.hadamard_inverse(d), carrier)
+        state = apply_1q(state, gates.hadamard(d), ancilla)
+        state = measure_standard(state, carrier, forced=a).state
+        state = measure_standard(state, ancilla, forced=b).state
+        if mode is LOCAL:
+            state = apply_1q(state, gates.pauli_z_power(d, a), receiver)
+    digits = [dit for i, (a, b) in enumerate(path) for dit in (a, b, 0)][:-1]
+    final = state.tensor()[tuple(digits)]
+    if mode is DEFERRED:
+        final = final * np.exp(2j * np.pi * np.arange(d) * sum(a for a, _ in path) / d)
+    return final, entropies
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the gate kernel's calls, whatever public function makes them."""
+    calls = []
+    kernel = gates._apply
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "_apply", counted)
+    return calls
+
+
+class TestForcedPathValidatedFirst:
+    @pytest.mark.parametrize(
+        "last,field",
+        [((0.5, 0), "forced_path[6][0]"), ((0, True), "forced_path[6][1]"), ((0, 2), "forced_path[6][1]")],
+    )
+    def test_bad_last_dit_is_named_before_any_gate(self, kernel_calls, last, field):
+        psi = uniform_state(2)
+        with pytest.raises(ValueError, match=re.escape(field) + " must be an integer in"):
+            full_register_chain(2, 7, psi, [(0, 0)] * 6 + [last])
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("last", [(0, 0, 0), (1,), 0, "01"])
+    def test_bad_last_entry_is_named_before_any_gate(self, kernel_calls, last):
+        psi = uniform_state(2)
+        with pytest.raises(ValueError, match=re.escape("forced_path[6]")):
+            full_register_chain(2, 7, psi, [(0, 0)] * 6 + [last])
+        assert kernel_calls == []
+
+    def test_run_chain_forced_outcomes(self, kernel_calls):
+        with pytest.raises(ValueError, match=re.escape("forced_outcomes[1] must be an (a, b) pair")):
+            run_chain(config(d=2, n=2), uniform_state(2), forced_outcomes=[(0, 0), (1,)])
+        with pytest.raises(ValueError, match=re.escape("forced_outcomes[1][0] must be an integer")):
+            run_chain(config(d=2, n=2), uniform_state(2), forced_outcomes=[(0, 0), (1.0, 0)])
+        assert kernel_calls == []
+
+    def test_run_chain_forced_noise(self, kernel_calls):
+        with pytest.raises(ValueError, match=re.escape("forced_noise[1] must be an integer in [0, 3)")):
+            run_chain(config(d=3, n=2), uniform_state(3), forced_noise=[0, 3])
+        assert kernel_calls == []
+
+    def test_numpy_pairs_are_accepted(self):
+        psi = random_state(3, 1, np.random.default_rng(46))
+        path = np.array([[1, 2], [0, 1]])
+        joint = full_register_chain(3, 2, psi, path)
+        np.testing.assert_allclose(joint.final.amps, psi.amps, atol=1e-12)
+        result = run_chain(config(d=3, n=2, mode=LOCAL), psi, forced_outcomes=path, forced_noise=np.zeros(2, int))
+        assert result.results == (1, 0)
 
 
 def test_monte_carlo_outcome_uniformity():

@@ -307,6 +307,40 @@ class TestReducedDensity:
         with pytest.raises(ValueError):
             reduced_density(basis_state(2, 2, (0, 0)), (0, 0))
 
+    # d = 3, n = 10 holds 59,049 amplitudes, several Gram blocks that do not divide it
+    @pytest.mark.parametrize(
+        "keep",
+        [(0, 1, 2), (0,), (4, 5, 6), (5,), (7, 8, 9), (9,), (1, 2, 3, 4, 5), (6, 1, 8), (2, 1, 0), (9, 0)],
+    )
+    def test_matches_moveaxis_reference(self, keep):
+        state = random_state(3, 10, np.random.default_rng(14))
+        assert state.amps.size > core.GRAM_BLOCK_AMPLITUDES
+        rho = reduced_density(state, keep)
+        np.testing.assert_allclose(rho, reference_density(state, keep), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, 50, 2**14])
+    @pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (5, 3)])
+    def test_every_keep_at_every_block_size(self, d, n, block, monkeypatch):
+        # blocks of one column, of a few rows, and of whole registers; keeping
+        # every qudit included
+        monkeypatch.setattr(core, "GRAM_BLOCK_AMPLITUDES", block)
+        state = random_state(d, n, np.random.default_rng(15))
+        for k in range(1, n + 1):
+            for first in range(n - k + 1):
+                keep = tuple(range(first, first + k))
+                np.testing.assert_allclose(
+                    reduced_density(state, keep), reference_density(state, keep), rtol=0, atol=1e-12
+                )
+        keep = tuple(range(n))[::-1]
+        np.testing.assert_allclose(reduced_density(state, keep), reference_density(state, keep), rtol=0, atol=1e-12)
+
+
+def reference_density(state, keep):
+    """The partial trace written out: kept axes to the front, then M M^dagger."""
+    moved = np.moveaxis(state.tensor(), keep, range(len(keep)))
+    block = moved.reshape(state.d ** len(keep), -1)
+    return block @ block.conj().T
+
 
 class TestStateValidation:
     def test_rejects_non_normalized(self):
@@ -342,11 +376,11 @@ DIT_ARGUMENTS = {
             basis_state(2, 1, (0,)),
             forced_noise=[v, 0],
         ),
-        "forced",
+        "forced_noise[0]",
     ),
     "full_register_chain": (
         lambda v: full_register_chain(2, 1, basis_state(2, 1, (0,)), [(v, 0)]),
-        "forced",
+        "forced_path[0][0]",
     ),
 }
 
