@@ -40,12 +40,13 @@ from .core import (
     check_dim,
     check_positive_int,
     fidelity,
+    flat_index,
 )
 from .teleport import (
     CorrectionMode,
-    _collapse,
+    _check_possible,
+    _entropy,
     apply_correction,
-    entanglement_entropy,
     teleport_hop,
 )
 
@@ -395,6 +396,58 @@ def enumerate_branches(config: ChainConfig, psi0: PureState) -> list[BranchOutco
     return branches
 
 
+def _register_gate(
+    g: gates.GateMatrix, idx: np.ndarray, vals: np.ndarray, positions: tuple[int, ...], width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """g on `positions` (slot order) of the sparse `width`-qudit register that
+    holds amplitude vals[e] at flat index idx[e], identity elsewhere.
+
+    Each entry is sent through the nonzero entries of g's column for its
+    digits at `positions`; entries that land on the same index are summed,
+    and a sum that cancels to within its rounding bound (side * eps times
+    the sum of its terms' magnitudes) is dropped. Returns (indices, values).
+    """
+    d, side = g.d, g.mat.shape[0]
+    strides = np.array([d ** (width - 1 - q) for q in positions])
+    digits = idx[:, None] // strides % d
+    column = np.ravel_multi_index(tuple(digits.T), (d,) * g.arity)
+    # each gate row r's digits, placed at the positions' strides
+    offsets = strides @ np.indices((d,) * g.arity).reshape(g.arity, side)
+    coeffs = g.mat[:, column]
+    nonzero = coeffs != 0
+    landing = (offsets[:, None] + (idx - digits @ strides))[nonzero]
+    terms = (coeffs * vals)[nonzero]
+    out_idx, slot = np.unique(landing, return_inverse=True)
+    out = np.zeros(out_idx.size, dtype=np.complex128)
+    np.add.at(out, slot, terms)
+    weight = np.bincount(slot, np.abs(terms), out_idx.size)
+    live = np.abs(out) > side * np.finfo(np.float64).eps * weight
+    return out_idx[live], out[live]
+
+
+def _register_measure(
+    idx: np.ndarray, vals: np.ndarray, d: int, target: int, width: int, outcome: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Force `outcome` on qudit `target` of the sparse register: keep the
+    entries with that digit and renormalize them."""
+    kept = idx // d ** (width - 1 - target) % d == outcome
+    prob = float(np.sum(vals[kept].real ** 2 + vals[kept].imag ** 2))
+    _check_possible(outcome, target, prob)
+    return idx[kept], vals[kept] / math.sqrt(prob)
+
+
+def _register_block_entropy(idx: np.ndarray, vals: np.ndarray, d: int, first: int, width: int) -> float:
+    """Entropy of qudits first..first+2 of the sparse register, in base-d units,
+    from the singular values of its Schmidt matrix restricted to the support."""
+    low = d ** (width - first - 3)
+    block = idx // low % d**3
+    _, row = np.unique(block, return_inverse=True)
+    _, col = np.unique(idx - block * low, return_inverse=True)
+    schmidt = np.zeros((row.max() + 1, col.max() + 1), dtype=np.complex128)
+    schmidt[row, col] = vals
+    return _entropy(np.linalg.svd(schmidt, compute_uv=False) ** 2, d)
+
+
 def full_register_chain(
     d: int,
     n: int,
@@ -412,10 +465,13 @@ def full_register_chain(
     boundary_entropies[i] is block i's entanglement with the rest of the
     register right after its handoff; the protocol keeps it at zero.
 
-    The register lives in two d^(3n) buffers allocated once: every gate
-    writes the gate kernel's result into the spare buffer and the two swap,
-    and every measurement collapses the live buffer in place. Only the final
-    receiver slice leaves, as a validated PureState copy.
+    The register is held by its nonzero amplitudes: the flat indices and
+    values of its support, which never exceeds d^3 entries, since every
+    hop ends with two standard-basis measurements. Gates, measurements and
+    entropies act on the whole register through `_register_gate`,
+    `_register_measure` and `_register_block_entropy`, independently of the
+    dense gate kernel. Only the final receiver slice leaves, as a validated
+    PureState.
     """
     check_dim(d)
     check_positive_int("n", n)
@@ -430,10 +486,9 @@ def full_register_chain(
         )
 
     local = mode is CorrectionMode.LOCAL_EACH_HOP
-    # psi0 (x) |0...0>: psi0's amplitudes sit at stride d^(3n-1) of a zeroed buffer
-    amps = np.zeros(d**width, dtype=np.complex128)
-    amps[:: d ** (width - 1)] = psi0.amps
-    spare = np.empty_like(amps)
+    # psi0 (x) |0...0>: psi0's amplitudes sit at stride d^(3n-1)
+    support = np.flatnonzero(psi0.amps)
+    idx, vals = support * d ** (width - 1), psi0.amps[support]
     cnot = gates.cnot(d)
     cnot_dag = gates.cnot_dagger(d)
     fourier_inv = gates.hadamard_inverse(d)
@@ -444,20 +499,22 @@ def full_register_chain(
         if i > 0:
             # hand the previous receiver's state to this block's fresh carrier
             for g, positions in ((cnot, (carrier - 1, carrier)), (cnot_dag, (carrier, carrier - 1))):
-                amps, spare = gates._apply(g, amps, positions, spare), amps
-            live = PureState._trusted(d, width, amps.view())
-            boundary.append(entanglement_entropy(live, (carrier - 3, carrier - 2, carrier - 1)))
+                idx, vals = _register_gate(g, idx, vals, positions, width)
+            boundary.append(_register_block_entropy(idx, vals, d, carrier - 3, width))
         for g, positions in ((cnot, (carrier, receiver)), (fourier_inv, (carrier,)), (fourier, (ancilla,))):
-            amps, spare = gates._apply(g, amps, positions, spare), amps
-        _collapse(amps, d, carrier, None, a, amps)
-        _collapse(amps, d, ancilla, None, b, amps)
+            idx, vals = _register_gate(g, idx, vals, positions, width)
+        idx, vals = _register_measure(idx, vals, d, carrier, width, a)
+        idx, vals = _register_measure(idx, vals, d, ancilla, width, b)
         if local:
-            amps, spare = gates._apply(gates.pauli_z_power(d, a), amps, (receiver,), spare), amps
+            idx, vals = _register_gate(gates.pauli_z_power(d, a), idx, vals, (receiver,), width)
 
-    # every qudit except the last receiver is collapsed; slice it out exactly and
+    # every qudit except the last receiver is collapsed; read its slice exactly and
     # validate, since the slice is the receiver's state only if the register is a product
     slicer = [dit for i, (a, b) in enumerate(path) for dit in ((a, b, 0) if i < n - 1 else (a, b))]
-    final = PureState(d, 1, amps.reshape((d,) * width)[tuple(slicer)])
+    amps = np.zeros(d, dtype=np.complex128)
+    in_slice = idx // d == flat_index(d, slicer)
+    amps[idx[in_slice] % d] = vals[in_slice]
+    final = PureState(d, 1, amps)
     if not local:
         final = apply_correction(final, deferred_exponent([a for a, _ in path], d))
     return FullRegisterResult(final=final, boundary_entropies=tuple(boundary))

@@ -20,9 +20,6 @@ MAX_DIM = 16
 INPUT_NORM_TOL = 1e-9
 # constructed values must satisfy their invariants within this
 INTERNAL_TOL = 1e-12
-# reduced_density reads the register in blocks of about this many amplitudes
-# (256 KiB); a keep of more than 128 amplitudes reads d^k columns at a time instead
-GRAM_BLOCK_AMPLITUDES = 2**14
 
 
 class ValidationError(ValueError):
@@ -221,63 +218,26 @@ def tensor_product(x: PureState, y: PureState) -> PureState:
     return PureState._trusted(x.d, x.num_qudits + y.num_qudits, np.kron(x.amps, y.amps))
 
 
-def _gram(view: np.ndarray) -> np.ndarray:
-    """sum over p, s of view[p, :, s] view[p, :, s]^dagger for a (pre, side, post) view.
-
-    Accumulated one block of (p, s) columns at a time, with one GEMM per
-    block against the block's conjugate in a scratch array; a block that
-    spans several p rows is first gathered into a second one. A block holds
-    max(side, GRAM_BLOCK_AMPLITUDES / side) columns, so the scratch is never
-    larger than the (side, side) result or about GRAM_BLOCK_AMPLITUDES.
-    """
-    pre, side, post = view.shape
-    columns = max(side, GRAM_BLOCK_AMPLITUDES // side)
-    cols = min(post, columns)
-    rows = min(pre, max(1, columns // cols))
-    conj = np.empty(side * rows * cols, dtype=np.complex128)
-    gather = np.empty_like(conj) if rows > 1 else None
-    rho = np.zeros((side, side), dtype=np.complex128)
-    for p in range(0, pre, rows):
-        for s in range(0, post, cols):
-            block = view[p : p + rows, :, s : s + cols]
-            count = block.shape[0] * block.shape[2]
-            if gather is None:
-                x = block[0]
-            else:
-                x = gather[: side * count].reshape(side, block.shape[0], block.shape[2])
-                np.copyto(x, block.transpose(1, 0, 2))
-                x = x.reshape(side, count)
-            x_conj = conj[: side * count].reshape(side, count)
-            np.conjugate(x, out=x_conj)
-            rho += x @ x_conj.T
-    return rho
-
-
 def reduced_density(state: PureState, keep: int | Sequence[int]) -> np.ndarray:
     """Partial trace keeping the given qudit (or qudits), tracing the rest.
 
     Returns the read-only (d^k, d^k) complex128 density matrix of the k kept
-    qudits, in the order `keep` lists them. A run of consecutive qudits in
-    increasing order is read in place from the (pre, d^k, post) view of the
-    amplitudes; any other `keep` first moves its axes to the front (one copy
-    of the register). It is not re-checked; a property test checks that it
-    is Hermitian, has unit trace and is positive semidefinite.
+    qudits, in the order `keep` lists them: the kept axes are moved to the
+    front, and the (d^k, rest) matrix M gives M M^dagger. It is not
+    re-checked; a property test checks that it is Hermitian, has unit trace
+    and is positive semidefinite.
     """
-    keep_tuple = (keep,) if isinstance(keep, (int, np.integer)) else tuple(keep)
+    n = state.num_qudits
+    if np.ndim(keep) == 0:
+        keep_tuple = (_check_dit(keep, n, "keep"),)
+    else:
+        keep_tuple = tuple(_check_dit(q, n, f"keep[{i}]") for i, q in enumerate(keep))
     if not keep_tuple:
         raise ValueError("must keep at least one qudit")
     if len(set(keep_tuple)) != len(keep_tuple):
         raise ValueError(f"kept qudit indices must be distinct, got {keep_tuple}")
-    for q in keep_tuple:
-        if not 0 <= q < state.num_qudits:
-            raise ValueError(f"qudit index {q} out of range [0, {state.num_qudits})")
-    d, n, k = state.d, state.num_qudits, len(keep_tuple)
-    first = keep_tuple[0]
-    if keep_tuple == tuple(range(first, first + k)):
-        view = state.amps.reshape(d**first, d**k, d ** (n - first - k))
-    else:
-        moved = np.moveaxis(state.tensor(), keep_tuple, range(k))
-        view = moved.reshape(1, d**k, d ** (n - k))
-    rho = _gram(view)
+    moved = np.moveaxis(state.tensor(), keep_tuple, range(len(keep_tuple)))
+    block = moved.reshape(state.d ** len(keep_tuple), -1)
+    rho = block @ block.conj().T
     rho.flags.writeable = False
     return rho

@@ -6,16 +6,10 @@ is diagonal (Z^r), monomial (one nonzero per column: X, CNOT, CNOT^dagger)
 or dense (Fourier). One kernel, `_apply`, serves `apply_1q` and `apply_2q`:
 it views the amplitudes as (pre, d, post) or (pre, d, mid, d, post), with the
 gate's axes left in place, and makes one pass over the register by the
-gate's structure, writing every amplitude of its destination. A diagonal gate
-is one broadcast multiply, a monomial gate is d^arity slice copies or
-scalings, and a dense gate is one BLAS matmul. When the block from the gate's
-first axis to the end of the register is narrow and repeated many times
-(TRAILING_GEMM_MAX), the gate is applied instead as that block's operator,
-right-multiplying the (pre, block) view in one GEMM. The full d^n x d^n
-operator is never materialized and no axis is moved. `apply_1q` and
-`apply_2q` give the kernel a fresh destination; the joint register of
-`chain.full_register_chain` passes its spare buffer instead, so a 3n-qudit
-run allocates no register-sized array per gate.
+gate's structure into a fresh array. A diagonal gate is one broadcast
+multiply, a monomial gate is d^arity slice copies or scalings, and a dense
+gate is one BLAS matmul. The full d^n x d^n operator is never materialized
+and no axis is moved.
 """
 
 from __future__ import annotations
@@ -26,18 +20,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import PureState, check_dim, root_of_unity
+from .core import PureState, _check_dit, check_dim, root_of_unity
 
 UNITARITY_TOL = 1e-12
-# when the gate block (the amplitudes from the gate's first axis to the end)
-# is at most this wide and there are more blocks than that, the gate is applied
-# as one block x block operator in one GEMM: numpy loops over that many short
-# runs cost more than the GEMM's flops. Crossover measured at 2^21 amplitudes,
-# d = 2; below it the operator's construction costs more than it saves.
-TRAILING_GEMM_MAX = 32
-# a diagonal gate with complex entries forms its cross products in scratch
-# blocks of at most about this many doubles (1 MiB), not in a register-sized temporary
-SCRATCH_FLOATS = 2**17
 
 
 def _unitarity_deviation(mat: np.ndarray) -> float:
@@ -191,78 +176,32 @@ def cnot_dagger(d: int) -> GateMatrix:
     return GateMatrix(d, 2, cnot(d).mat.conj().T)
 
 
-def _blocks(shape: tuple[int, ...], limit: int):
-    """Index tuples cutting an array of `shape` into pieces of at most about
-    `limit` elements along its first and last-but-one axes (pre and post of
-    the float view), where a gate's diagonal does not vary."""
-    inner = math.prod(shape[1:-2]) * shape[-1]
-    cols = min(shape[-2], max(1, limit // inner))
-    rows = max(1, limit // (inner * cols))
-    for p in range(0, shape[0], rows):
-        for s in range(0, shape[-2], cols):
-            yield (slice(p, p + rows), Ellipsis, slice(s, s + cols), slice(None))
-
-
-def _diagonal_product(
-    src: np.ndarray, real: np.ndarray, imag: np.ndarray | None, out: np.ndarray
-) -> None:
-    """out = src * diagonal, each part rounded as wr*xr - wi*xi and wr*xi + wi*xr
+def _diagonal_product(src: np.ndarray, real: np.ndarray, imag: np.ndarray | None) -> np.ndarray:
+    """src * diagonal, each part rounded as wr*xr - wi*xi and wr*xi + wi*xr
     and then added to 0.0, so that a zero part is +0.
 
     These are the bits a summed product G @ x gives for a diagonal G. numpy's
     complex multiply rounds some products differently, which would move the
     last bits of reported fidelities and phase-corrected amplitudes (and turn
-    some zeros to -0.0) in `run`, `enumerate` and `--history` output. The
-    cross products go through a scratch block of at most about SCRATCH_FLOATS
-    numbers at a time.
+    some zeros to -0.0) in `run`, `enumerate` and `--history` output.
     """
     x = src.view(np.float64).reshape(src.shape + (2,))
-    y = out.view(np.float64).reshape(x.shape)
-    np.multiply(x, real, out=y)
+    y = x * real
     if imag is not None:
-        for block in _blocks(x.shape, SCRATCH_FLOATS):
-            cross = x[block] * imag
-            y[block][..., 0] -= cross[..., 1]
-            y[block][..., 1] += cross[..., 0]
+        cross = x * imag
+        y[..., 0] -= cross[..., 1]
+        y[..., 1] += cross[..., 0]
     y += 0.0
+    return y.view(np.complex128).reshape(src.shape)
 
 
-def _apply_view(g: GateMatrix, src: np.ndarray, out: np.ndarray) -> None:
-    """g on axes 1 (and 3) of a (pre, d, post) or (pre, d, mid, d, post) view,
-    written into `out`, an array of the view's shape that src does not overlap."""
-    if g._diagonal is not None:
-        _diagonal_product(src, *g._diagonal, out)
-        return
-    pre, post = src.shape[0], src.shape[-1]
-    side = g.mat.shape[0]
-    if not g._monomial and pre * side * post == src.size:
-        # dense on adjacent axes: one batched GEMM, G @ (pre, side, post)
-        np.matmul(g.mat, src.reshape(pre, side, post), out=out.reshape(pre, side, post))
-        return
-    for out_index, sources in g._terms:
-        (in_index, coeff), *rest = sources
-        if coeff == 1:
-            out[out_index] = src[in_index]
-        else:
-            np.multiply(src[in_index], coeff, out=out[out_index])
-        for in_index, coeff in rest:
-            out[out_index] += coeff * src[in_index]
-
-
-def _apply(
-    g: GateMatrix,
-    amps: np.ndarray,
-    positions: tuple[int, ...],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def _apply(g: GateMatrix, amps: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
     """The one gate kernel: g on `positions` (slot order) of the register
     whose amplitudes are the flat array `amps`, identity elsewhere.
 
     The amplitudes are viewed as (pre, d, post), or (pre, d, mid, d, post)
     with the gate's positions in register order, so no axis is moved and
-    nothing is copied before the one pass that writes the result. That
-    result goes to `out` (a flat complex128 array of amps' size that does not
-    overlap amps), or to a fresh array when `out` is None; it is returned.
+    nothing is copied before the one pass that writes the fresh flat result.
     amps is never written.
     """
     if not g.unitary:
@@ -270,10 +209,6 @@ def _apply(
             f"gate must be unitary: this d={g.d} arity-{g.arity} gate has "
             f"max |G G^dagger - I| = {_unitarity_deviation(g.mat):.3e} > {UNITARITY_TOL}"
         )
-    if out is None:
-        out = np.empty_like(amps)
-    elif np.may_share_memory(out, amps):
-        raise ValueError("gate destination must not share memory with the source")
     d, size = g.d, amps.size
     if len(positions) == 2 and positions[0] > positions[1]:
         g, positions = g._slots_swapped, positions[::-1]
@@ -284,17 +219,24 @@ def _apply(
         shape += [rest // tail, d]
         rest = tail // d
     shape.append(rest)
-    pre, width = shape[0], size // shape[0]
-    if width <= TRAILING_GEMM_MAX < pre:
-        # rows of the identity are the block's basis states, so the view
-        # kernel yields the block operator transposed
-        basis = np.eye(width, dtype=np.complex128).reshape([width] + shape[1:])
-        operator_t = np.empty_like(basis)
-        _apply_view(g, basis, operator_t)
-        np.matmul(amps.reshape(pre, width), operator_t.reshape(width, width), out=out.reshape(pre, width))
-    else:
-        _apply_view(g, amps.reshape(shape), out.reshape(shape))
-    return out
+    src = amps.reshape(shape)
+    if g._diagonal is not None:
+        return _diagonal_product(src, *g._diagonal).reshape(size)
+    out = np.empty_like(src)
+    pre, post, side = shape[0], shape[-1], g.mat.shape[0]
+    if not g._monomial and pre * side * post == size:
+        # dense on adjacent axes: one batched GEMM, G @ (pre, side, post)
+        np.matmul(g.mat, src.reshape(pre, side, post), out=out.reshape(pre, side, post))
+        return out.reshape(size)
+    for out_index, sources in g._terms:
+        (in_index, coeff), *rest_terms = sources
+        if coeff == 1:
+            out[out_index] = src[in_index]
+        else:
+            np.multiply(src[in_index], coeff, out=out[out_index])
+        for in_index, coeff in rest_terms:
+            out[out_index] += coeff * src[in_index]
+    return out.reshape(size)
 
 
 def apply_1q(state: PureState, g: GateMatrix, target: int) -> PureState:
@@ -307,8 +249,7 @@ def apply_1q(state: PureState, g: GateMatrix, target: int) -> PureState:
         raise ValueError(f"apply_1q requires a one-qudit gate, got arity {g.arity}")
     if g.d != state.d:
         raise ValueError(f"gate dimension {g.d} does not match state dimension {state.d}")
-    if not 0 <= target < state.num_qudits:
-        raise ValueError(f"target {target} out of range [0, {state.num_qudits})")
+    target = _check_dit(target, state.num_qudits, "target")
     return PureState._trusted(state.d, state.num_qudits, _apply(g, state.amps, (target,)))
 
 
@@ -323,10 +264,8 @@ def apply_2q(state: PureState, g: GateMatrix, control: int, target: int) -> Pure
         raise ValueError(f"apply_2q requires a two-qudit gate, got arity {g.arity}")
     if g.d != state.d:
         raise ValueError(f"gate dimension {g.d} does not match state dimension {state.d}")
-    n = state.num_qudits
+    control = _check_dit(control, state.num_qudits, "control")
+    target = _check_dit(target, state.num_qudits, "target")
     if control == target:
         raise ValueError("control and target must differ")
-    for name, q in (("control", control), ("target", target)):
-        if not 0 <= q < n:
-            raise ValueError(f"{name} {q} out of range [0, {n})")
     return PureState._trusted(state.d, state.num_qudits, _apply(g, state.amps, (control, target)))

@@ -166,25 +166,25 @@ def check_noiseless_transmission() -> CheckResult:
 
 
 def check_joint_register() -> CheckResult:
-    """The joint 3n-qudit register at d in {2, 3}, n = 2, both modes: the
-    final state is psi, every handoff boundary is unentangled, and the final
-    state equals run_chain's on the same forced path."""
+    """The joint 3n-qudit register at the largest n under its amplitude cap
+    for d = 2, 3, 4, 5 and the paper's 16, both modes: the final state is
+    psi, every handoff boundary is unentangled, and the final state equals
+    run_chain's on the same forced path."""
     rng = np.random.default_rng(29)
     failures = []
-    for d in (2, 3):
+    for d, n in ((2, 8), (3, 5), (4, 4), (5, 3), (16, 2)):
         psi = random_state(d, 1, rng)
-        for _ in range(2):
-            path = [(int(rng.integers(d)), int(rng.integers(d))) for _ in range(2)]
-            for mode in CorrectionMode:
-                joint = full_register_chain(d, 2, psi, path, mode)
-                config = ChainConfig(d=d, n=2, mode=mode, noise=NoiseSpec.noiseless(d), seed=0)
-                factorized = run_chain(config, psi, forced_outcomes=path).final
-                if (
-                    float(np.max(np.abs(joint.final.amps - psi.amps))) > TOL
-                    or float(np.max(np.abs(joint.final.amps - factorized.amps))) > TOL
-                    or max(joint.boundary_entropies) > TOL
-                ):
-                    failures.append(f"d={d} {mode.value} path {path}")
+        path = [(int(rng.integers(d)), int(rng.integers(d))) for _ in range(n)]
+        for mode in CorrectionMode:
+            joint = full_register_chain(d, n, psi, path, mode)
+            config = ChainConfig(d=d, n=n, mode=mode, noise=NoiseSpec.noiseless(d), seed=0)
+            factorized = run_chain(config, psi, forced_outcomes=path).final
+            if (
+                float(np.max(np.abs(joint.final.amps - psi.amps))) > TOL
+                or float(np.max(np.abs(joint.final.amps - factorized.amps))) > TOL
+                or max(joint.boundary_entropies) > TOL
+            ):
+                failures.append(f"d={d} {mode.value} path {path}")
     return _result("joint register matches psi and the factorized chain", not failures, "; ".join(failures))
 
 

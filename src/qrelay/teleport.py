@@ -126,45 +126,6 @@ def hop_expansion(psi: PureState) -> PureState:
     return PureState(d, 3, amps)
 
 
-def _collapse(
-    amps: np.ndarray,
-    d: int,
-    target: int,
-    rng: np.random.Generator | None,
-    forced: int | None,
-    out: np.ndarray,
-) -> tuple[int, float]:
-    """Measure qudit `target` of the flat register `amps` in the standard basis.
-
-    Draws the outcome (or checks the forced one) as measure_standard
-    documents, then writes the collapsed, renormalized register into `out`:
-    the other d-1 slices of its (pre, d, post) view are zeroed and the kept
-    one is scaled. `out` may be `amps` itself, collapsing it in place.
-    Returns (outcome, Born probability).
-    """
-    shape = (d**target, d, amps.size // d ** (target + 1))
-    # Born probabilities in one pass: |amp|^2 = re^2 + im^2 over a float view
-    floats = amps.view(np.float64).reshape(shape[0], d, 2 * shape[2])
-    probs = np.einsum("atb,atb->t", floats, floats)
-    if forced is not None:
-        outcome = _check_dit(forced, d, "forced")
-        if probs[outcome] < FORCED_OUTCOME_MIN_PROB:
-            raise ImpossibleOutcomeError(
-                f"outcome {outcome} on qudit {target} has probability {probs[outcome]:.3e}"
-            )
-    else:
-        if rng is None:
-            raise ValueError("measurement needs either an rng or a forced outcome")
-        outcome = int(_draw_dit(probs, rng.random()))
-    prob = float(probs[outcome])
-    block = out.reshape(shape)
-    for t in range(d):
-        if t != outcome:
-            block[:, t, :] = 0.0
-    np.divide(amps.reshape(shape)[:, outcome, :], math.sqrt(prob), out=block[:, outcome, :])
-    return outcome, prob
-
-
 def measure_standard(
     state: PureState,
     target: int,
@@ -176,14 +137,32 @@ def measure_standard(
     The outcome is Born-sampled from one `rng.random()` double through the
     package's draw rule (`core._draw_dit`) unless `forced` pins it. Forcing
     an outcome with probability below FORCED_OUTCOME_MIN_PROB raises
-    ImpossibleOutcomeError. The collapsed state is renormalized.
+    ImpossibleOutcomeError. The collapsed state is renormalized: the other
+    d-1 slices of the (pre, d, post) view are zero and the kept one is scaled.
     """
-    n = state.num_qudits
-    if not 0 <= target < n:
-        raise ValueError(f"target {target} out of range [0, {n})")
-    collapsed = np.empty_like(state.amps)
-    outcome, prob = _collapse(state.amps, state.d, target, rng, forced, collapsed)
-    return MeasurementResult(outcome, prob, PureState._trusted(state.d, n, collapsed))
+    d, n = state.d, state.num_qudits
+    target = _check_dit(target, n, "target")
+    shape = (d**target, d, state.amps.size // d ** (target + 1))
+    # Born probabilities in one pass: |amp|^2 = re^2 + im^2 over a float view
+    floats = state.amps.view(np.float64).reshape(shape[0], d, 2 * shape[2])
+    probs = np.einsum("atb,atb->t", floats, floats)
+    if forced is not None:
+        outcome = _check_dit(forced, d, "forced")
+        _check_possible(outcome, target, probs[outcome])
+    else:
+        if rng is None:
+            raise ValueError("measurement needs either an rng or a forced outcome")
+        outcome = int(_draw_dit(probs, rng.random()))
+    prob = float(probs[outcome])
+    collapsed = np.zeros(shape, dtype=np.complex128)
+    np.divide(state.amps.reshape(shape)[:, outcome, :], math.sqrt(prob), out=collapsed[:, outcome, :])
+    return MeasurementResult(outcome, prob, PureState._trusted(d, n, collapsed.reshape(-1)))
+
+
+def _check_possible(outcome: int, target: int, prob: float) -> None:
+    """Reject a forced outcome whose Born probability is below FORCED_OUTCOME_MIN_PROB."""
+    if prob < FORCED_OUTCOME_MIN_PROB:
+        raise ImpossibleOutcomeError(f"outcome {outcome} on qudit {target} has probability {prob:.3e}")
 
 
 def apply_correction(bob: PureState, r: int) -> PureState:
@@ -227,9 +206,13 @@ def entanglement_entropy(state: PureState, target: int | tuple[int, ...]) -> flo
     independent of d. Eigenvalues below ENTROPY_EIGENVALUE_FLOOR are
     treated as exact zeros.
     """
-    eigenvalues = np.linalg.eigvalsh(reduced_density(state, target))
+    return _entropy(np.linalg.eigvalsh(reduced_density(state, target)), state.d)
+
+
+def _entropy(eigenvalues: np.ndarray, d: int) -> float:
+    """-sum p log_d p over the eigenvalues above ENTROPY_EIGENVALUE_FLOOR."""
     total = 0.0
     for value in eigenvalues:
         if value > ENTROPY_EIGENVALUE_FLOOR:
             total -= float(value) * math.log(float(value))
-    return total / math.log(state.d)
+    return total / math.log(d)

@@ -6,11 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qrelay import gates
+from qrelay import chain, gates
 from qrelay.chain import (
     ChainConfig,
     NoiseSpec,
     ResourceLimitError,
+    _register_block_entropy,
+    _register_gate,
+    _register_measure,
     apply_phase_noise,
     deferred_exponent,
     enumerate_branches,
@@ -32,6 +35,7 @@ from qrelay.core import (
 from qrelay.gates import apply_1q, apply_2q
 from qrelay.teleport import (
     CorrectionMode,
+    ImpossibleOutcomeError,
     apply_correction,
     entanglement_entropy,
     measure_standard,
@@ -424,19 +428,99 @@ class TestFullRegisterChain:
             assert len(joint.boundary_entropies) == len(entropies) == n - 1
             np.testing.assert_allclose(joint.boundary_entropies, entropies, rtol=0, atol=1e-12)
 
-    def test_peak_memory_is_two_registers(self):
-        # two d^(3n) buffers plus bounded scratch; allocating each gate's and
-        # measurement's result, as the public API does, peaks at three
-        psi = random_state(2, 1, np.random.default_rng(45))
-        path = [(1, 0), (0, 1), (1, 1), (0, 0), (1, 0), (0, 1)]
-        full_register_chain(2, 6, psi, path)  # builds the cached gates first
+    @pytest.mark.parametrize("d,n", [(2, 8), (16, 2)])
+    def test_peak_memory_does_not_grow_with_the_register(self, d, n):
+        # one dense d^(3n) register here is 256 MiB; the sparse one holds at most d^3 entries
+        psi = random_state(d, 1, np.random.default_rng(45))
+        path = [(i % d, (i * 7 + 3) % d) for i in range(n)]
+        full_register_chain(d, n, psi, path)  # builds the cached gates first
         tracemalloc.start()
         try:
-            full_register_chain(2, 6, psi, path)
+            full_register_chain(d, n, psi, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 2**18 * 16
+        assert peak < 2**20
+
+
+HOP_GATES = {
+    "cnot": gates.cnot,
+    "cnot_dagger": gates.cnot_dagger,
+    "hadamard": gates.hadamard,
+    "hadamard_inverse": gates.hadamard_inverse,
+    "pauli_z_power": lambda d: gates.pauli_z_power(d, d - 1),
+}
+
+
+def sparse(state):
+    """A state's (indices, values) over its full support."""
+    idx = np.flatnonzero(state.amps)
+    return idx, state.amps[idx]
+
+
+def dense(d, width, idx, vals):
+    amps = np.zeros(d**width, dtype=complex)
+    amps[idx] = vals
+    return amps
+
+
+class TestSparseRegister:
+    """The joint register's sparse routines against the dense public API."""
+
+    @pytest.mark.parametrize("name", sorted(HOP_GATES))
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_matches_dense_kernel_on_full_support(self, d, name):
+        g = HOP_GATES[name](d)
+        width = 3
+        state = random_state(d, width, np.random.default_rng(50 + d))
+        assert np.all(state.amps != 0)
+        idx, vals = sparse(state)
+        if g.arity == 1:
+            cases = [((q,), apply_1q(state, g, q)) for q in range(width)]
+        else:
+            pairs = [(c, t) for c in range(width) for t in range(width) if c != t]
+            cases = [((c, t), apply_2q(state, g, c, t)) for c, t in pairs]
+        for positions, expected in cases:
+            out_idx, out_vals = _register_gate(g, idx, vals, positions, width)
+            assert np.all(np.diff(out_idx) > 0)
+            np.testing.assert_allclose(
+                dense(d, width, out_idx, out_vals), expected.amps, rtol=0, atol=1e-12, err_msg=str(positions)
+            )
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_fourier_then_inverse_cancels_to_one_entry(self, d):
+        state = basis_state(d, 2, (1, d - 1))
+        idx, vals = sparse(state)
+        idx, vals = _register_gate(gates.hadamard(d), idx, vals, (1,), 2)
+        assert idx.size == d
+        idx, vals = _register_gate(gates.hadamard_inverse(d), idx, vals, (1,), 2)
+        np.testing.assert_array_equal(idx, [d + d - 1])
+        np.testing.assert_allclose(vals, [1.0], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_measure_matches_measure_standard(self, d):
+        state = random_state(d, 3, np.random.default_rng(55 + d))
+        idx, vals = sparse(state)
+        for target in range(3):
+            for outcome in range(d):
+                expected = measure_standard(state, target, forced=outcome).state.amps
+                out_idx, out_vals = _register_measure(idx, vals, d, target, 3, outcome)
+                np.testing.assert_allclose(dense(d, 3, out_idx, out_vals), expected, rtol=0, atol=1e-12)
+        idx, vals = sparse(basis_state(d, 3, (0, 1, 0)))
+        with pytest.raises(ImpossibleOutcomeError, match="outcome 0 on qudit 1 has probability 0.000e"):
+            _register_measure(idx, vals, d, 1, 3, 0)
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
+    def test_block_entropy_matches_dense_entropy(self, d, n):
+        # entangled blocks, which the protocol's product boundaries never give
+        rng = np.random.default_rng(60 + d)
+        width = 3 * n
+        for _ in range(3):
+            state = random_state(d, width, rng)
+            idx, vals = sparse(state)
+            for first in range(0, width - 2, 3):
+                expected = entanglement_entropy(state, (first, first + 1, first + 2))
+                assert abs(_register_block_entropy(idx, vals, d, first, width) - expected) <= 1e-12
 
 
 def joint_register_oracle(d, n, psi0, path, mode):
@@ -466,16 +550,25 @@ def joint_register_oracle(d, n, psi0, path, mode):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts the gate kernel's calls, whatever public function makes them."""
+    """Counts the calls of the dense gate kernel and of the joint register's
+    sparse gate routine, whatever public function makes them."""
     calls = []
-    kernel = gates._apply
+    for module, name in ((gates, "_apply"), (chain, "_register_gate")):
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return kernel(*args, **kwargs)
+        def counted(*args, name=name, routine=getattr(module, name)):
+            calls.append(name)
+            return routine(*args)
 
-    monkeypatch.setattr(gates, "_apply", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_kernel_calls_sees_both_gate_routines(kernel_calls):
+    full_register_chain(2, 2, uniform_state(2), [(0, 0), (1, 1)])
+    # per hop three hop gates and one correction, plus one CNOT pair per handoff
+    assert kernel_calls.count("_register_gate") == 10 and "_apply" not in kernel_calls
+    run_chain(config(d=2, n=1), uniform_state(2), forced_outcomes=[(0, 0)])
+    assert "_apply" in kernel_calls
 
 
 class TestForcedPathValidatedFirst:

@@ -307,23 +307,18 @@ class TestReducedDensity:
         with pytest.raises(ValueError):
             reduced_density(basis_state(2, 2, (0, 0)), (0, 0))
 
-    # d = 3, n = 10 holds 59,049 amplitudes, several Gram blocks that do not divide it
     @pytest.mark.parametrize(
         "keep",
         [(0, 1, 2), (0,), (4, 5, 6), (5,), (7, 8, 9), (9,), (1, 2, 3, 4, 5), (6, 1, 8), (2, 1, 0), (9, 0)],
     )
     def test_matches_moveaxis_reference(self, keep):
         state = random_state(3, 10, np.random.default_rng(14))
-        assert state.amps.size > core.GRAM_BLOCK_AMPLITUDES
         rho = reduced_density(state, keep)
         np.testing.assert_allclose(rho, reference_density(state, keep), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("block", [1, 7, 50, 2**14])
     @pytest.mark.parametrize("d,n", [(2, 6), (3, 4), (5, 3)])
-    def test_every_keep_at_every_block_size(self, d, n, block, monkeypatch):
-        # blocks of one column, of a few rows, and of whole registers; keeping
-        # every qudit included
-        monkeypatch.setattr(core, "GRAM_BLOCK_AMPLITUDES", block)
+    def test_every_contiguous_keep(self, d, n):
+        # keeping every qudit included, in both orders
         state = random_state(d, n, np.random.default_rng(15))
         for k in range(1, n + 1):
             for first in range(n - k + 1):
@@ -362,8 +357,20 @@ class TestStateValidation:
 
 
 # every library entry point that takes a dit, with the argument its error names
+# qudit positions follow the same rule on 2-qudit states, so their range is [0, 2) too
 DIT_ARGUMENTS = {
     "measure_standard": (lambda v: measure_standard(basis_state(2, 2, (0, 0)), 1, forced=v), "forced"),
+    "measure_standard/target": (lambda v: measure_standard(basis_state(2, 2, (0, 0)), v, forced=0), "target"),
+    "apply_1q/target": (lambda v: gates.apply_1q(basis_state(2, 2, (0, 0)), gates.hadamard(2), v), "target"),
+    "apply_2q/control": (lambda v: gates.apply_2q(basis_state(2, 2, (0, 0)), gates.cnot(2), v, 0), "control"),
+    "apply_2q/target": (lambda v: gates.apply_2q(basis_state(2, 2, (0, 0)), gates.cnot(2), 0, v), "target"),
+    "reduced_density/keep": (lambda v: reduced_density(basis_state(2, 2, (0, 0)), v), "keep"),
+    "reduced_density/keep_item": (lambda v: reduced_density(basis_state(2, 2, (0, 0)), (0, v)), "keep[1]"),
+    "entanglement_entropy/keep": (lambda v: teleport.entanglement_entropy(basis_state(2, 2, (0, 0)), v), "keep"),
+    "entanglement_entropy/keep_item": (
+        lambda v: teleport.entanglement_entropy(basis_state(2, 2, (0, 0)), (v,)),
+        "keep[0]",
+    ),
     "apply_phase_noise": (
         lambda v: apply_phase_noise(basis_state(2, 1, (0,)), NoiseSpec.noiseless(2), forced=v),
         "forced",

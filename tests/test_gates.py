@@ -343,9 +343,7 @@ def two_qudit_gates(d, rng):
 
 
 # every kernel branch: pre = 1 and pre > 1 around the gate, adjacent and
-# split axes, and (at d = 5 and the two wider registers) the trailing-block
-# GEMM, which needs a block of at most TRAILING_GEMM_MAX amplitudes repeated
-# more than that many times
+# split axes, on registers of up to 256 amplitudes
 KERNEL_CASES = [(d, n) for d in (2, 3, 5) for n in range(1, 5)] + [(3, 5), (2, 8)]
 
 
@@ -382,46 +380,6 @@ class TestKernelAgainstFullOperator:
         assert gates.pauli_z_power(3, 1)._diagonal is not None
         assert gates.cnot(3)._diagonal is None and gates.cnot(3)._monomial
         assert not gates.hadamard(3)._monomial
-
-
-def bits(amps):
-    """The raw 64-bit patterns of an array's parts, so that -0.0 differs from 0.0."""
-    return amps.view(np.uint64)
-
-
-class TestKernelDestination:
-    """The kernel writing into a caller's buffer gives its fresh result's bits."""
-
-    @pytest.mark.parametrize("scratch", [gates.SCRATCH_FLOATS, 40])
-    @pytest.mark.parametrize("d,n", KERNEL_CASES)
-    def test_destination_matches_fresh_result(self, d, n, scratch, monkeypatch):
-        rng = np.random.default_rng(100 * d + n)
-        amps = random_state(d, n, rng).amps.copy()
-        before = amps.copy()
-        cases = [(g, (t,)) for g in one_qudit_gates(d, rng).values() for t in range(n)]
-        cases += [
-            (g, (c, t)) for g in two_qudit_gates(d, rng).values() for c in range(n) for t in range(n) if c != t
-        ]
-        fresh = [gates._apply(g, amps, positions) for g, positions in cases]
-        # a small scratch cuts a complex diagonal's cross products into many blocks
-        monkeypatch.setattr(gates, "SCRATCH_FLOATS", scratch)
-        out = np.empty_like(amps)
-        for (g, positions), expected in zip(cases, fresh):
-            out.fill(np.nan)
-            assert gates._apply(g, amps, positions, out) is out
-            np.testing.assert_array_equal(bits(out), bits(expected), err_msg=f"{g.mat} on {positions}")
-        np.testing.assert_array_equal(bits(amps), bits(before))
-
-    def test_destination_sharing_memory_is_rejected(self):
-        buffer = np.zeros(54, dtype=complex)
-        amps = buffer[:27]
-        amps[:] = random_state(3, 3, np.random.default_rng(0)).amps
-        for out in (amps, amps[::-1], buffer[13:40]):
-            with pytest.raises(ValueError, match="share memory"):
-                gates._apply(gates.hadamard(3), amps, (1,), out)
-        # the other half of the same buffer is a valid destination
-        out = gates._apply(gates.hadamard(3), amps, (1,), buffer[27:])
-        np.testing.assert_array_equal(out, gates._apply(gates.hadamard(3), amps, (1,)))
 
 
 class TestNonUnitaryGate:
