@@ -473,6 +473,10 @@ REPORT_VALUES = {
         "6d9e358f36cb8100",
     "enumerate --d 8 --n 4 --mode local --seed 1 --state random": "61ee1bf1242794f2",
 }
+# the sha256 prefix of the same commands' exact stdout bytes
+REPORT_BYTES = dict(zip(REPORT_VALUES, [
+    "9c0ddce6c567df69", "e53198e428544587", "ebb3837a59e0df11", "62f2a985061e74cb", "b9e30f45cd72a878",
+]))
 
 
 def canonical(value) -> str:
@@ -486,6 +490,7 @@ class TestReportRendering:
         monkeypatch.chdir(tmp_path)  # --history history.csv is a relative path
         assert main(command.split()) == 0
         text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == REPORT_BYTES[command]
         report = json.loads(text)
         assert hashlib.sha256(canonical(report).encode()).hexdigest()[:16] == REPORT_VALUES[command]
         records = report["trials" if report["command"] == "run" else "paths"]
