@@ -9,6 +9,9 @@ trial or path record is one compact line. Complex amplitudes travel as
 Both commands are closed-form: `run` uses the trajectory engine, with
 `run_chain` as the library's state-vector oracle, and `enumerate` lists
 every path's Z^K psi0 directly, with `enumerate_branches` as its oracle.
+Records are rendered column-wise: each field is written once per column
+from a small table of strings, never once per record, and the report is
+put together by one join per block of rows plus one final join.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .chain import (
     HistoryEntry,
     NoiseSpec,
     ResourceLimitError,
+    TrajectoryBatch,
     _enumeration_exponent,
     fidelity_table,
     run_chain,
@@ -54,6 +58,11 @@ DEFAULT_MODE = CorrectionMode.DEFERRED_FINAL
 DEFAULT_SEED = 0
 DEFAULT_TRIALS = 1
 DEFAULT_STATE = "uniform"
+# trials rendered by one join: bounds the pieces held at once, and the
+# join's temporary list, while a run's report is built
+RECORD_BLOCK_ROWS = 4096
+# between two records of a report's list: one record per line
+RECORD_SEPARATOR = ",\n    "
 
 
 def _check_output_path(key: str, path: object) -> None:
@@ -242,33 +251,64 @@ def write_history_csv(path: str, history: tuple[HistoryEntry, ...]) -> None:
                 writer.writerow([hop, entry.r, index, repr(float(amp.real)), repr(float(amp.imag))])
 
 
-def _dit_lists(dits: np.ndarray) -> list[str]:
-    """Each row of a 2-D integer array as the inside of a compact JSON list."""
-    # one encoder call for all rows: "[[0,1],[2,0]]" -> ["0,1", "2,0"]
-    return json.dumps(dits.tolist(), separators=(",", ":"))[2:-2].split("],[")
+def _dit_table(n: int, d: int, closing: str) -> np.ndarray:
+    """(n, d) strings: entry [k, j] writes dit j at position k of an n-dit list.
+
+    Every position but the last carries the list's comma, the last carries
+    `closing`, the text up to the record's next value.
+    """
+    table = np.array([[f"{j}," for j in range(d)]] * n, dtype=object)
+    table[-1] = [f"{j}{closing}" for j in range(d)]
+    return table
+
+
+def _trial_blocks(batch: TrajectoryBatch, d: int) -> list[str]:
+    """The trial records as text, one string per RECORD_BLOCK_ROWS trials.
+
+    The records are built column by column, never record by record. Every
+    field but the trial index takes at most d^2 values, so each is a table
+    of strings indexed by the batch's arrays, and the keys and brackets
+    ride on the table entries. Row i of the pieces array, read in order, is
+    trial i's key-sorted record followed by RECORD_SEPARATOR (none after
+    the last), and one join turns a block of rows into text. Ints are
+    written by str and floats by repr, as json writes them.
+    """
+    trials, n = batch.results.shape
+    # keyed by bit pattern, so that each fidelity's table entry is its own repr
+    bits, fidelity_index = np.unique(batch.fidelities.view(np.int64), return_inverse=True)
+    fidelities = [repr(value) for value in bits.view(np.float64).tolist()]
+    if batch.deferred_exponents is None:
+        exponents, opening_index = ["null"], fidelity_index
+    else:
+        exponents = [str(e) for e in range(d)]
+        opening_index = batch.deferred_exponents * len(fidelities) + fidelity_index
+    opening = np.array(
+        [f'{{"deferred_exponent":{e},"fidelity":{f},"noise_exponents":[' for e in exponents for f in fidelities],
+        dtype=object,
+    )
+    noise = _dit_table(n, d, '],"results":[')
+    results = _dit_table(n, d, '],"trial":')
+    hop = np.arange(n)
+    pieces = np.empty((min(trials, RECORD_BLOCK_ROWS), 2 * n + 3), dtype=object)
+    pieces[:, -1] = "}" + RECORD_SEPARATOR
+    blocks = []
+    for lo in range(0, trials, RECORD_BLOCK_ROWS):
+        hi = min(lo + RECORD_BLOCK_ROWS, trials)
+        rows = pieces[: hi - lo]
+        rows[:, 0] = opening[opening_index[lo:hi]]
+        rows[:, 1 : n + 1] = noise[hop, batch.noise_exponents[lo:hi]]
+        rows[:, n + 1 : 2 * n + 1] = results[hop, batch.results[lo:hi]]
+        rows[:, -2] = list(map(str, range(lo, hi)))
+        if hi == trials:
+            rows[-1, -1] = "}"
+        blocks.append("".join(rows.ravel().tolist()))
+    return blocks
 
 
 def cmd_run(config: ExperimentConfig) -> str:
-    """Execute the configured number of seeded chain runs; return the report text.
-
-    Each trial's record is written from the TrajectoryBatch arrays by one
-    key-sorted template; `.tolist()` yields Python ints and floats, whose
-    str and repr are what json writes.
-    """
+    """Execute the configured number of seeded chain runs; return the report text."""
     psi0 = initial_state(config)
     batch = run_trajectories(config.chain, psi0, config.trials)
-    if batch.deferred_exponents is None:
-        deferred = itertools.repeat("null")
-    else:
-        deferred = map(str, batch.deferred_exponents.tolist())
-    rows = zip(
-        deferred, batch.fidelities.tolist(), _dit_lists(batch.noise_exponents), _dit_lists(batch.results)
-    )
-    records = [
-        f'{{"deferred_exponent":{exponent},"fidelity":{fidelity!r},'
-        f'"noise_exponents":[{noise}],"results":[{results}],"trial":{index}}}'
-        for index, (exponent, fidelity, noise, results) in enumerate(rows)
-    ]
     if config.history:
         # trial 0 once more through the state-vector oracle, for its snapshots
         first = run_chain(config.chain, psi0)
@@ -283,7 +323,7 @@ def cmd_run(config: ExperimentConfig) -> str:
         },
         "history_path": config.history,
     }
-    return render_report(report, "trials", records)
+    return render_report(report, "trials", _trial_blocks(batch, config.chain.d))
 
 
 def cmd_enumerate(config: ExperimentConfig) -> str:
@@ -293,7 +333,8 @@ def cmd_enumerate(config: ExperimentConfig) -> str:
     K = n*k mod d, so all d^n records share one final state and one F[K]
     from fidelity_table; `enumerate_branches` is the state-vector oracle.
     The shared fields are encoded once, and the records differ only in
-    their path digits. Returns the report text.
+    their path digits: the d^n path strings are interleaved with the
+    shared pieces in one list. Returns the report text.
     """
     psi0 = initial_state(config)
     chain = config.chain
@@ -306,7 +347,10 @@ def cmd_enumerate(config: ExperimentConfig) -> str:
     head = json.dumps({"fidelity": fid, "final_state": final}, separators=(",", ":"))[:-1] + ',"path":['
     tail = f'],"probability":{probability!r}}}'
     digits = [str(j) for j in range(chain.d)]
-    records = [head + ",".join(path) + tail for path in itertools.product(digits, repeat=chain.n)]
+    pieces = [head] * (3 * total)
+    pieces[1::3] = map(",".join, itertools.product(digits, repeat=chain.n))
+    pieces[2::3] = [tail + RECORD_SEPARATOR] * total
+    pieces[-1] = tail
     report = {
         "command": "enumerate",
         "config": _config_echo(config),
@@ -318,7 +362,7 @@ def cmd_enumerate(config: ExperimentConfig) -> str:
             "fidelity_min": fid,
         },
     }
-    return render_report(report, "paths", records)
+    return render_report(report, "paths", pieces)
 
 
 def cmd_selftest() -> int:
@@ -336,16 +380,18 @@ def cmd_selftest() -> int:
     return 0
 
 
-def render_report(report: dict, key: str, records: list[str]) -> str:
-    """`report` as indent-2 JSON with sorted keys, plus `key` holding `records`.
+def render_report(report: dict, key: str, body: list[str]) -> str:
+    """`report` as indent-2 JSON with sorted keys, plus `key` holding the records in `body`.
 
-    The records are already compact, key-sorted JSON objects; the list
-    holds one per line. Every string value is escaped, and nested keys are
-    indented further, so the placeholder line is found exactly once.
+    `body` is the record list's text in pieces: joined, it is compact,
+    key-sorted JSON objects separated by RECORD_SEPARATOR, so the list
+    holds one record per line. The opening part, the pieces and the closing
+    part are joined once. Every string value is escaped, and nested keys
+    are indented further, so the placeholder line is found exactly once.
     """
     placeholder = f'\n  "{key}": []'
     head, tail = json.dumps({**report, key: []}, indent=2, sort_keys=True).split(placeholder)
-    return f'{head}\n  "{key}": [\n    ' + ",\n    ".join(records) + f"\n  ]{tail}\n"
+    return "".join([f'{head}\n  "{key}": [\n    ', *body, f"\n  ]{tail}\n"])
 
 
 class _ArgumentParser(argparse.ArgumentParser):

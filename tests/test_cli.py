@@ -1,6 +1,7 @@
 import copy
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -17,8 +18,8 @@ import pytest
 
 import qrelay.chain
 import qrelay.cli
-from qrelay import selftest
-from qrelay.chain import enumerate_branches, expected_fidelity
+from qrelay import gates, selftest
+from qrelay.chain import enumerate_branches, expected_fidelity, fidelity_table, run_trajectories
 from qrelay.cli import (
     ExperimentConfig,
     build_parser,
@@ -483,6 +484,45 @@ def canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+# the record-by-record renderer that the column-wise one replaced, kept as its reference
+def reference_trial_records(batch) -> list[str]:
+    def dit_lists(dits):
+        return json.dumps(dits.tolist(), separators=(",", ":"))[2:-2].split("],[")
+
+    if batch.deferred_exponents is None:
+        deferred = itertools.repeat("null")
+    else:
+        deferred = map(str, batch.deferred_exponents.tolist())
+    rows = zip(deferred, batch.fidelities.tolist(), dit_lists(batch.noise_exponents), dit_lists(batch.results))
+    return [
+        f'{{"deferred_exponent":{exponent},"fidelity":{fidelity!r},'
+        f'"noise_exponents":[{noise}],"results":[{results}],"trial":{index}}}'
+        for index, (exponent, fidelity, noise, results) in enumerate(rows)
+    ]
+
+
+def reference_path_records(config) -> list[str]:
+    chain = config.chain
+    psi0 = initial_state(config)
+    exponent = chain.n * chain.noise.deterministic_exponent() % chain.d
+    final = gates.apply_1q(psi0, gates.pauli_z_power(chain.d, exponent), 0)
+    fid = float(fidelity_table(psi0)[exponent])
+    final_pairs = [[float(a.real), float(a.imag)] for a in final.amps]
+    head = json.dumps({"fidelity": fid, "final_state": final_pairs}, separators=(",", ":"))[:-1] + ',"path":['
+    tail = f'],"probability":{1.0 / chain.d**chain.n!r}}}'
+    digits = [str(j) for j in range(chain.d)]
+    return [head + ",".join(path) + tail for path in itertools.product(digits, repeat=chain.n)]
+
+
+def reference_report(text: str, key: str, records: list[str]) -> str:
+    """`text`'s report with its `key` list rendered record by record."""
+    report = json.loads(text)
+    del report[key]
+    placeholder = f'\n  "{key}": []'
+    head, tail = json.dumps({**report, key: []}, indent=2, sort_keys=True).split(placeholder)
+    return f'{head}\n  "{key}": [\n    ' + ",\n    ".join(records) + f"\n  ]{tail}\n"
+
+
 class TestReportRendering:
     @pytest.mark.parametrize("command", REPORT_VALUES, ids=["run-readme", "run-history", "enumerate-readme",
                                                             "run-local-d5", "enumerate-d8"])
@@ -499,9 +539,34 @@ class TestReportRendering:
         for line in lines:
             assert line == canonical(json.loads(line))
 
+    @pytest.mark.parametrize("d", [2, 3, 10, 11, 16])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("mode", ["local", "deferred"])
+    def test_run_matches_reference_renderer(self, monkeypatch, d, n, mode):
+        # every noise exponent and, from a random state, d distinct fidelities
+        noise = ",".join(["0.5"] + [repr(0.5 / (d - 1))] * (d - 1))
+        for trials in (1, 9, 10, 11, 4097):
+            config = parse(["run", "--d", str(d), "--n", str(n), "--mode", mode, "--noise", noise,
+                            "--trials", str(trials), "--seed", str(trials), "--state", "random"])
+            records = reference_trial_records(run_trajectories(config.chain, initial_state(config), trials))
+            for block_rows in (1, 7, qrelay.cli.RECORD_BLOCK_ROWS):
+                with monkeypatch.context() as patch:
+                    patch.setattr(qrelay.cli, "RECORD_BLOCK_ROWS", block_rows)
+                    text = cmd_run(config)
+                assert text == reference_report(text, "trials", records), (trials, block_rows)
+
+    @pytest.mark.parametrize("d,n,k", [(16, 3, 5), (2, 1, 1)])
+    def test_enumerate_matches_reference_renderer(self, d, n, k):
+        noise = ",".join("1" if j == k else "0" for j in range(d))
+        config = parse(["enumerate", "--d", str(d), "--n", str(n), "--noise", noise,
+                        "--state", "random", "--seed", "4"])
+        text = cmd_enumerate(config)
+        assert text == reference_report(text, "paths", reference_path_records(config))
+
     def test_sorted_and_stable(self):
         # the record list sorts among the top-level keys and holds one record per line
-        text = render_report({"b": 1, "a": {"d": 2, "c": [1.5]}}, "ab", ['{"x":1}', '{"x":[2,3]}'])
+        records = ['{"x":1}', qrelay.cli.RECORD_SEPARATOR, '{"x":[2,3]}']
+        text = render_report({"b": 1, "a": {"d": 2, "c": [1.5]}}, "ab", records)
         assert text == (
             '{\n  "a": {\n    "c": [\n      1.5\n    ],\n    "d": 2\n  },\n'
             '  "ab": [\n    {"x":1},\n    {"x":[2,3]}\n  ],\n  "b": 1\n}\n'
