@@ -282,6 +282,22 @@ class TestMain:
         assert report["command"] == "run"
         assert report["config"]["d"] == 2
 
+    def test_repeated_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        # main reuses one parser; a usage error or a budget error must leave it as it was
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+        good = ["run", "--d", "3", "--n", "2", "--noise", "0.8,0.1,0.1", "--trials", "5"]
+        for argv, expected in ((good, 0), (["run", "--trials"], 1), (["enumerate", "--d", "3", "--n", "8"], 2),
+                               (good, 0)):
+            fresh = subprocess.run([sys.executable, "-m", "qrelay", *argv], env={**SRC_ENV, "COLUMNS": "80"},
+                                   capture_output=True, text=True)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (expected, fresh.stdout, fresh.stderr)
+            assert fresh.returncode == expected
+
     def test_validation_exit_code(self, capsys, tmp_path):
         assert main(["run", "--d", "1"]) == 1
         assert "error:" in capsys.readouterr().err
