@@ -210,9 +210,13 @@ def entanglement_entropy(state: PureState, target: int | tuple[int, ...]) -> flo
 
 
 def _entropy(eigenvalues: np.ndarray, d: int) -> float:
-    """-sum p log_d p over the eigenvalues above ENTROPY_EIGENVALUE_FLOOR."""
+    """-sum p log_d p over the eigenvalues above ENTROPY_EIGENVALUE_FLOOR, at least +0.0.
+
+    A largest eigenvalue that rounds just above 1 adds a term just below
+    zero; a product state's entropy is then +0.0, never negative or -0.0.
+    """
     total = 0.0
     for value in eigenvalues:
         if value > ENTROPY_EIGENVALUE_FLOOR:
             total -= float(value) * math.log(float(value))
-    return total / math.log(d)
+    return total / math.log(d) if total > 0.0 else 0.0

@@ -403,6 +403,13 @@ class TestFullRegisterChain:
             np.testing.assert_allclose(joint.final.amps, factorized.final.amps, atol=1e-12)
             assert all(abs(e) < 1e-10 for e in joint.boundary_entropies)
 
+    def test_product_boundaries_have_entropy_plus_zero(self):
+        # the largest Schmidt weight of these boundaries rounds just above 1
+        psi = random_state(2, 1, np.random.default_rng(1))
+        path = [(1, 0), (0, 1), (1, 1), (0, 0), (1, 0), (0, 1), (1, 1)]
+        entropies = full_register_chain(2, 7, psi, path).boundary_entropies
+        assert [(e, math.copysign(1.0, e)) for e in entropies] == [(0.0, 1.0)] * 6
+
     def test_boundary_entropy_count(self):
         psi = random_state(2, 1, np.random.default_rng(43))
         joint = full_register_chain(2, 3, psi, [(0, 0), (1, 1), (0, 1)])
