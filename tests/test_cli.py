@@ -581,8 +581,8 @@ class TestReportRendering:
 
     def test_sorted_and_stable(self):
         # the record list sorts among the top-level keys and holds one record per line
-        records = ['{"x":1}', qrelay.cli.RECORD_SEPARATOR, '{"x":[2,3]}']
-        text = render_report({"b": 1, "a": {"d": 2, "c": [1.5]}}, "ab", records)
+        body = ['{"x":1}', qrelay.cli.RECORD_SEPARATOR, '{"x":[2,3]}']
+        text = render_report({"b": 1, "a": {"d": 2, "c": [1.5]}}, "ab", body)
         assert text == (
             '{\n  "a": {\n    "c": [\n      1.5\n    ],\n    "d": 2\n  },\n'
             '  "ab": [\n    {"x":1},\n    {"x":[2,3]}\n  ],\n  "b": 1\n}\n'
