@@ -68,9 +68,12 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         try:
-            probs = tuple(float(p) for p in self.probs)
+            values = tuple(self.probs)
+            probs = tuple(float(p) for p in values)
         except (TypeError, ValueError):
             raise ValidationError(f"noise.probs: expected reals, got {self.probs!r}") from None
+        if any(isinstance(p, (bool, np.bool_)) for p in values):
+            raise ValidationError(f"noise.probs: booleans are not probabilities, got {values!r}")
         if len(probs) < 2:
             raise ValidationError("noise.probs: need one probability per dit value")
         if not all(math.isfinite(p) for p in probs):

@@ -1,22 +1,20 @@
 """Generalized phase-flip, shift, Fourier and CNOT gates for qudits.
 
 Constructors return small dense unitaries (d or d^2 per side). `GateMatrix`
-records once, at construction, whether its matrix is unitary and whether it
-is diagonal (Z^r), monomial (one nonzero per column: X, CNOT, CNOT^dagger)
-or dense (Fourier). One kernel, `_apply`, serves `apply_1q` and `apply_2q`:
-it views the amplitudes as (pre, d, post) or (pre, d, mid, d, post), with the
-gate's axes left in place, and makes one pass over the register by the
-gate's structure into a fresh array. A diagonal gate is one broadcast
-multiply, a monomial gate is d^arity slice copies or scalings, and a dense
-gate is one BLAS matmul. The full d^n x d^n operator is never materialized
-and no axis is moved.
+records once, at construction, whether its matrix is unitary and, for a
+one-qudit gate, whether it is diagonal (Z^r). One kernel, `_apply`, serves
+`apply_1q` and `apply_2q` with one path per arity. A one-qudit gate acts on
+the (pre, d, post) view of the amplitudes, with no copy: a diagonal gate is
+an elementwise product and any other is one batched matmul. A two-qudit gate
+moves its two axes to the front and is one matmul over (d^2, rest). The full
+d^n x d^n operator is never materialized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,31 +28,21 @@ def _unitarity_deviation(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
 
 
-def _slot_index(d: int, arity: int, flat: int) -> tuple:
-    """Index of one gate basis value into the (pre, d, [mid, d,] post) view."""
-    index: list = [slice(None)]
-    for digit in divmod(flat, d) if arity == 2 else (flat,):
-        index += [digit, slice(None)]
-    return tuple(index)
-
-
 @dataclass(frozen=True, eq=False)
 class GateMatrix:
     """Dense matrix acting on one or two qudits of dimension d.
 
-    Construction records `unitary` (within UNITARITY_TOL) and the structure
-    the gate kernel dispatches on, so applying a cached gate costs no scan.
+    Construction records `unitary` (within UNITARITY_TOL) and a diagonal
+    one-qudit gate's diagonal, so applying a cached gate costs no scan.
     """
 
     d: int
     arity: int
     mat: np.ndarray
     unitary: bool = field(init=False, repr=False)
-    # a diagonal gate's (real, imaginary or None) parts, shaped (d, 1[, d, 1], 1)
-    # to broadcast over the float view (pre, d, [mid, d,] post, 2); else None
-    _diagonal: tuple | None = field(init=False, repr=False)
-    # one nonzero per column (so per row too, if unitary): X, CNOT, every diagonal
-    _monomial: bool = field(init=False, repr=False)
+    # a diagonal one-qudit gate's diagonal as a (d, 1) column, which broadcasts
+    # over the (pre, d, post) view; None for every other gate
+    _diagonal: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_dim(self.d)
@@ -67,34 +55,10 @@ class GateMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "unitary", _unitarity_deviation(mat) <= UNITARITY_TOL)
-        nonzero = mat != 0
-        parts = None
-        if not np.any(nonzero & ~np.eye(side, dtype=bool)):
-            diagonal = np.diagonal(mat).reshape((self.d, 1) * self.arity + (1,))
-            parts = (diagonal.real, diagonal.imag if np.any(diagonal.imag) else None)
-        object.__setattr__(self, "_diagonal", parts)
-        object.__setattr__(self, "_monomial", bool(np.all(nonzero.sum(axis=0) == 1)))
-
-    @cached_property
-    def _terms(self) -> tuple:
-        """Per output slice of the view: (out index, ((in index, coeff), ...)),
-        one source per slice for a monomial gate."""
-        return tuple(
-            (
-                _slot_index(self.d, self.arity, row),
-                tuple(
-                    (_slot_index(self.d, self.arity, int(col)), complex(self.mat[row, col]))
-                    for col in np.flatnonzero(self.mat[row])
-                ),
-            )
-            for row in range(self.mat.shape[0])
-        )
-
-    @cached_property
-    def _slots_swapped(self) -> "GateMatrix":
-        """The same two-qudit gate with its control and target slots exchanged."""
-        d = self.d
-        return GateMatrix(d, 2, self.mat.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d))
+        diagonal = None
+        if self.arity == 1 and not np.any(mat[~np.eye(side, dtype=bool)]):
+            diagonal = np.diagonal(mat).reshape(side, 1)
+        object.__setattr__(self, "_diagonal", diagonal)
 
 
 def pauli_z(d: int) -> GateMatrix:
@@ -112,24 +76,31 @@ def pauli_x(d: int) -> GateMatrix:
     return GateMatrix(d, 1, mat)
 
 
-@lru_cache(maxsize=None)
+def _check_exponent(r: int) -> int:
+    """The gate-power exponent rule: an int or numpy integer (not a bool) >= 0."""
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 0:
+        raise ValueError(f"r: must be a non-negative integer, got {r!r}")
+    return int(r)
+
+
 def pauli_z_power(d: int, r: int) -> GateMatrix:
     """Z^r as a fresh diagonal of exact residue phases w^((r*j) mod d).
 
     Avoids the phase drift of repeated multiplication; agreement with
-    gate_power(pauli_z(d), r) is asserted by tests.
+    gate_power(pauli_z(d), r) is asserted by tests. d and r are checked on
+    every call, before the cache.
     """
-    check_dim(d)
-    if r < 0:
-        raise ValueError(f"exponent must be >= 0, got {r}")
+    return _z_power(check_dim(d), _check_exponent(r))
+
+
+@lru_cache(maxsize=None)
+def _z_power(d: int, r: int) -> GateMatrix:
     return GateMatrix(d, 1, np.diag([root_of_unity(d, (r * j) % d) for j in range(d)]))
 
 
 def gate_power(g: GateMatrix, r: int) -> GateMatrix:
     """r-fold application of g as a matrix power; r = 0 gives the identity."""
-    if r < 0:
-        raise ValueError(f"exponent must be >= 0, got {r}")
-    return GateMatrix(g.d, g.arity, np.linalg.matrix_power(g.mat, r))
+    return GateMatrix(g.d, g.arity, np.linalg.matrix_power(g.mat, _check_exponent(r)))
 
 
 @lru_cache(maxsize=None)
@@ -176,67 +147,48 @@ def cnot_dagger(d: int) -> GateMatrix:
     return GateMatrix(d, 2, cnot(d).mat.conj().T)
 
 
-def _diagonal_product(src: np.ndarray, real: np.ndarray, imag: np.ndarray | None) -> np.ndarray:
-    """src * diagonal, each part rounded as wr*xr - wi*xi and wr*xi + wi*xr
-    and then added to 0.0, so that a zero part is +0.
+def _diagonal_product(src: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """src * diagonal with each part rounded on its own, as xr*wr - xi*wi and
+    xi*wr + xr*wi with no fused multiply-add, and then added to 0.0, so that
+    a zero part is +0. These are the bits Python's complex arithmetic gives,
+    and the tests pin them.
 
-    These are the bits a summed product G @ x gives for a diagonal G. numpy's
-    complex multiply rounds some products differently, which would move the
-    last bits of reported fidelities and phase-corrected amplitudes (and turn
-    some zeros to -0.0) in `run`, `enumerate` and `--history` output.
+    A product by a real factor, or by 1j, has an exact zero as one of the two
+    terms of each part, so it rounds as that bare product whatever numpy's
+    complex multiply does. The full complex multiply, and BLAS G @ x, round
+    some entries differently for some d, which would move the last bits of
+    reported fidelities and phase-corrected amplitudes (and turn some zeros
+    to -0.0) in `run`, `enumerate` and `--history` output.
     """
-    x = src.view(np.float64).reshape(src.shape + (2,))
-    y = x * real
-    if imag is not None:
-        cross = x * imag
-        y[..., 0] -= cross[..., 1]
-        y[..., 1] += cross[..., 0]
-    y += 0.0
-    return y.view(np.complex128).reshape(src.shape)
+    out = src * diagonal.real
+    out += src * 1j * diagonal.imag
+    out += 0.0
+    return out
 
 
-def _apply(g: GateMatrix, amps: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
-    """The one gate kernel: g on `positions` (slot order) of the register
-    whose amplitudes are the flat array `amps`, identity elsewhere.
+def _apply(g: GateMatrix, state: PureState, positions: tuple[int, ...]) -> np.ndarray:
+    """The one gate kernel: g on `positions` (slot order) of `state`'s
+    register, identity elsewhere, as a fresh flat amplitude array.
 
-    The amplitudes are viewed as (pre, d, post), or (pre, d, mid, d, post)
-    with the gate's positions in register order, so no axis is moved and
-    nothing is copied before the one pass that writes the fresh flat result.
-    amps is never written.
+    A one-qudit gate acts on the (pre, d, post) view of the amplitudes, with
+    no copy. A two-qudit gate's axes are moved to the front in slot order,
+    so it is one matmul over (d^2, rest), and moved back. state.amps is
+    never written.
     """
     if not g.unitary:
         raise ValueError(
             f"gate must be unitary: this d={g.d} arity-{g.arity} gate has "
             f"max |G G^dagger - I| = {_unitarity_deviation(g.mat):.3e} > {UNITARITY_TOL}"
         )
-    d, size = g.d, amps.size
-    if len(positions) == 2 and positions[0] > positions[1]:
-        g, positions = g._slots_swapped, positions[::-1]
-    shape, rest = [], size
-    for q in positions:
-        # rest: amplitudes from just after the previous gate digit; tail: from q's
-        tail = size // d**q
-        shape += [rest // tail, d]
-        rest = tail // d
-    shape.append(rest)
-    src = amps.reshape(shape)
-    if g._diagonal is not None:
-        return _diagonal_product(src, *g._diagonal).reshape(size)
-    out = np.empty_like(src)
-    pre, post, side = shape[0], shape[-1], g.mat.shape[0]
-    if not g._monomial and pre * side * post == size:
-        # dense on adjacent axes: one batched GEMM, G @ (pre, side, post)
-        np.matmul(g.mat, src.reshape(pre, side, post), out=out.reshape(pre, side, post))
-        return out.reshape(size)
-    for out_index, sources in g._terms:
-        (in_index, coeff), *rest_terms = sources
-        if coeff == 1:
-            out[out_index] = src[in_index]
-        else:
-            np.multiply(src[in_index], coeff, out=out[out_index])
-        for in_index, coeff in rest_terms:
-            out[out_index] += coeff * src[in_index]
-    return out.reshape(size)
+    d, size = g.d, state.amps.size
+    if g.arity == 1:
+        src = state.amps.reshape(d ** positions[0], d, -1)
+        if g._diagonal is not None:
+            return _diagonal_product(src, g._diagonal).reshape(size)
+        return (g.mat @ src).reshape(size)
+    moved = np.moveaxis(state.tensor(), positions, (0, 1))
+    out = (g.mat @ moved.reshape(d * d, -1)).reshape(moved.shape)
+    return np.moveaxis(out, (0, 1), positions).reshape(size)
 
 
 def apply_1q(state: PureState, g: GateMatrix, target: int) -> PureState:
@@ -250,14 +202,14 @@ def apply_1q(state: PureState, g: GateMatrix, target: int) -> PureState:
     if g.d != state.d:
         raise ValueError(f"gate dimension {g.d} does not match state dimension {state.d}")
     target = _check_dit(target, state.num_qudits, "target")
-    return PureState._trusted(state.d, state.num_qudits, _apply(g, state.amps, (target,)))
+    return PureState._trusted(state.d, state.num_qudits, _apply(g, state, (target,)))
 
 
 def apply_2q(state: PureState, g: GateMatrix, control: int, target: int) -> PureState:
     """Apply a two-qudit unitary with its first slot on control, second on target.
 
     Positions may be arbitrary and non-adjacent; control != target. Runs the
-    shared kernel on the (pre, d, mid, d, post) view; a gate not unitary
+    shared kernel with both positions moved to the front; a gate not unitary
     within UNITARITY_TOL raises ValueError.
     """
     if g.arity != 2:
@@ -268,4 +220,4 @@ def apply_2q(state: PureState, g: GateMatrix, control: int, target: int) -> Pure
     target = _check_dit(target, state.num_qudits, "target")
     if control == target:
         raise ValueError("control and target must differ")
-    return PureState._trusted(state.d, state.num_qudits, _apply(g, state.amps, (control, target)))
+    return PureState._trusted(state.d, state.num_qudits, _apply(g, state, (control, target)))

@@ -84,6 +84,11 @@ class TestNoiseSpec:
         with pytest.raises(ValidationError):
             NoiseSpec((1.0,))
 
+    def test_rejects_booleans(self):
+        for probs in ((True, False), (1.0, False), np.array([True, False])):
+            with pytest.raises(ValidationError, match="^noise.probs: booleans"):
+                NoiseSpec(probs)
+
 
 class TestChainConfig:
     def test_rejects_bad_hop_count(self):

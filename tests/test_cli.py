@@ -309,6 +309,7 @@ class TestMain:
             ("out", 5, "out"),
             ("history", 1, "history"),  # an int path would open that file descriptor
             ("noise", [0.5, "a"], "noise.probs"),
+            ("noise", [True, False], "noise.probs"),
             ("state", [[1, 0], ["a", 0]], "state"),
         ]
         for key, value, field in bad_values:
@@ -494,6 +495,12 @@ REPORT_VALUES = {
 REPORT_BYTES = dict(zip(REPORT_VALUES, [
     "9c0ddce6c567df69", "e53198e428544587", "ebb3837a59e0df11", "62f2a985061e74cb", "b9e30f45cd72a878",
 ]))
+# the sha256 prefix of the trial-0 history CSV each command writes to history.csv
+HISTORY_BYTES = {
+    "run --d 2 --n 2 --history history.csv": "3f382567d525f6fc",
+    "run --d 5 --n 6 --mode local --noise 0.6,0.1,0.1,0.1,0.1 --seed 3 --state random --history history.csv":
+        "e1147b3c5074adc9",
+}
 
 
 def canonical(value) -> str:
@@ -554,6 +561,12 @@ class TestReportRendering:
         assert len(lines) == len(records)
         for line in lines:
             assert line == canonical(json.loads(line))
+
+    @pytest.mark.parametrize("command", HISTORY_BYTES, ids=["run-history", "run-local-d5"])
+    def test_history_csv_bytes_pinned(self, monkeypatch, tmp_path, command):
+        monkeypatch.chdir(tmp_path)
+        assert main(command.split()) == 0
+        assert hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest()[:16] == HISTORY_BYTES[command]
 
     @pytest.mark.parametrize("d", [2, 3, 10, 11, 16])
     @pytest.mark.parametrize("n", [1, 3])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qrelay import gates
-from qrelay.core import basis_state, flat_index, random_state, tensor_product
+from qrelay.core import basis_state, flat_index, make_state, random_state, tensor_product
 
 ALL_DIMS = range(2, 17)
 
@@ -87,6 +87,22 @@ class TestGatePower:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             gates.gate_power(gates.pauli_z(3), -1)
+
+    @pytest.mark.parametrize("r", [2.0, True, -1, "2", None])
+    @pytest.mark.parametrize("cached_first", [False, True])
+    def test_malformed_exponent_rejected_whatever_is_cached(self, r, cached_first):
+        if cached_first:
+            gates.pauli_z_power(5, 2)
+            gates.pauli_z_power(5, 1)
+        else:
+            gates._z_power.cache_clear()
+        for power in (lambda: gates.pauli_z_power(5, r), lambda: gates.gate_power(gates.pauli_x(5), r)):
+            with pytest.raises(ValueError, match=r"^r: "):
+                power()
+
+    def test_numpy_integer_exponent_accepted(self):
+        assert gates.pauli_z_power(5, np.int64(2)) is gates.pauli_z_power(5, 2)
+        np.testing.assert_array_equal(gates.gate_power(gates.pauli_x(5), np.int32(5)).mat, np.eye(5))
 
     @pytest.mark.parametrize("d", ALL_DIMS)
     def test_fresh_diagonal_matches_repeated_product(self, d):
@@ -378,8 +394,28 @@ class TestKernelAgainstFullOperator:
 
     def test_gate_structure_is_recorded(self):
         assert gates.pauli_z_power(3, 1)._diagonal is not None
-        assert gates.cnot(3)._diagonal is None and gates.cnot(3)._monomial
-        assert not gates.hadamard(3)._monomial
+        assert gates.cnot(3)._diagonal is None
+
+
+def python_product(g, x):
+    """G @ x in pure Python complex arithmetic: each product rounded part by
+    part with no fused multiply-add, summed term by term, then added to +0.
+    0j, not 0.0, since newer Pythons add a real only to the real part."""
+    G, x = g.mat.tolist(), x.tolist()
+    return [sum((G[i][j] * x[j] for j in range(len(x))), 0j) + 0j for i in range(len(x))]
+
+
+@pytest.mark.parametrize("d", ALL_DIMS)
+def test_z_power_bits_match_python_product(d):
+    rng = np.random.default_rng(d)
+    states = [random_state(d, 1, rng) for _ in range(3)] + [make_state(d, [1 / math.sqrt(d)] * d)]
+    states += [basis_state(d, 1, (j,)) for j in range(d)]
+    for k in range(d):
+        g = gates.pauli_z_power(d, k)
+        for state in states:
+            out = gates.apply_1q(state, g, 0).amps
+            expected = np.array(python_product(g, state.amps))
+            np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64), err_msg=f"k={k}")
 
 
 class TestNonUnitaryGate:
