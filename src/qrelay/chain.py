@@ -35,16 +35,17 @@ from . import gates
 from .core import (
     PureState,
     ValidationError,
-    _check_dit,
+    _check_int,
     _draw_dit,
     check_dim,
-    check_positive_int,
     fidelity,
     flat_index,
 )
 from .teleport import (
     CorrectionMode,
+    _check_forced,
     _check_possible,
+    _check_qudit,
     _entropy,
     apply_correction,
     teleport_hop,
@@ -108,16 +109,14 @@ class ChainConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        check_dim(self.d)
-        check_positive_int("n", self.n)
+        object.__setattr__(self, "d", check_dim(self.d))
+        object.__setattr__(self, "n", _check_int("n", self.n, 1))
         CorrectionMode.check(self.mode)
         if len(self.noise.probs) != self.d:
             raise ValidationError(
                 f"noise.probs: expected {self.d} probabilities, got {len(self.noise.probs)}"
             )
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise ValidationError(f"seed: must be a 64-bit unsigned integer, got {seed!r}")
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, 2**64))
 
 
 class HistoryEntry(NamedTuple):
@@ -160,8 +159,8 @@ class FullRegisterResult:
 
 def deferred_exponent(results: Sequence[int], d: int) -> int:
     """Single end-of-chain correction exponent, (sum of results) mod d."""
-    check_dim(d)
-    return sum(_check_dit(r, d, f"results[{i}]") for i, r in enumerate(results)) % d
+    d = check_dim(d)
+    return sum(_check_int(f"results[{i}]", r, 0, d) for i, r in enumerate(results)) % d
 
 
 def apply_phase_noise(
@@ -179,7 +178,7 @@ def apply_phase_noise(
     if len(noise.probs) != d:
         raise ValueError(f"noise has {len(noise.probs)} probabilities but state has d={d}")
     if forced is not None:
-        k = _check_dit(forced, d, "forced")
+        k = _check_int("forced", forced, 0, d)
     else:
         if rng is None:
             raise ValueError("apply_phase_noise needs either an rng or a forced exponent")
@@ -194,28 +193,6 @@ def _trial_stream(seed: int, n: int, trial: int = 0) -> np.random.Generator:
     bits = np.random.PCG64(seed)
     bits.advance(3 * n * trial)
     return np.random.Generator(bits)
-
-
-def _check_chain_input(d: int, psi0: PureState) -> None:
-    if psi0.num_qudits != 1 or psi0.d != d:
-        raise ValueError(
-            f"chain input must be a single qudit of dimension d={d}, "
-            f"got {psi0.num_qudits} of d={psi0.d}"
-        )
-
-
-def _check_forced_pairs(name: str, pairs: Sequence, n: int, d: int) -> list[tuple[int, int]]:
-    """A forced path's n (a, b) dit pairs, checked before any work: its length,
-    then each entry's shape, then each dit, naming the first bad field."""
-    if len(pairs) != n:
-        raise ValueError(f"{name} must list {n} (a, b) pairs")
-    for i, pair in enumerate(pairs):
-        if not hasattr(pair, "__len__") or len(pair) != 2:
-            raise ValueError(f"{name}[{i}] must be an (a, b) pair, got {pair!r}")
-    return [
-        (_check_dit(a, d, f"{name}[{i}][0]"), _check_dit(b, d, f"{name}[{i}][1]"))
-        for i, (a, b) in enumerate(pairs)
-    ]
 
 
 def run_chain(
@@ -234,15 +211,12 @@ def run_chain(
     n + 1 entries; entry 0 is (psi0, 0). Drawing trial `trial`'s block of
     the seed's stream replays that row of run_trajectories.
     """
-    _check_chain_input(config.d, psi0)
-    if isinstance(trial, bool) or not isinstance(trial, int) or trial < 0:
-        raise ValidationError(f"trial: must be a non-negative integer, got {trial!r}")
+    _check_qudit("psi0", psi0, config.d)
+    trial = _check_int("trial", trial, 0)
     if forced_outcomes is not None:
-        forced_outcomes = _check_forced_pairs("forced_outcomes", forced_outcomes, config.n, config.d)
+        forced_outcomes = _check_forced("forced_outcomes", forced_outcomes, (config.n, 2), config.d)
     if forced_noise is not None:
-        if len(forced_noise) != config.n:
-            raise ValueError(f"forced_noise must list {config.n} exponents")
-        forced_noise = [_check_dit(k, config.d, f"forced_noise[{i}]") for i, k in enumerate(forced_noise)]
+        forced_noise = _check_forced("forced_noise", forced_noise, (config.n,), config.d)
 
     rng = _trial_stream(config.seed, config.n, trial)
     local = config.mode is CorrectionMode.LOCAL_EACH_HOP
@@ -317,8 +291,8 @@ def run_trajectories(config: ChainConfig, psi0: PureState, trials: int) -> Traje
     ancilla outcome never changes the received state. The fidelity is
     F[K] from fidelity_table with K = (sum of noise exponents) mod d.
     """
-    _check_chain_input(config.d, psi0)
-    check_positive_int("trials", trials)
+    _check_qudit("psi0", psi0, config.d)
+    trials = _check_int("trials", trials, 1)
     d, n = config.d, config.n
     draws = _trial_stream(config.seed, n).random((trials, n, 3))
     results = _draw_dit(np.full(d, 1.0 / d), draws[..., 0])
@@ -339,7 +313,7 @@ def expected_fidelity(config: ChainConfig, psi0: PureState) -> float:
     P(K) is their n-fold cyclic convolution (the inverse DFT of the
     probabilities' DFT to the n-th power) and E[F] = sum_K P(K) F[K].
     """
-    _check_chain_input(config.d, psi0)
+    _check_qudit("psi0", psi0, config.d)
     p_k = np.fft.ifft(np.fft.fft(config.noise.probs) ** config.n).real
     return float(p_k @ fidelity_table(psi0))
 
@@ -476,11 +450,10 @@ def full_register_chain(
     dense gate kernel. Only the final receiver slice leaves, as a validated
     PureState.
     """
-    check_dim(d)
-    check_positive_int("n", n)
+    d, n = check_dim(d), _check_int("n", n, 1)
     CorrectionMode.check(mode)
-    _check_chain_input(d, psi0)
-    path = _check_forced_pairs("forced_path", forced_path, n, d)
+    _check_qudit("psi0", psi0, d)
+    path = _check_forced("forced_path", forced_path, (n, 2), d)
     width = 3 * n
     if d**width > FULL_REGISTER_AMPLITUDE_LIMIT:
         raise ResourceLimitError(

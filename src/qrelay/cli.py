@@ -44,9 +44,9 @@ from .chain import (
 from .core import (
     PureState,
     ValidationError,
+    _check_int,
     basis_state,
     check_dim,
-    check_positive_int,
     make_state,
     random_state,
 )
@@ -93,7 +93,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.trials is not None:
-            check_positive_int("trials", self.trials)
+            object.__setattr__(self, "trials", _check_int("trials", self.trials, 1))
         for key in ("out", "history"):
             path = getattr(self, key)
             if path is not None:
@@ -107,7 +107,7 @@ class ExperimentConfig:
                 raise ValidationError(f"history: {self.history} is the same file as out")
 
 
-def _parse_mode(value: str) -> CorrectionMode:
+def _parse_mode(value: object) -> CorrectionMode:
     try:
         return CorrectionMode(value)
     except ValueError:
@@ -205,7 +205,7 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     # d first: the noise and state parsers depend on it
     d = check_dim(raw.get("d", DEFAULT_D))
     mode = raw.get("mode", DEFAULT_MODE)
-    if isinstance(mode, str):
+    if not isinstance(mode, CorrectionMode):
         mode = _parse_mode(mode)
     noise = raw.get("noise")
     chain = ChainConfig(

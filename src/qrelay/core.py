@@ -26,18 +26,23 @@ class ValidationError(ValueError):
     """User-supplied data violates a documented contract."""
 
 
+def _check_int(name: str, value: object, lo: int, hi: int | None = None) -> int:
+    """The package's one integer rule: an int or numpy integer, never a bool,
+    in [lo, hi) (no upper bound if hi is None), returned as a Python int.
+
+    Failures raise ValidationError as `name: reason`, naming the range and
+    the value.
+    """
+    if not isinstance(value, bool) and isinstance(value, (int, np.integer)):
+        checked = int(value)
+        if lo <= checked and (hi is None or checked < hi):
+            return checked
+    bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+    raise ValidationError(f"{name}: must be an integer {bounds}, got {value!r}")
+
+
 def check_dim(d: int) -> int:
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-        raise ValidationError(f"d: qudit dimension must be an integer, got {type(d).__name__}")
-    if not MIN_DIM <= d <= MAX_DIM:
-        raise ValidationError(f"d: qudit dimension must be in [{MIN_DIM}, {MAX_DIM}], got {d}")
-    return int(d)
-
-
-def check_positive_int(name: str, value: object) -> None:
-    """Reject anything but a positive int (bool included), naming the field."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValidationError(f"{name}: must be a positive integer, got {value!r}")
+    return _check_int("d", d, MIN_DIM, MAX_DIM + 1)
 
 
 def _draw_dit(probs: Sequence[float] | np.ndarray, u: float | np.ndarray) -> np.ndarray | np.integer:
@@ -52,17 +57,10 @@ def _draw_dit(probs: Sequence[float] | np.ndarray, u: float | np.ndarray) -> np.
     return cdf.searchsorted(u, side="right")
 
 
-def _check_dit(value: int, d: int, name: str) -> int:
-    """The package's one dit rule: an int or numpy integer (not a bool) in [0, d)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < d:
-        raise ValueError(f"{name} must be an integer in [0, {d}), got {value!r}")
-    return int(value)
-
-
 def root_of_unity(d: int, k: int) -> complex:
     """k-th power of the primitive d-th root of unity, exp(2*pi*i*k/d)."""
-    check_dim(d)
-    _check_dit(k, d, "k")
+    d = check_dim(d)
+    k = _check_int("k", k, 0, d)
     # quadrant angles come out exact instead of carrying sin/cos rounding
     if k == 0:
         return complex(1.0, 0.0)
@@ -82,19 +80,16 @@ def phase_exponent(a: int, b: int, d: int) -> int:
     Always lies in [0, d); equals the additive inverse of a*b mod d, so the
     matching correction exponent is a itself.
     """
-    check_dim(d)
-    _check_dit(a, d, "a")
-    _check_dit(b, d, "b")
-    return (d - a * b) % d
+    d = check_dim(d)
+    return (d - _check_int("a", a, 0, d) * _check_int("b", b, 0, d)) % d
 
 
 def flat_index(d: int, digits: Sequence[int]) -> int:
     """Big-endian base-d positional encoding of a digit string."""
-    check_dim(d)
+    d = check_dim(d)
     index = 0
     for pos, digit in enumerate(digits):
-        _check_dit(digit, d, f"digit[{pos}]")
-        index = index * d + int(digit)
+        index = index * d + _check_int(f"digit[{pos}]", digit, 0, d)
     return index
 
 
@@ -112,24 +107,18 @@ class PureState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        check_dim(self.d)
-        n = self.num_qudits
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"num_qudits must be a positive integer, got {n!r}")
+        d, n = check_dim(self.d), _check_int("num_qudits", self.num_qudits, 1)
         amps = np.array(self.amps, dtype=np.complex128)
-        expected = self.d**self.num_qudits
-        if amps.shape != (expected,):
-            raise ValueError(
-                f"amplitude vector must have length {expected} (= {self.d}^{self.num_qudits}), "
-                f"got shape {amps.shape}"
-            )
+        if amps.shape != (d**n,):
+            raise ValueError(f"amplitude vector must have length {d**n} (= {d}^{n}), got shape {amps.shape}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite (no NaN/Inf)")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > INTERNAL_TOL:
             raise ValueError(f"state norm must be 1 within {INTERNAL_TOL}, got {norm!r}")
         amps.flags.writeable = False
-        object.__setattr__(self, "num_qudits", int(self.num_qudits))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "num_qudits", n)
         object.__setattr__(self, "amps", amps)
 
     @classmethod
@@ -153,9 +142,9 @@ class PureState:
 
 def basis_state(d: int, num_qudits: int, digits: Sequence[int]) -> PureState:
     """Standard-basis state |digits> with big-endian digit order."""
-    digits = tuple(digits)
-    if num_qudits < 1 or len(digits) != num_qudits:
-        raise ValueError(f"expected {num_qudits} digits (num_qudits >= 1), got {len(digits)}")
+    d, num_qudits, digits = check_dim(d), _check_int("num_qudits", num_qudits, 1), tuple(digits)
+    if len(digits) != num_qudits:
+        raise ValueError(f"expected {num_qudits} digits, got {len(digits)}")
     amps = np.zeros(d**num_qudits, dtype=np.complex128)
     amps[flat_index(d, digits)] = 1.0
     return PureState._trusted(d, num_qudits, amps)
@@ -168,7 +157,7 @@ def make_state(d: int, amps: Sequence[complex]) -> PureState:
     anything larger (including the zero vector) raises ValidationError.
     Amplitude count must be an exact power of d.
     """
-    check_dim(d)
+    d = check_dim(d)
     arr = np.asarray(amps, dtype=np.complex128)
     if arr.ndim != 1 or arr.size < d:
         raise ValidationError(f"amplitudes must be a flat sequence of length >= {d}")
@@ -229,9 +218,9 @@ def reduced_density(state: PureState, keep: int | Sequence[int]) -> np.ndarray:
     """
     n = state.num_qudits
     if np.ndim(keep) == 0:
-        keep_tuple = (_check_dit(keep, n, "keep"),)
+        keep_tuple = (_check_int("keep", keep, 0, n),)
     else:
-        keep_tuple = tuple(_check_dit(q, n, f"keep[{i}]") for i, q in enumerate(keep))
+        keep_tuple = tuple(_check_int(f"keep[{i}]", q, 0, n) for i, q in enumerate(keep))
     if not keep_tuple:
         raise ValueError("must keep at least one qudit")
     if len(set(keep_tuple)) != len(keep_tuple):

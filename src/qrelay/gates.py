@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import PureState, _check_dit, check_dim, root_of_unity
+from .core import PureState, _check_int, check_dim, root_of_unity
 
 UNITARITY_TOL = 1e-12
 
@@ -45,18 +45,18 @@ class GateMatrix:
     _diagonal: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        check_dim(self.d)
-        if self.arity not in (1, 2):
-            raise ValueError(f"arity must be 1 or 2, got {self.arity}")
+        d, arity = check_dim(self.d), _check_int("arity", self.arity, 1, 3)
         mat = np.array(self.mat, dtype=np.complex128)
-        side = self.d**self.arity
+        side = d**arity
         if mat.shape != (side, side):
             raise ValueError(f"gate matrix must be {side}x{side}, got shape {mat.shape}")
         mat.flags.writeable = False
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "unitary", _unitarity_deviation(mat) <= UNITARITY_TOL)
         diagonal = None
-        if self.arity == 1 and not np.any(mat[~np.eye(side, dtype=bool)]):
+        if arity == 1 and not np.any(mat[~np.eye(side, dtype=bool)]):
             diagonal = np.diagonal(mat).reshape(side, 1)
         object.__setattr__(self, "_diagonal", diagonal)
 
@@ -76,13 +76,6 @@ def pauli_x(d: int) -> GateMatrix:
     return GateMatrix(d, 1, mat)
 
 
-def _check_exponent(r: int) -> int:
-    """The gate-power exponent rule: an int or numpy integer (not a bool) >= 0."""
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 0:
-        raise ValueError(f"r: must be a non-negative integer, got {r!r}")
-    return int(r)
-
-
 def pauli_z_power(d: int, r: int) -> GateMatrix:
     """Z^r as a fresh diagonal of exact residue phases w^((r*j) mod d).
 
@@ -90,7 +83,7 @@ def pauli_z_power(d: int, r: int) -> GateMatrix:
     gate_power(pauli_z(d), r) is asserted by tests. d and r are checked on
     every call, before the cache.
     """
-    return _z_power(check_dim(d), _check_exponent(r))
+    return _z_power(check_dim(d), _check_int("r", r, 0))
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +93,7 @@ def _z_power(d: int, r: int) -> GateMatrix:
 
 def gate_power(g: GateMatrix, r: int) -> GateMatrix:
     """r-fold application of g as a matrix power; r = 0 gives the identity."""
-    return GateMatrix(g.d, g.arity, np.linalg.matrix_power(g.mat, _check_exponent(r)))
+    return GateMatrix(g.d, g.arity, np.linalg.matrix_power(g.mat, _check_int("r", r, 0)))
 
 
 @lru_cache(maxsize=None)
@@ -173,8 +166,14 @@ def _apply(g: GateMatrix, state: PureState, positions: tuple[int, ...]) -> np.nd
     A one-qudit gate acts on the (pre, d, post) view of the amplitudes, with
     no copy. A two-qudit gate's axes are moved to the front in slot order,
     so it is one matmul over (d^2, rest), and moved back. state.amps is
-    never written.
+    never written. The gate must fit: one position per qudit it acts on,
+    and the register's dimension.
     """
+    if g.arity != len(positions) or g.d != state.d:
+        raise ValueError(
+            f"a d={g.d} arity-{g.arity} gate cannot act on {len(positions)} qudit(s) "
+            f"of a d={state.d} register"
+        )
     if not g.unitary:
         raise ValueError(
             f"gate must be unitary: this d={g.d} arity-{g.arity} gate has "
@@ -195,13 +194,10 @@ def apply_1q(state: PureState, g: GateMatrix, target: int) -> PureState:
     """Apply a one-qudit unitary to the target position, identity elsewhere.
 
     Runs the shared kernel on the (pre, d, post) view of the amplitudes; a
-    gate not unitary within UNITARITY_TOL raises ValueError.
+    gate that is not one-qudit, not of the state's d, or not unitary within
+    UNITARITY_TOL raises ValueError.
     """
-    if g.arity != 1:
-        raise ValueError(f"apply_1q requires a one-qudit gate, got arity {g.arity}")
-    if g.d != state.d:
-        raise ValueError(f"gate dimension {g.d} does not match state dimension {state.d}")
-    target = _check_dit(target, state.num_qudits, "target")
+    target = _check_int("target", target, 0, state.num_qudits)
     return PureState._trusted(state.d, state.num_qudits, _apply(g, state, (target,)))
 
 
@@ -209,15 +205,12 @@ def apply_2q(state: PureState, g: GateMatrix, control: int, target: int) -> Pure
     """Apply a two-qudit unitary with its first slot on control, second on target.
 
     Positions may be arbitrary and non-adjacent; control != target. Runs the
-    shared kernel with both positions moved to the front; a gate not unitary
-    within UNITARITY_TOL raises ValueError.
+    shared kernel with both positions moved to the front; a gate that is not
+    two-qudit, not of the state's d, or not unitary within UNITARITY_TOL
+    raises ValueError.
     """
-    if g.arity != 2:
-        raise ValueError(f"apply_2q requires a two-qudit gate, got arity {g.arity}")
-    if g.d != state.d:
-        raise ValueError(f"gate dimension {g.d} does not match state dimension {state.d}")
-    control = _check_dit(control, state.num_qudits, "control")
-    target = _check_dit(target, state.num_qudits, "target")
+    control = _check_int("control", control, 0, state.num_qudits)
+    target = _check_int("target", target, 0, state.num_qudits)
     if control == target:
         raise ValueError("control and target must differ")
     return PureState._trusted(state.d, state.num_qudits, _apply(g, state, (control, target)))

@@ -21,7 +21,7 @@ from . import gates
 from .core import (
     PureState,
     ValidationError,
-    _check_dit,
+    _check_int,
     _draw_dit,
     basis_state,
     phase_exponent,
@@ -76,10 +76,36 @@ class HopOutcome:
     bob_post: PureState
 
 
+def _check_qudit(name: str, psi: PureState, d: int | None = None) -> None:
+    """The one-qudit input rule: psi holds a single qudit (of dimension d, if given)."""
+    if psi.num_qudits != 1 or (d is not None and psi.d != d):
+        wanted = "" if d is None else f" of dimension {d}"
+        raise ValidationError(
+            f"{name}: must be a single qudit{wanted}, got {psi.num_qudits} qudit(s) of dimension {psi.d}"
+        )
+
+
+def _check_forced(name: str, values: object, shape: tuple[int, ...], d: int) -> int | tuple:
+    """The forced-value rule: `values` nests to `shape`, every leaf a dit in
+    [0, d), as ints. A forced pair has shape (2,), a forced path (n, 2) and
+    forced noise (n,). Entries are checked in order before any state is
+    built, and the error names the first bad one, as in forced_path[6][0].
+    """
+    if not shape:
+        return _check_int(name, values, 0, d)
+    try:
+        length = len(values)
+    except TypeError:  # no length: an int, or a 0-d array
+        length = None
+    if length != shape[0]:
+        entries = "dits" if len(shape) == 1 else "(a, b) pairs"
+        raise ValidationError(f"{name}: must list {shape[0]} {entries}, got {values!r}")
+    return tuple(_check_forced(f"{name}[{i}]", value, shape[1:], d) for i, value in enumerate(values))
+
+
 def prepare_hop(psi: PureState) -> PureState:
     """Assemble the three-qudit hop register |psi, 0, 0>."""
-    if psi.num_qudits != 1:
-        raise ValueError(f"hop input must be a single qudit, got {psi.num_qudits}")
+    _check_qudit("psi", psi)
     return tensor_product(psi, basis_state(psi.d, 2, (0, 0)))
 
 
@@ -113,8 +139,7 @@ def hop_expansion(psi: PureState) -> PureState:
     Independent oracle for hop_circuit: amplitude of |a, b, j> is
     (1/d) * w^((d - a*j) mod d) * alpha_j for every a, b, j.
     """
-    if psi.num_qudits != 1:
-        raise ValueError(f"hop input must be a single qudit, got {psi.num_qudits}")
+    _check_qudit("psi", psi)
     d = psi.d
     amps = np.zeros(d**3, dtype=np.complex128)
     for a in range(d):
@@ -141,13 +166,13 @@ def measure_standard(
     d-1 slices of the (pre, d, post) view are zero and the kept one is scaled.
     """
     d, n = state.d, state.num_qudits
-    target = _check_dit(target, n, "target")
+    target = _check_int("target", target, 0, n)
     shape = (d**target, d, state.amps.size // d ** (target + 1))
     # Born probabilities in one pass: |amp|^2 = re^2 + im^2 over a float view
     floats = state.amps.view(np.float64).reshape(shape[0], d, 2 * shape[2])
     probs = np.einsum("atb,atb->t", floats, floats)
     if forced is not None:
-        outcome = _check_dit(forced, d, "forced")
+        outcome = _check_int("forced", forced, 0, d)
         _check_possible(outcome, target, probs[outcome])
     else:
         if rng is None:
@@ -167,9 +192,8 @@ def _check_possible(outcome: int, target: int, prob: float) -> None:
 
 def apply_correction(bob: PureState, r: int) -> PureState:
     """Apply the phase correction Z^r to the received qudit."""
-    if bob.num_qudits != 1:
-        raise ValueError(f"correction target must be a single qudit, got {bob.num_qudits}")
-    return gates.apply_1q(bob, gates.pauli_z_power(bob.d, _check_dit(r, bob.d, "r")), 0)
+    _check_qudit("bob", bob)
+    return gates.apply_1q(bob, gates.pauli_z_power(bob.d, _check_int("r", r, 0, bob.d)), 0)
 
 
 def teleport_hop(
@@ -181,13 +205,14 @@ def teleport_hop(
     """Teleport one qudit through a single hop.
 
     Measurements consume `rng` in a fixed order (carrier, then ancilla)
-    unless `forced` supplies the pair (a, b).
+    unless `forced` supplies the pair (a, b), which is checked before the
+    register is built.
     """
     CorrectionMode.check(mode)
     if forced is None and rng is None:
         raise ValueError("teleport_hop needs either an rng or forced outcomes")
+    forced_a, forced_b = (None, None) if forced is None else _check_forced("forced", forced, (2,), psi.d)
     pre = hop_circuit(prepare_hop(psi))
-    forced_a, forced_b = forced if forced is not None else (None, None)
     a, prob_a, state = measure_standard(pre, 0, rng=rng, forced=forced_a)
     b, prob_b, state = measure_standard(state, 1, rng=rng, forced=forced_b)
     # validated: the slice is the receiver's state only if the register is a product

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qrelay.chain import (
     run_trajectories,
 )
 from qrelay.core import (
+    PureState,
     ValidationError,
     _draw_dit,
     basis_state,
@@ -361,6 +363,67 @@ class TestRunTrajectories:
             exact += math.prod(probs[k] for k in path) * result.fidelity_vs_initial
         assert abs(expected_fidelity(chain, psi) - exact) <= 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_expected_fidelity_matches_exact_noise_law(self, d):
+        """P(K) summed exactly over all d^n noise sequences, against the FFT convolution."""
+        rng = np.random.default_rng(50 + d)
+        psi = random_state(d, 1, rng)
+        table = [Fraction(f) for f in fidelity_table(psi)]
+        weights = rng.random(d)
+        noises = (
+            NoiseSpec.noiseless(d),
+            NoiseSpec((0.9,) + (0.1 / (d - 1),) * (d - 1)),
+            NoiseSpec(tuple(weights / weights.sum())),
+        )
+        for noise, n in itertools.product(noises, range(1, 5)):
+            probs = [Fraction(p) for p in noise.probs]
+            exact = sum(
+                math.prod(probs[k] for k in ks) * table[sum(ks) % d]
+                for ks in itertools.product(range(d), repeat=n)
+            )
+            chain = config(d=d, n=n, noise=noise)
+            assert abs(expected_fidelity(chain, psi) - float(exact)) <= 1e-12, (noise, n)
+
+
+class TestNumpyIntegers:
+    """A numpy integer is accepted wherever an int is, stored as an int, and
+    gives the same results as that int."""
+
+    def test_constructors_store_ints(self):
+        chain = ChainConfig(
+            d=np.int64(3), n=np.int32(2), mode=LOCAL, noise=NoiseSpec.noiseless(3), seed=np.uint64(5)
+        )
+        state = PureState(np.int64(3), np.int64(1), uniform_state(3).amps)
+        gate = gates.GateMatrix(np.int8(3), np.int64(1), np.eye(3))
+        for value in (chain.d, chain.n, chain.seed, state.d, state.num_qudits, gate.d, gate.arity):
+            assert type(value) is int
+        assert chain == config(d=3, n=2, mode=LOCAL, seed=5)
+
+    def test_counts_give_the_int_rows(self):
+        psi = random_state(3, 1, np.random.default_rng(48))
+        chain = config(d=3, n=4, noise=NoiseSpec((0.8, 0.1, 0.1)), seed=7)
+        plain, numpy = run_trajectories(chain, psi, 10), run_trajectories(chain, psi, np.int64(10))
+        for field in ("results", "noise_exponents", "fidelities", "deferred_exponents"):
+            np.testing.assert_array_equal(getattr(numpy, field), getattr(plain, field))
+        plain, numpy = run_chain(chain, psi, trial=1), run_chain(chain, psi, trial=np.int64(1))
+        assert (numpy.results, numpy.noise_exponents) == (plain.results, plain.noise_exponents)
+        np.testing.assert_array_equal(numpy.final.amps, plain.final.amps)
+
+    def test_joint_register_dimension_and_hops(self):
+        psi = random_state(3, 1, np.random.default_rng(49))
+        path = [(1, 2), (0, 1)]
+        plain = full_register_chain(3, 2, psi, path)
+        numpy = full_register_chain(np.int64(3), np.int64(2), psi, path)
+        assert type(numpy.final.d) is int
+        np.testing.assert_array_equal(numpy.final.amps, plain.final.amps)
+        assert numpy.boundary_entropies == plain.boundary_entropies
+
+    def test_register_cap_holds_for_numpy_dimension(self):
+        # 16^18 wraps to 0 in int64, under the cap, if d is not stored as an int
+        psi = random_state(16, 1, np.random.default_rng(50))
+        with pytest.raises(ResourceLimitError):
+            full_register_chain(np.int64(16), 6, psi, [(1, 2)] * 6)
+
 
 class TestEnumerateBranches:
     def test_eight_uniform_paths(self):
@@ -590,7 +653,8 @@ class TestForcedPathValidatedFirst:
     )
     def test_bad_last_dit_is_named_before_any_gate(self, kernel_calls, last, field):
         psi = uniform_state(2)
-        with pytest.raises(ValueError, match=re.escape(field) + " must be an integer in"):
+        message = f"{field}: must be an integer in [0, 2), got {last[int(field[-2])]!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             full_register_chain(2, 7, psi, [(0, 0)] * 6 + [last])
         assert kernel_calls == []
 
@@ -602,15 +666,27 @@ class TestForcedPathValidatedFirst:
         assert kernel_calls == []
 
     def test_run_chain_forced_outcomes(self, kernel_calls):
-        with pytest.raises(ValueError, match=re.escape("forced_outcomes[1] must be an (a, b) pair")):
+        with pytest.raises(ValueError, match=re.escape("forced_outcomes[1]: must list 2 dits, got (1,)")):
             run_chain(config(d=2, n=2), uniform_state(2), forced_outcomes=[(0, 0), (1,)])
-        with pytest.raises(ValueError, match=re.escape("forced_outcomes[1][0] must be an integer")):
+        message = "forced_outcomes[1][0]: must be an integer in [0, 2), got 1.0"
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_chain(config(d=2, n=2), uniform_state(2), forced_outcomes=[(0, 0), (1.0, 0)])
         assert kernel_calls == []
 
     def test_run_chain_forced_noise(self, kernel_calls):
-        with pytest.raises(ValueError, match=re.escape("forced_noise[1] must be an integer in [0, 3)")):
+        message = "forced_noise[1]: must be an integer in [0, 3), got 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_chain(config(d=3, n=2), uniform_state(3), forced_noise=[0, 3])
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize(
+        "forced,field",
+        [((1,), "forced"), ((1, 2, 3), "forced"), (7, "forced"), (np.array(7), "forced"),
+         ((0, 5), "forced[1]")],
+    )
+    def test_teleport_hop_forced_pair(self, kernel_calls, forced, field):
+        with pytest.raises(ValidationError, match="^" + re.escape(field) + ": "):
+            teleport_hop(uniform_state(3), LOCAL, forced=forced)
         assert kernel_calls == []
 
     def test_numpy_pairs_are_accepted(self):

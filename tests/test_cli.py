@@ -325,6 +325,13 @@ class TestMain:
             assert main(["run", "--config", path]) == 1
             assert "error: config:" in capsys.readouterr().err
 
+    def test_config_file_mode_names_its_choices(self, capsys, tmp_path):
+        path = tmp_path / "mode.json"
+        for value in (5, None, ["local"], "bogus"):
+            path.write_text(json.dumps({"mode": value}))
+            assert main(["run", "--config", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: mode: expected 'local' or 'deferred', got {value!r}\n"
+
     def test_unwritable_output_path_fails_before_any_trial(self, capsys, monkeypatch, tmp_path):
         def no_trials(*args):
             raise AssertionError("trials ran before the output path was checked")
@@ -605,6 +612,21 @@ class TestReportRendering:
         # a nested key of that name, or a string value that spells its line, is left alone
         report = {"a": {"ab": []}, "b": '\n  "ab": []'}
         assert json.loads(render_report(report, "ab", ['{"x":1}'])) == {**report, "ab": [{"x": 1}]}
+
+    def test_numpy_integer_config_gives_the_int_report(self):
+        from qrelay.chain import ChainConfig, NoiseSpec
+
+        def experiment(cast, trials):
+            noise = NoiseSpec((0.0, 1.0, 0.0))
+            mode = CorrectionMode.LOCAL_EACH_HOP
+            chain = ChainConfig(d=cast(3), n=cast(2), mode=mode, noise=noise, seed=cast(5))
+            return ExperimentConfig(chain=chain, trials=None if trials is None else cast(trials), state="random")
+
+        numpy = experiment(np.uint64, 4)
+        chain = numpy.chain
+        assert {type(value) for value in (chain.d, chain.n, chain.seed, numpy.trials)} == {int}
+        assert cmd_run(numpy) == cmd_run(experiment(int, 4))
+        assert cmd_enumerate(experiment(np.int64, None)) == cmd_enumerate(experiment(int, None))
 
     def test_experiment_config_validates_on_build(self):
         from qrelay.chain import ChainConfig, NoiseSpec

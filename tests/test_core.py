@@ -352,7 +352,8 @@ class TestStateValidation:
 
     @pytest.mark.parametrize("num_qudits", [0.5, 1.0, True, -1, 0])
     def test_rejects_non_integer_num_qudits(self, num_qudits):
-        with pytest.raises(ValueError, match="num_qudits must be a positive integer"):
+        message = f"num_qudits: must be an integer >= 1, got {num_qudits!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             PureState(2, num_qudits, np.array([1.0, 0.0]))
 
 
@@ -397,7 +398,7 @@ DIT_ARGUMENTS = {
 def test_dit_arguments_reject_non_dits(entry, value):
     """Floats, bools and out-of-range values all fail the one dit rule (d = 2)."""
     call, name = DIT_ARGUMENTS[entry]
-    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer in [0, 2), got {value!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"{name}: must be an integer in [0, 2), got {value!r}")):
         call(value)
 
 
