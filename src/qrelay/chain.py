@@ -19,7 +19,8 @@ The same fact makes `qrelay enumerate` closed-form: under a fixed channel
 exponent k every carrier path delivers Z^K psi0 with K = n*k mod d.
 `enumerate_branches` walks the d^n paths through `run_chain` and stays in
 the library as that command's oracle; both share the enumeration
-preconditions (`_enumeration_exponent`).
+preconditions (`_enumeration_exponent`). The CLI runs no state-vector
+code: `run_chain` and `enumerate_branches` are library oracles only.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .core import (
     check_dim,
     fidelity,
     flat_index,
+    root_of_unity,
 )
 from .teleport import (
     CorrectionMode,
@@ -112,6 +114,8 @@ class ChainConfig:
         object.__setattr__(self, "d", check_dim(self.d))
         object.__setattr__(self, "n", _check_int("n", self.n, 1))
         CorrectionMode.check(self.mode)
+        if not isinstance(self.noise, NoiseSpec):
+            raise ValidationError(f"noise: expected NoiseSpec, got {self.noise!r}")
         if len(self.noise.probs) != self.d:
             raise ValidationError(
                 f"noise.probs: expected {self.d} probabilities, got {len(self.noise.probs)}"
@@ -274,11 +278,20 @@ class TrajectoryBatch:
 
 
 def fidelity_table(psi0: PureState) -> np.ndarray:
-    """F[K] = fidelity(psi0, Z^K psi0) for K = 0..d-1."""
+    """F[K] = fidelity(psi0, Z^K psi0) = |sum_j |alpha_j|^2 w^(jK)|^2 for K = 0..d-1,
+    clipped at 1.0 as `core.fidelity` is: the real and imaginary parts are each
+    summed by math.fsum, so no state is built and no BLAS call is made."""
+    _check_qudit("psi0", psi0)
     d = psi0.d
-    return np.array(
-        [fidelity(psi0, gates.apply_1q(psi0, gates.pauli_z_power(d, k), 0)) for k in range(d)]
-    )
+    weights = (np.square(psi0.amps.real) + np.square(psi0.amps.imag)).tolist()
+    roots = [root_of_unity(d, r) for r in range(d)]
+    table = []
+    for k in range(d):
+        phases = [roots[j * k % d] for j in range(d)]
+        re = math.fsum(w * z.real for w, z in zip(weights, phases))
+        im = math.fsum(w * z.imag for w, z in zip(weights, phases))
+        table.append(min(re * re + im * im, 1.0))
+    return np.array(table)
 
 
 def run_trajectories(config: ChainConfig, psi0: PureState, trials: int) -> TrajectoryBatch:

@@ -6,9 +6,11 @@ trial or path record is one compact line. Complex amplitudes travel as
 [re, im] pairs, both in configuration files and in reports. Exit codes:
 0 success, 1 usage, validation or I/O error, 2 resource budget exceeded,
 3 self-test failure.
-Both commands are closed-form: `run` uses the trajectory engine, with
-`run_chain` as the library's state-vector oracle, and `enumerate` lists
-every path's Z^K psi0 directly, with `enumerate_branches` as its oracle.
+Both commands are closed-form and run no state-vector code, so no report
+byte depends on the BLAS kernel: `run` uses the trajectory engine and
+writes `--history` snapshots as Z^e psi0, with `run_chain` as the
+library's oracle, and `enumerate` lists every path's Z^K psi0 directly,
+with `enumerate_branches` as its oracle.
 Records are rendered column-wise: each field is written once per column
 from a small table of strings, never once per record, and the report is
 put together by one join per block of rows plus one final join.
@@ -32,13 +34,11 @@ import numpy as np
 from . import gates, selftest
 from .chain import (
     ChainConfig,
-    HistoryEntry,
     NoiseSpec,
     ResourceLimitError,
     TrajectoryBatch,
     _enumeration_exponent,
     fidelity_table,
-    run_chain,
     run_trajectories,
 )
 from .core import (
@@ -242,13 +242,20 @@ def _amp_pairs(state: PureState) -> list[list[float]]:
     return [[float(a.real), float(a.imag)] for a in state.amps]
 
 
-def write_history_csv(path: str, history: tuple[HistoryEntry, ...]) -> None:
+def write_history_csv(path: str, psi0: PureState, batch: TrajectoryBatch) -> None:
+    """Trial 0's history as run_chain records it: psi0 with r = 0, then hop i's
+    post-noise, pre-correction snapshot with r = a_i, in closed form as Z^e psi0,
+    e = sum_{j<=i} k_j - a_i (local) or sum_{j<=i} (k_j - a_j) (deferred) mod d."""
+    d, results = psi0.d, batch.results[0]
+    spent = results if batch.deferred_exponents is None else np.cumsum(results)
+    exponents = (np.cumsum(batch.noise_exponents[0]) - spent) % d
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["hop", "r", "amplitude_index", "re", "im"])
-        for hop, entry in enumerate(history):
-            for index, amp in enumerate(entry.state.amps):
-                writer.writerow([hop, entry.r, index, repr(float(amp.real)), repr(float(amp.imag))])
+        for hop, (e, r) in enumerate(zip([0, *exponents.tolist()], [0, *results.tolist()])):
+            snapshot = gates.apply_1q(psi0, gates.pauli_z_power(d, e), 0)
+            for index, amp in enumerate(snapshot.amps):
+                writer.writerow([hop, r, index, repr(float(amp.real)), repr(float(amp.imag))])
 
 
 def _dit_table(n: int, d: int, closing: str) -> np.ndarray:
@@ -310,9 +317,7 @@ def cmd_run(config: ExperimentConfig) -> str:
     psi0 = initial_state(config)
     batch = run_trajectories(config.chain, psi0, config.trials)
     if config.history:
-        # trial 0 once more through the state-vector oracle, for its snapshots
-        first = run_chain(config.chain, psi0)
-        write_history_csv(config.history, first.history)
+        write_history_csv(config.history, psi0, batch)
     report = {
         "command": "run",
         "config": {**_config_echo(config), "trials": config.trials},

@@ -41,6 +41,17 @@ def _check_int(name: str, value: object, lo: int, hi: int | None = None) -> int:
     raise ValidationError(f"{name}: must be an integer {bounds}, got {value!r}")
 
 
+def _norm(amps: np.ndarray) -> float:
+    """Euclidean norm of amplitudes, inf on overflow: the squared parts summed by
+    math.fsum, so no BLAS kernel is involved and every CPU gives the same bits."""
+    with np.errstate(over="ignore"):  # finite amplitudes near 1e308 square to inf
+        squares = np.square(amps.real).tolist() + np.square(amps.imag).tolist()
+    try:
+        return math.sqrt(math.fsum(squares))
+    except OverflowError:  # finite squares whose sum passes the largest float
+        return math.inf
+
+
 def check_dim(d: int) -> int:
     return _check_int("d", d, MIN_DIM, MAX_DIM + 1)
 
@@ -113,7 +124,7 @@ class PureState:
             raise ValueError(f"amplitude vector must have length {d**n} (= {d}^{n}), got shape {amps.shape}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite (no NaN/Inf)")
-        norm = float(np.linalg.norm(amps))
+        norm = _norm(amps)
         if abs(norm - 1.0) > INTERNAL_TOL:
             raise ValueError(f"state norm must be 1 within {INTERNAL_TOL}, got {norm!r}")
         amps.flags.writeable = False
@@ -166,8 +177,7 @@ def make_state(d: int, amps: Sequence[complex]) -> PureState:
         raise ValidationError(f"amplitude count {arr.size} is not a power of d={d}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("amplitudes must be finite")
-    with np.errstate(over="ignore"):  # finite amplitudes near 1e308 overflow to norm inf
-        norm = float(np.linalg.norm(arr))
+    norm = _norm(arr)
     if abs(norm - 1.0) > INPUT_NORM_TOL:
         raise ValidationError(
             f"amplitudes must be normalized within {INPUT_NORM_TOL} (norm {norm!r})"
@@ -179,7 +189,7 @@ def random_state(d: int, num_qudits: int, rng: np.random.Generator) -> PureState
     """Haar-like random pure state from complex normal amplitudes."""
     size = d**num_qudits
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return PureState(d, num_qudits, amps / np.linalg.norm(amps))
+    return PureState(d, num_qudits, amps / _norm(amps))
 
 
 def _check_same_shape(x: PureState, y: PureState) -> None:

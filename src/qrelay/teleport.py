@@ -88,17 +88,17 @@ def _check_qudit(name: str, psi: PureState, d: int | None = None) -> None:
 def _check_forced(name: str, values: object, shape: tuple[int, ...], d: int) -> int | tuple:
     """The forced-value rule: `values` nests to `shape`, every leaf a dit in
     [0, d), as ints. A forced pair has shape (2,), a forced path (n, 2) and
-    forced noise (n,). Entries are checked in order before any state is
-    built, and the error names the first bad one, as in forced_path[6][0].
+    forced noise (n,). Every level is a tuple, list or integer array, never
+    a dict or set. Entries are checked in order before any state is built,
+    and the error names the first bad one, as in forced_path[6][0].
     """
     if not shape:
         return _check_int(name, values, 0, d)
-    try:
-        length = len(values)
-    except TypeError:  # no length: an int, or a 0-d array
-        length = None
-    if length != shape[0]:
-        entries = "dits" if len(shape) == 1 else "(a, b) pairs"
+    entries = "dits" if len(shape) == 1 else "(a, b) pairs"
+    int_array = isinstance(values, np.ndarray) and values.ndim > 0 and values.dtype.kind in "iu"
+    if not (int_array or isinstance(values, (tuple, list))):
+        raise ValidationError(f"{name}: must be a tuple, list or integer array of {entries}, got {values!r}")
+    if len(values) != shape[0]:
         raise ValidationError(f"{name}: must list {shape[0]} {entries}, got {values!r}")
     return tuple(_check_forced(f"{name}[{i}]", value, shape[1:], d) for i, value in enumerate(values))
 

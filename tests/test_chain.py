@@ -107,6 +107,11 @@ class TestChainConfig:
         with pytest.raises(ValidationError):
             ChainConfig(d=3, n=1, mode=LOCAL, noise=NoiseSpec((0.5, 0.5)), seed=0)
 
+    @pytest.mark.parametrize("noise", [(1.0, 0.0), [1.0, 0.0], None])
+    def test_rejects_noise_that_is_not_a_spec(self, noise):
+        with pytest.raises(ValidationError, match="^noise: expected NoiseSpec"):
+            ChainConfig(2, 2, LOCAL, noise, 0)
+
     def test_rejects_bad_seed(self):
         with pytest.raises(ValidationError):
             config(seed=-1)
@@ -349,6 +354,23 @@ class TestRunTrajectories:
         # a Z power only rephases basis states; Z^1 makes the uniform qubit orthogonal
         np.testing.assert_allclose(fidelity_table(basis_state(3, 1, (1,))), [1, 1, 1], atol=1e-12)
         np.testing.assert_allclose(fidelity_table(uniform_state(2)), [1, 0], atol=1e-12)
+        with pytest.raises(ValidationError, match="psi0: must be a single qudit"):
+            fidelity_table(basis_state(2, 2, (0, 1)))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 16])
+    def test_fidelity_table_matches_state_vector_oracle(self, d, monkeypatch):
+        """The closed form against fidelity(psi0, Z^K psi0), built and overlapped as states."""
+        states = [random_state(d, 1, np.random.default_rng(seed)) for seed in range(5)]
+        states += [uniform_state(d), basis_state(d, 1, (d - 1,))]
+        oracle = [[fidelity(psi, apply_1q(psi, gates.pauli_z_power(d, k), 0)) for k in range(d)] for psi in states]
+
+        def no_blas(*args, **kwargs):
+            raise AssertionError("BLAS call")
+
+        monkeypatch.setattr(np, "vdot", no_blas)
+        monkeypatch.setattr(np, "dot", no_blas)
+        for psi, expected in zip(states, oracle):
+            np.testing.assert_allclose(fidelity_table(psi), expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (5, 2)])
     def test_expected_fidelity_sums_the_oracle_over_noise_paths(self, d, n):
@@ -658,7 +680,7 @@ class TestForcedPathValidatedFirst:
             full_register_chain(2, 7, psi, [(0, 0)] * 6 + [last])
         assert kernel_calls == []
 
-    @pytest.mark.parametrize("last", [(0, 0, 0), (1,), 0, "01"])
+    @pytest.mark.parametrize("last", [(0, 0, 0), (1,), 0, "01", {1: 0, 0: 1}, {0, 1}, np.array([0.0, 1.0])])
     def test_bad_last_entry_is_named_before_any_gate(self, kernel_calls, last):
         psi = uniform_state(2)
         with pytest.raises(ValueError, match=re.escape("forced_path[6]")):
@@ -680,9 +702,20 @@ class TestForcedPathValidatedFirst:
         assert kernel_calls == []
 
     @pytest.mark.parametrize(
+        "field,values",
+        [("forced_noise", {1: 2, 0: 1}), ("forced_noise", {1, 0}), ("forced_noise", "01"),
+         ("forced_noise", np.array([0.0, 1.0])), ("forced_outcomes", {0: (0, 0), 1: (1, 1)})],
+    )
+    def test_only_sequences_are_forced(self, kernel_calls, field, values):
+        """A dict would run in key order and a set in hash order, so both are refused by name."""
+        with pytest.raises(ValidationError, match=f"^{field}: must be a tuple, list or integer array of "):
+            run_chain(config(d=3, n=2), uniform_state(3), **{field: values})
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize(
         "forced,field",
         [((1,), "forced"), ((1, 2, 3), "forced"), (7, "forced"), (np.array(7), "forced"),
-         ((0, 5), "forced[1]")],
+         ((0, 5), "forced[1]"), ({1: 2, 0: 1}, "forced"), ({1, 0}, "forced"), (range(2), "forced")],
     )
     def test_teleport_hop_forced_pair(self, kernel_calls, forced, field):
         with pytest.raises(ValidationError, match="^" + re.escape(field) + ": "):

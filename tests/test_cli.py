@@ -19,7 +19,7 @@ import pytest
 import qrelay.chain
 import qrelay.cli
 from qrelay import gates, selftest
-from qrelay.chain import enumerate_branches, expected_fidelity, fidelity_table, run_trajectories
+from qrelay.chain import enumerate_branches, expected_fidelity, fidelity_table, run_chain, run_trajectories
 from qrelay.cli import (
     ExperimentConfig,
     build_parser,
@@ -182,19 +182,37 @@ class TestCmdRun:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_history_csv(self, tmp_path):
-        history = tmp_path / "history.csv"
-        report = json.loads(cmd_run(parse(["run", "--d", "3", "--n", "2", "--history", str(history)])))
-        assert report["history_path"] == str(history)
-        with open(history, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["hop", "r", "amplitude_index", "re", "im"]
-        assert len(rows) == 1 + 3 * (2 + 1)  # header + d amplitudes per history entry
-        first = rows[1]
-        assert first[0] == "0" and first[1] == "0" and first[2] == "0"
-        assert float(first[3]) == pytest.approx(1 / math.sqrt(3))
-        # the CSV is trial 0's history, so its dits are the report's first trial
-        dits = [int(row[1]) for row in rows[1::3]]
-        assert dits == [0] + report["trials"][0]["results"]
+        """Every --history row is run_chain's trial-0 snapshot within 1e-12, with equal r.
+
+        Over d in {2, 3, 5, 16}, both modes, and noiseless, fixed Z^1 and stochastic noise.
+        """
+        history, n = tmp_path / "history.csv", 4
+        cases = []
+        for d in (2, 3, 5, 16):
+            weights = np.random.default_rng(d).random(d)
+            noises = [
+                ",".join(["1"] + ["0"] * (d - 1)),
+                ",".join(["0", "1"] + ["0"] * (d - 2)),
+                ",".join(map(repr, (weights / weights.sum()).tolist())),
+            ]
+            cases += itertools.product([d], ["local", "deferred"], noises, [0, 5])
+        for d, mode, noise, seed in cases:
+            config = parse(["run", "--d", str(d), "--n", str(n), "--mode", mode, "--noise", noise, "--seed",
+                            str(seed), "--state", "random", "--trials", "3", "--history", str(history)])
+            report = json.loads(cmd_run(config))
+            assert report["history_path"] == str(history)
+            with open(history, newline="") as handle:
+                rows = list(csv.reader(handle))
+            assert rows[0] == ["hop", "r", "amplitude_index", "re", "im"]
+            assert len(rows) == 1 + d * (n + 1)  # header + d amplitudes per history entry
+            oracle = run_chain(config.chain, initial_state(config)).history
+            for hop, entry in enumerate(oracle):
+                block = rows[1 + hop * d : 1 + (hop + 1) * d]
+                assert [row[:3] for row in block] == [[str(hop), str(entry.r), str(j)] for j in range(d)]
+                amps = np.array([complex(float(row[3]), float(row[4])) for row in block])
+                assert np.max(np.abs(amps - entry.state.amps)) <= 1e-12
+            # the CSV is trial 0's history, so its dits are the report's first trial
+            assert [int(row[1]) for row in rows[1::d]] == [0] + report["trials"][0]["results"]
 
     @pytest.mark.parametrize(
         "d,n,noise",
@@ -491,23 +509,37 @@ class TestSelftestNegativeControl:
 # the sha256 prefix of each report's canonical JSON value, as the indent-2 layout gave it
 REPORT_VALUES = {
     "run --d 3 --n 4 --mode deferred --noise 0.9,0.05,0.05 --trials 1000 --seed 7 --state uniform":
-        "d181322563be250e",
+        "d901e2c6469fc774",
     "run --d 2 --n 2 --history history.csv": "1dc096b9253977fc",
     "enumerate --d 2 --n 3": "62a73daf6d8cc5ef",
     "run --d 5 --n 6 --mode local --noise 0.6,0.1,0.1,0.1,0.1 --trials 50 --seed 3 --state random":
-        "6d9e358f36cb8100",
+        "a058fca9bd735c1a",
     "enumerate --d 8 --n 4 --mode local --seed 1 --state random": "61ee1bf1242794f2",
 }
 # the sha256 prefix of the same commands' exact stdout bytes
 REPORT_BYTES = dict(zip(REPORT_VALUES, [
-    "9c0ddce6c567df69", "e53198e428544587", "ebb3837a59e0df11", "62f2a985061e74cb", "b9e30f45cd72a878",
+    "1fdddf9e2f741292", "e53198e428544587", "ebb3837a59e0df11", "7cd5006548ca2a3a", "b9e30f45cd72a878",
 ]))
 # the sha256 prefix of the trial-0 history CSV each command writes to history.csv
 HISTORY_BYTES = {
-    "run --d 2 --n 2 --history history.csv": "3f382567d525f6fc",
+    "run --d 2 --n 2 --history history.csv": "6dbbf089d73c0467",
     "run --d 5 --n 6 --mode local --noise 0.6,0.1,0.1,0.1,0.1 --seed 3 --state random --history history.csv":
-        "e1147b3c5074adc9",
+        "c5a8c700540e8a3c",
 }
+
+
+def _not_dynamic_openblas() -> str | None:
+    """Why OPENBLAS_CORETYPE cannot pick numpy's BLAS kernel here, or None if it can."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "numpy does not report its BLAS build"
+    if "openblas" not in blas.get("name", "") or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return f"numpy's BLAS ({blas.get('name')}) is not a DYNAMIC_ARCH OpenBLAS, so no kernel can be forced"
+    return None
+
+
+NOT_DYNAMIC_OPENBLAS = _not_dynamic_openblas()
 
 
 def canonical(value) -> str:
@@ -574,6 +606,31 @@ class TestReportRendering:
         monkeypatch.chdir(tmp_path)
         assert main(command.split()) == 0
         assert hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest()[:16] == HISTORY_BYTES[command]
+
+    @pytest.mark.skipif(NOT_DYNAMIC_OPENBLAS is not None, reason=str(NOT_DYNAMIC_OPENBLAS))
+    def test_pinned_bytes_do_not_depend_on_the_openblas_kernel(self, tmp_path):
+        """The pinned commands, as `python -m qrelay` under three OpenBLAS kernels.
+
+        OPENBLAS_CORETYPE is set in each child's environment only. Haswell
+        and Prescott are what AVX2-only or older hosts select, and SkylakeX
+        what AVX-512 hosts select (OpenBLAS falls back where the CPU lacks it).
+        """
+        def digest(data):
+            return None if data is None else hashlib.sha256(data).hexdigest()[:16]
+
+        for index, command in enumerate(dict.fromkeys([*REPORT_BYTES, *HISTORY_BYTES])):
+            digests = {}
+            for kernel in ("Prescott", "Haswell", "SkylakeX"):
+                cwd = tmp_path / f"{index}-{kernel}"
+                cwd.mkdir()
+                child = subprocess.run([sys.executable, "-m", "qrelay", *command.split()], cwd=cwd,
+                                       env={**SRC_ENV, "OPENBLAS_CORETYPE": kernel}, capture_output=True, check=True)
+                history = cwd / "history.csv"
+                digests[kernel] = (digest(child.stdout), digest(history.read_bytes() if history.exists() else None))
+            assert len(set(digests.values())) == 1, (command, digests)
+            stdout, csv_bytes = digests["Prescott"]
+            assert stdout == REPORT_BYTES.get(command, stdout)
+            assert csv_bytes == HISTORY_BYTES.get(command)
 
     @pytest.mark.parametrize("d", [2, 3, 10, 11, 16])
     @pytest.mark.parametrize("n", [1, 3])

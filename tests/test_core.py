@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -174,8 +175,9 @@ class TestMakeState:
         # finite amplitudes whose norm overflows get the named error and no numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match=r"\(norm inf\)"):
-                make_state(2, [1e308, 1e308])
+            for amps in ([1e308, 1e308], [1e154, 1e154j]):  # squares overflow, or only their sum
+                with pytest.raises(ValidationError, match=r"\(norm inf\)"):
+                    make_state(2, amps)
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValidationError):
@@ -199,6 +201,72 @@ class TestMakeState:
         state = make_state(2, [1, 0])
         with pytest.raises(ValueError):
             state.amps[0] = 0.0
+
+
+class TestNorm:
+    def test_matches_exact_norm(self):
+        rng = np.random.default_rng(21)
+        for size in (2, 3, 16, 256):
+            amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            exact = sum(Fraction(float(x)) ** 2 for x in np.concatenate([amps.real, amps.imag]))
+            # fsum rounds the sum of the rounded squares once, and sqrt rounds once more
+            assert abs(core._norm(amps) - math.sqrt(exact)) <= 2 * math.ulp(math.sqrt(exact))
+
+    def test_state_builders_make_no_blas_call(self, monkeypatch):
+        def no_blas(*args, **kwargs):
+            raise AssertionError("BLAS call")
+
+        for name in ("vdot", "dot", "inner"):
+            monkeypatch.setattr(np, name, no_blas)
+        monkeypatch.setattr(np.linalg, "norm", no_blas)
+        make_state(3, [0.6, 0.0, 0.8j])
+        random_state(4, 2, np.random.default_rng(3))
+
+
+def _draw_law(probs) -> list[int]:
+    """How many of the 2^53 doubles Generator.random() returns _draw_dit maps to each dit.
+
+    random() returns m * 2^-53 for m in [0, 2^53), and dit j takes the m with
+    c_(j-1) <= m * 2^-53 < c_j, so its count is ceil(c_j * 2^53) - ceil(c_(j-1) * 2^53),
+    with c the float cdf _draw_dit builds and c_(-1) = 0.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    edges = [0] + [math.ceil(Fraction(float(c)) * 2**53) for c in cdf]
+    return [hi - lo for lo, hi in zip(edges, edges[1:])]
+
+
+# the noise channels the test suite runs, besides the uniform 1/d carrier draw
+TESTED_NOISE = [
+    (0.5, 0.5), (0.7, 0.3), (0.8, 0.2), (0.0, 1.0), (0.6, 0.2, 0.2), (0.4, 0.3, 0.3), (0.8, 0.1, 0.1),
+    (0.9, 0.05, 0.05), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.6, 0.1, 0.1, 0.1, 0.1), (0.0625,) * 16,
+    *[(0.5,) + (0.5 / (d - 1),) * (d - 1) for d in (2, 3, 10, 11, 16)],
+    *[(0.9,) + (0.1 / (d - 1),) * (d - 1) for d in (2, 3, 5)],
+    *[tuple(np.eye(d)[1]) for d in (2, 3, 5, 16)],
+    *[tuple(w / w.sum()) for w in (np.random.default_rng(46 + d).random(d) for d in ALL_DIMS)],
+]
+
+
+class TestDrawDitLaw:
+    @pytest.mark.parametrize("probs", [np.full(d, 1.0 / d) for d in ALL_DIMS] + TESTED_NOISE)
+    def test_exact_law_is_within_two_grid_points_of_probs(self, probs):
+        counts = _draw_law(probs)
+        assert sum(counts) == 2**53
+        for count, p in zip(counts, probs):
+            # 2^-52 = 2 * 2^-53, one ulp of 1.0: the cdf's roundings move each step by less
+            assert abs(count - Fraction(float(p)) * 2**53) <= 2
+
+    def test_pinned_count_matches_a_brute_force_scan(self):
+        probs = (0.9, 0.05, 0.05)
+        counts = _draw_law(probs)
+        assert counts == [8106479329266893, 450359962737050, 450359962737049]
+        # scan 16 doubles either side of each cdf step: the dit changes exactly at the step
+        step = 0
+        for j, count in enumerate(counts[:-1]):
+            step += count
+            m = np.arange(step - 16, step + 16)
+            assert core._draw_dit(probs, m / 2**53).tolist() == [j] * 16 + [j + 1] * 16
 
 
 class TestOverlap:
