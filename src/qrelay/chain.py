@@ -392,27 +392,43 @@ def _register_gate(
     """g on `positions` (slot order) of the sparse `width`-qudit register that
     holds amplitude vals[e] at flat index idx[e], identity elsewhere.
 
-    Each entry is sent through the nonzero entries of g's column for its
-    digits at `positions`; entries that land on the same index are summed,
-    and a sum that cancels to within its rounding bound (side * eps times
-    the sum of its terms' magnitudes) is dropped. Returns (indices, values).
+    Each entry is sent through the nonzero entries of its column of g (the
+    gate's column table, built with the gate) for its digits at `positions`.
+    Two terms can land on one index only if g has a column with more than
+    one nonzero and the entries' digits at `positions` differ. Otherwise (a
+    monomial gate such as CNOT, CNOT-dagger or Z^r, or any gate on digits
+    that every entry shares, such as F on a fresh ancilla) the result is the
+    nonzero terms themselves. Colliding terms are summed, and a sum that
+    cancels to within its rounding bound (side * eps times the sum of its
+    terms' magnitudes) is dropped. Returns (indices, values), indices
+    strictly increasing.
     """
-    d, side = g.d, g.mat.shape[0]
+    d = g.d
     strides = np.array([d ** (width - 1 - q) for q in positions])
     digits = idx[:, None] // strides % d
-    column = np.ravel_multi_index(tuple(digits.T), (d,) * g.arity)
-    # each gate row r's digits, placed at the positions' strides
-    offsets = strides @ np.indices((d,) * g.arity).reshape(g.arity, side)
-    coeffs = g.mat[:, column]
-    nonzero = coeffs != 0
-    landing = (offsets[:, None] + (idx - digits @ strides))[nonzero]
-    terms = (coeffs * vals)[nonzero]
-    out_idx, slot = np.unique(landing, return_inverse=True)
-    out = np.zeros(out_idx.size, dtype=np.complex128)
-    np.add.at(out, slot, terms)
-    weight = np.bincount(slot, np.abs(terms), out_idx.size)
-    live = np.abs(out) > side * np.finfo(np.float64).eps * weight
-    return out_idx[live], out[live]
+    column = digits @ np.array([d ** (g.arity - 1 - j) for j in range(g.arity)])
+    if g._monomial:
+        landing = idx + g._column_shifts[column, 0] @ strides
+        terms = g._column_entries[column, 0] * vals
+    elif (column == column[0]).all():
+        landing = (idx[:, None] + g._column_shifts[column[0]] @ strides).ravel()
+        terms = (vals[:, None] * g._column_entries[column[0]]).ravel()
+    else:
+        landing = (idx[:, None] + g._column_shifts[column] @ strides).ravel()
+        terms = (vals[:, None] * g._column_entries[column]).ravel()
+        nonzero = terms.nonzero()[0]
+        out_idx, slot = np.unique(landing[nonzero], return_inverse=True)
+        terms, size = terms[nonzero], out_idx.size
+        out = np.empty(size, dtype=np.complex128)
+        out.real = np.bincount(slot, terms.real, size)
+        out.imag = np.bincount(slot, terms.imag, size)
+        weight = np.bincount(slot, np.abs(terms), size)
+        live = np.abs(out) > g.mat.shape[0] * np.finfo(np.float64).eps * weight
+        return out_idx[live], out[live]
+    # no two terms share an index: keep the nonzero ones, in index order
+    kept = terms.nonzero()[0]
+    kept = kept[landing[kept].argsort()]
+    return landing[kept], terms[kept]
 
 
 def _register_measure(
@@ -421,16 +437,24 @@ def _register_measure(
     """Force `outcome` on qudit `target` of the sparse register: keep the
     entries with that digit and renormalize them."""
     kept = idx // d ** (width - 1 - target) % d == outcome
-    prob = float(np.sum(vals[kept].real ** 2 + vals[kept].imag ** 2))
+    idx, vals = idx[kept], vals[kept]
+    prob = float((vals.real**2 + vals.imag**2).sum())
     _check_possible(outcome, target, prob)
-    return idx[kept], vals[kept] / math.sqrt(prob)
+    return idx, vals / math.sqrt(prob)
 
 
 def _register_block_entropy(idx: np.ndarray, vals: np.ndarray, d: int, first: int, width: int) -> float:
-    """Entropy of qudits first..first+2 of the sparse register, in base-d units,
-    from the singular values of its Schmidt matrix restricted to the support."""
+    """Entropy of qudits first..first+2 of the sparse register, in base-d units.
+
+    If every entry has the same digits on the block, the Schmidt matrix has
+    one row: the block is a basis state times the rest, and the entropy is
+    exactly +0.0. Otherwise it comes from the singular values of the Schmidt
+    matrix restricted to the support.
+    """
     low = d ** (width - first - 3)
     block = idx // low % d**3
+    if (block == block[0]).all():
+        return 0.0
     _, row = np.unique(block, return_inverse=True)
     _, col = np.unique(idx - block * low, return_inverse=True)
     schmidt = np.zeros((row.max() + 1, col.max() + 1), dtype=np.complex128)
