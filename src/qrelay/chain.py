@@ -13,7 +13,9 @@ hop is corrected by a Z power and every channel error is a Z power, a run
 always delivers Z^K psi0 with K = (sum of noise exponents) mod d, so
 `run_trajectories`, the engine `qrelay run` uses, only draws the dits and
 reads the fidelity from a d-entry table. The two agree exactly on the
-dits almost surely: the oracle's Born cdf equals k/d only up to rounding.
+dits except on at most d * 2^-50 of the doubles a hop's carrier draw can
+take: the oracle's Born cdf equals k/d only up to rounding, and the tests
+count the doubles between the two cdfs.
 
 The same fact makes `qrelay enumerate` closed-form: under a fixed channel
 exponent k every carrier path delivers Z^K psi0 with K = n*k mod d.
@@ -484,8 +486,11 @@ def full_register_chain(
     hop ends with two standard-basis measurements. Gates, measurements and
     entropies act on the whole register through `_register_gate`,
     `_register_measure` and `_register_block_entropy`, independently of the
-    dense gate kernel. Only the final receiver slice leaves, as a validated
-    PureState.
+    dense gate kernel. The CNOTs, CNOT-daggers and Z corrections are
+    monomial and F acts on a fresh ancilla, so only the n F^-1 on the
+    carriers can make terms collide. In a correct run every handed-off
+    block is a basis state, so each boundary entropy is exactly +0.0 with
+    no SVD. Only the final receiver slice leaves, as a validated PureState.
     """
     d, n = check_dim(d), _check_int("n", n, 1)
     CorrectionMode.check(mode)

@@ -69,9 +69,14 @@ def _draw_dit(probs: Sequence[float] | np.ndarray, u: float | np.ndarray) -> np.
 
 
 def root_of_unity(d: int, k: int) -> complex:
-    """k-th power of the primitive d-th root of unity, exp(2*pi*i*k/d)."""
+    """k-th power of the primitive d-th root of unity, exp(2*pi*i*k/d).
+
+    root_of_unity(d, d - k) is exactly the conjugate of root_of_unity(d, k).
+    """
     d = check_dim(d)
     k = _check_int("k", k, 0, d)
+    if 2 * k > d:
+        return root_of_unity(d, d - k).conjugate()
     # quadrant angles come out exact instead of carrying sin/cos rounding
     if k == 0:
         return complex(1.0, 0.0)
@@ -79,8 +84,6 @@ def root_of_unity(d: int, k: int) -> complex:
         return complex(-1.0, 0.0)
     if 4 * k == d:
         return complex(0.0, 1.0)
-    if 4 * k == 3 * d:
-        return complex(0.0, -1.0)
     angle = 2.0 * math.pi * k / d
     return complex(math.cos(angle), math.sin(angle))
 
@@ -182,14 +185,16 @@ def make_state(d: int, amps: Sequence[complex]) -> PureState:
         raise ValidationError(
             f"amplitudes must be normalized within {INPUT_NORM_TOL} (norm {norm!r})"
         )
-    return PureState(d, num_qudits, arr / norm)
+    # dividing by the norm leaves it 1 to within rounding, so it is not summed again
+    return PureState._trusted(d, num_qudits, arr / norm)
 
 
 def random_state(d: int, num_qudits: int, rng: np.random.Generator) -> PureState:
     """Haar-like random pure state from complex normal amplitudes."""
+    d, num_qudits = check_dim(d), _check_int("num_qudits", num_qudits, 1)
     size = d**num_qudits
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return PureState(d, num_qudits, amps / _norm(amps))
+    return PureState._trusted(d, num_qudits, amps / _norm(amps))
 
 
 def _check_same_shape(x: PureState, y: PureState) -> None:

@@ -69,15 +69,16 @@ class GateMatrix:
             diagonal = np.diagonal(mat).reshape(side, 1)
         object.__setattr__(self, "_diagonal", diagonal)
         nonzero = mat != 0
-        width = max(int(nonzero.sum(axis=0).max()), 1)
-        # each column's nonzero rows first, in row order, then zero rows as padding
-        rows = np.argsort(~nonzero, axis=0, kind="stable")[:width].T
+        fullest = max(int(nonzero.sum(axis=0).max()), 1)
+        # row k of column c: its k-th nonzero row in row order, then zero rows as padding
+        rows = np.argsort(~nonzero, axis=0, kind="stable")[:fullest].T
         places = d ** np.arange(arity - 1, -1, -1)
         shifts = rows[..., None] // places % d - np.arange(side)[:, None, None] // places % d
-        for name, value in (("_column_shifts", shifts), ("_column_entries", np.take_along_axis(mat, rows.T, 0).T)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        monomial = width == 1 and nonzero.sum() == side and np.unique(rows).size == side
+        entries = np.ascontiguousarray(np.take_along_axis(mat.T, rows, 1))
+        shifts.flags.writeable = entries.flags.writeable = False
+        object.__setattr__(self, "_column_shifts", shifts)
+        object.__setattr__(self, "_column_entries", entries)
+        monomial = fullest == 1 and nonzero.sum() == side and np.unique(rows).size == side
         object.__setattr__(self, "_monomial", bool(monomial))
 
 

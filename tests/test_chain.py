@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qrelay import chain, gates
+from qrelay import chain, gates, teleport
 from qrelay.chain import (
     ChainConfig,
     NoiseSpec,
@@ -302,10 +302,11 @@ class TestRunTrajectories:
     def test_matches_state_vector_oracle(self, d, mode):
         """The closed-form engine reports what run_chain reports, trial for trial.
 
-        Equal dits are almost sure, not guaranteed: run_chain samples the
-        carrier from Born probabilities that equal 1/d only up to rounding,
-        so a double within an ulp of a cdf step may fall on the other side
-        of it there.
+        Equal dits are not guaranteed: run_chain samples the carrier from
+        Born probabilities that equal 1/d only up to rounding, so a double
+        within a few ulps of a cdf step may fall on the other side of it
+        there (at most d * 2^-50 of the doubles per hop, as the next test
+        checks).
         """
         rng = np.random.default_rng(46 + d)
         psi = random_state(d, 1, rng)
@@ -326,6 +327,37 @@ class TestRunTrajectories:
                 deferred = None if batch.deferred_exponents is None else batch.deferred_exponents[i]
                 assert deferred == oracle.deferred_exponent
                 assert abs(batch.fidelities[i] - oracle.fidelity_vs_initial) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_engines_disagree_on_at_most_d_2_to_the_minus_50_of_a_hop(self, d, monkeypatch):
+        """Bound the doubles on which run_chain's carrier dit differs from run_trajectories'.
+
+        Generator.random() returns m * 2^-53, and a cdf step c splits them at
+        ceil(c * 2^53), so the doubles between the oracle's Born cdf and the
+        uniform k/d cdf number sum_j |ceil(born_j * 2^53) - ceil(k_j * 2^53)|.
+        """
+        def grid(probs):
+            p = np.asarray(probs, dtype=np.float64)
+            cdf = (p / p.sum()).cumsum()
+            cdf /= cdf[-1]
+            return [math.ceil(Fraction(float(c)) * 2**53) for c in cdf]
+
+        draws = []
+
+        def recorded(probs, u):
+            draws.append(probs)
+            return _draw_dit(probs, u)
+
+        monkeypatch.setattr(teleport, "_draw_dit", recorded)
+        uniform = grid(np.full(d, 1.0 / d))
+        rng = np.random.default_rng(100 + d)
+        worst = 0
+        for psi in [random_state(d, 1, rng) for _ in range(40)] + [uniform_state(d), basis_state(d, 1, (d - 1,))]:
+            draws.clear()
+            teleport_hop(psi, DEFERRED, rng=rng)
+            born = grid(draws[0])  # the carrier's; the ancilla's comes second
+            worst = max(worst, sum(abs(b - u) for b, u in zip(born, uniform)))
+        assert worst <= d * 2**3  # d * 2^-50 of the 2^53 doubles
 
     def test_trial_i_is_block_i_of_the_seed_stream(self):
         """Trial i maps doubles [3n*i, 3n*(i+1)) of default_rng(seed), so adjacent
@@ -371,6 +403,14 @@ class TestRunTrajectories:
         monkeypatch.setattr(np, "dot", no_blas)
         for psi, expected in zip(states, oracle):
             np.testing.assert_allclose(fidelity_table(psi), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_fidelity_table_is_symmetric_bit_for_bit(self, d):
+        # Z^(d-K) psi0 is the conjugate of Z^K psi0 up to the weights' phases, so F[K] == F[d-K]
+        rng = np.random.default_rng(70 + d)
+        for psi in [random_state(d, 1, rng) for _ in range(5)] + [uniform_state(d)]:
+            table = fidelity_table(psi).tolist()
+            assert table[1:] == table[:0:-1]
 
     @pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (5, 2)])
     def test_expected_fidelity_sums_the_oracle_over_noise_paths(self, d, n):
@@ -584,6 +624,57 @@ class TestSparseRegister:
                 dense(d, width, out_idx, out_vals), expected.amps, rtol=0, atol=1e-12, err_msg=str(positions)
             )
 
+    @pytest.mark.parametrize("name", sorted(HOP_GATES))
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_matches_dense_kernel_on_constant_gate_digits(self, d, name):
+        # the gate's qudits hold basis states, the rest is random: every entry shares the gate digits
+        g = HOP_GATES[name](d)
+        rng = np.random.default_rng(80 + d)
+        width = 4
+        for positions in [(1,), (3,)] if g.arity == 1 else [(0, 2), (3, 1)]:
+            digits = [int(k) for k in rng.integers(d, size=g.arity)]
+            factors = {q: basis_state(d, 1, (k,)) for q, k in zip(positions, digits)}
+            state = factors.get(0) or random_state(d, 1, rng)
+            for q in range(1, width):
+                state = tensor_product(state, factors.get(q) or random_state(d, 1, rng))
+            idx, vals = sparse(state)
+            assert idx.size == d ** (width - g.arity)
+            expected = apply_1q(state, g, *positions) if g.arity == 1 else apply_2q(state, g, *positions)
+            out_idx, out_vals = _register_gate(g, idx, vals, positions, width)
+            assert np.all(np.diff(out_idx) > 0) and np.all(out_vals != 0)
+            np.testing.assert_allclose(
+                dense(d, width, out_idx, out_vals), expected.amps, rtol=0, atol=1e-12, err_msg=str(positions)
+            )
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_uneven_columns_match_dense_kernel_and_store_no_zero(self, d):
+        # controlled Fourier: one nonzero in each control-0 column, d in every other
+        mat = np.zeros((d * d, d * d), dtype=complex)
+        mat[:d, :d] = np.eye(d)
+        for a in range(1, d):
+            mat[a * d : (a + 1) * d, a * d : (a + 1) * d] = gates.hadamard(d).mat
+        g = gates.GateMatrix(d, 2, mat)
+        assert g.unitary and not g._monomial
+        # control in superposition, target in F^-1|0>: F sends it back to |0>, the other d - 1
+        # sums cancel exactly at d = 2 and to rounding otherwise, and none may be stored
+        control = random_state(d, 1, np.random.default_rng(90 + d))
+        target = apply_1q(basis_state(d, 1, (0,)), gates.hadamard_inverse(d), 0)
+        rest = random_state(d, 1, np.random.default_rng(91 + d))
+        cases = [tensor_product(tensor_product(control, rest), target)]
+        cases += [tensor_product(tensor_product(basis_state(d, 1, (a,)), rest), target) for a in (0, d - 1)]
+        # constant gate digits: the zero padding of a control-0 column gives zero terms
+        cases += [tensor_product(basis_state(d, 1, (a,)), tensor_product(rest, basis_state(d, 1, (1,)))) for a in (0, 1)]
+        cases.append(random_state(d, 3, np.random.default_rng(92 + d)))
+        for state in cases:
+            idx, vals = sparse(state)
+            out_idx, out_vals = _register_gate(g, idx, vals, (0, 2), 3)
+            assert np.all(np.diff(out_idx) > 0) and np.all(out_vals != 0)
+            expected = apply_2q(state, g, 0, 2).amps
+            np.testing.assert_allclose(dense(d, 3, out_idx, out_vals), expected, rtol=0, atol=1e-12)
+        # the first case: control digit 0 keeps its d target terms, every other control digit one
+        out_idx, _ = _register_gate(g, *sparse(cases[0]), (0, 2), 3)
+        assert out_idx.size == d * (d + d - 1)
+
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_fourier_then_inverse_cancels_to_one_entry(self, d):
         state = basis_state(d, 2, (1, d - 1))
@@ -618,6 +709,25 @@ class TestSparseRegister:
             for first in range(0, width - 2, 3):
                 expected = entanglement_entropy(state, (first, first + 1, first + 2))
                 assert abs(_register_block_entropy(idx, vals, d, first, width) - expected) <= 1e-12
+
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_entangled_block_is_not_taken_for_rank_one(self, d):
+        # sum_j |j00>|j00> / sqrt(d): the block and the rest share a maximally entangled pair
+        idx = np.array([j * d**5 + j * d**2 for j in range(d)])
+        vals = np.full(d, 1 / math.sqrt(d), dtype=complex)
+        assert abs(_register_block_entropy(idx, vals, d, 0, 6) - 1.0) <= 1e-12
+        assert abs(_register_block_entropy(idx, vals, d, 3, 6) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_basis_block_has_entropy_plus_zero(self, d):
+        # block 1 is the basis state |1,0,d-1>; block 0, a random state, is a product with it
+        # too, but its digits vary, so its entropy comes from the singular values
+        state = tensor_product(random_state(d, 3, np.random.default_rng(95 + d)), basis_state(d, 3, (1, 0, d - 1)))
+        idx, vals = sparse(state)
+        entropy = _register_block_entropy(idx, vals, d, 3, 6)
+        assert (entropy, math.copysign(1.0, entropy)) == (0.0, 1.0)
+        assert 0.0 <= _register_block_entropy(idx, vals, d, 0, 6) <= 1e-12
 
 
 def joint_register_oracle(d, n, psi0, path, mode):

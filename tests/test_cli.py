@@ -509,22 +509,22 @@ class TestSelftestNegativeControl:
 # the sha256 prefix of each report's canonical JSON value, as the indent-2 layout gave it
 REPORT_VALUES = {
     "run --d 3 --n 4 --mode deferred --noise 0.9,0.05,0.05 --trials 1000 --seed 7 --state uniform":
-        "d901e2c6469fc774",
+        "e16c529f0bc025af",
     "run --d 2 --n 2 --history history.csv": "1dc096b9253977fc",
     "enumerate --d 2 --n 3": "62a73daf6d8cc5ef",
     "run --d 5 --n 6 --mode local --noise 0.6,0.1,0.1,0.1,0.1 --trials 50 --seed 3 --state random":
-        "a058fca9bd735c1a",
+        "c304a50c51b602bd",
     "enumerate --d 8 --n 4 --mode local --seed 1 --state random": "61ee1bf1242794f2",
 }
 # the sha256 prefix of the same commands' exact stdout bytes
 REPORT_BYTES = dict(zip(REPORT_VALUES, [
-    "1fdddf9e2f741292", "e53198e428544587", "ebb3837a59e0df11", "7cd5006548ca2a3a", "b9e30f45cd72a878",
+    "f9f93d9ee8e1d887", "e53198e428544587", "ebb3837a59e0df11", "9c420f8eeaf537bc", "b9e30f45cd72a878",
 ]))
 # the sha256 prefix of the trial-0 history CSV each command writes to history.csv
 HISTORY_BYTES = {
     "run --d 2 --n 2 --history history.csv": "6dbbf089d73c0467",
     "run --d 5 --n 6 --mode local --noise 0.6,0.1,0.1,0.1,0.1 --seed 3 --state random --history history.csv":
-        "c5a8c700540e8a3c",
+        "41a4d8b90032aeb3",
 }
 
 

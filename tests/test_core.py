@@ -54,6 +54,12 @@ class TestRootOfUnity:
         for k in range(d):
             assert root_of_unity(d, k) ** d == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", ALL_DIMS)
+    def test_opposite_powers_are_exact_conjugates(self, d):
+        for k in range(1, d):
+            z, w = root_of_unity(d, k), root_of_unity(d, d - k)
+            assert (w.real, w.imag) == (z.real, -z.imag), (k, z, w)
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             root_of_unity(3, 3)
@@ -518,6 +524,24 @@ def test_reduced_density_is_a_density_matrix(d, n, seed):
     assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_state_builders_return_unit_norm(d, n, seed):
+    """make_state and random_state normalize once and skip PureState's re-check; check it here."""
+    rng = np.random.default_rng(seed)
+    state = random_state(d, n, rng)
+    assert abs(core._norm(state.amps) - 1.0) <= core.INTERNAL_TOL
+    # input off by up to INPUT_NORM_TOL is renormalized
+    scale = 1.0 + core.INPUT_NORM_TOL * (2.0 * rng.random() - 1.0)
+    built = make_state(d, state.amps * scale)
+    assert abs(core._norm(built.amps) - 1.0) <= core.INTERNAL_TOL
+    assert built.amps.flags.writeable is False and built.amps.dtype == np.complex128
 
 
 def assert_state_invariants(state, d, num_qudits):
