@@ -409,15 +409,9 @@ def _register_gate(
     strides = np.array([d ** (width - 1 - q) for q in positions])
     digits = idx[:, None] // strides % d
     column = digits @ np.array([d ** (g.arity - 1 - j) for j in range(g.arity)])
-    if g._monomial:
-        landing = idx + g._column_shifts[column, 0] @ strides
-        terms = g._column_entries[column, 0] * vals
-    elif (column == column[0]).all():
-        landing = (idx[:, None] + g._column_shifts[column[0]] @ strides).ravel()
-        terms = (vals[:, None] * g._column_entries[column[0]]).ravel()
-    else:
-        landing = (idx[:, None] + g._column_shifts[column] @ strides).ravel()
-        terms = (vals[:, None] * g._column_entries[column]).ravel()
+    landing = (idx[:, None] + g._column_shifts[column] @ strides).ravel()
+    terms = (vals[:, None] * g._column_entries[column]).ravel()
+    if not g._monomial and (column != column[0]).any():
         nonzero = terms.nonzero()[0]
         out_idx, slot = np.unique(landing[nonzero], return_inverse=True)
         terms, size = terms[nonzero], out_idx.size
