@@ -412,9 +412,9 @@ def _register_gate(
     landing = (idx[:, None] + g._column_shifts[column] @ strides).ravel()
     terms = (vals[:, None] * g._column_entries[column]).ravel()
     if not g._monomial and (column != column[0]).any():
-        nonzero = terms.nonzero()[0]
-        out_idx, slot = np.unique(landing[nonzero], return_inverse=True)
-        terms, size = terms[nonzero], out_idx.size
+        # a zero term adds nothing, and an index that only zero terms reach is dropped
+        out_idx, slot = np.unique(landing, return_inverse=True)
+        size = out_idx.size
         out = np.empty(size, dtype=np.complex128)
         out.real = np.bincount(slot, terms.real, size)
         out.imag = np.bincount(slot, terms.imag, size)

@@ -50,7 +50,7 @@ class GateMatrix:
     # digits minus column c's digits, one per slot
     _column_shifts: np.ndarray = field(init=False, repr=False)
     _column_entries: np.ndarray = field(init=False, repr=False)
-    # one nonzero per column, on distinct rows: distinct inputs never share an output
+    # one nonzero in every row and every column: distinct inputs never share an output
     _monomial: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -78,7 +78,7 @@ class GateMatrix:
         shifts.flags.writeable = entries.flags.writeable = False
         object.__setattr__(self, "_column_shifts", shifts)
         object.__setattr__(self, "_column_entries", entries)
-        monomial = fullest == 1 and nonzero.sum() == side and np.unique(rows).size == side
+        monomial = (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
         object.__setattr__(self, "_monomial", bool(monomial))
 
 

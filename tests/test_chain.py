@@ -406,7 +406,7 @@ class TestRunTrajectories:
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_fidelity_table_is_symmetric_bit_for_bit(self, d):
-        # Z^(d-K) psi0 is the conjugate of Z^K psi0 up to the weights' phases, so F[K] == F[d-K]
+        # F[d-K] sums the conjugates of F[K]'s phases with the same weights, so its modulus is equal
         rng = np.random.default_rng(70 + d)
         for psi in [random_state(d, 1, rng) for _ in range(5)] + [uniform_state(d)]:
             table = fidelity_table(psi).tolist()
@@ -663,7 +663,9 @@ class TestSparseRegister:
         cases = [tensor_product(tensor_product(control, rest), target)]
         cases += [tensor_product(tensor_product(basis_state(d, 1, (a,)), rest), target) for a in (0, d - 1)]
         # constant gate digits: the zero padding of a control-0 column gives zero terms
-        cases += [tensor_product(basis_state(d, 1, (a,)), tensor_product(rest, basis_state(d, 1, (1,)))) for a in (0, 1)]
+        cases += [
+            tensor_product(tensor_product(basis_state(d, 1, (a,)), rest), basis_state(d, 1, (1,))) for a in (0, 1)
+        ]
         cases.append(random_state(d, 3, np.random.default_rng(92 + d)))
         for state in cases:
             idx, vals = sparse(state)
@@ -709,7 +711,6 @@ class TestSparseRegister:
             for first in range(0, width - 2, 3):
                 expected = entanglement_entropy(state, (first, first + 1, first + 2))
                 assert abs(_register_block_entropy(idx, vals, d, first, width) - expected) <= 1e-12
-
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_entangled_block_is_not_taken_for_rank_one(self, d):
