@@ -395,7 +395,7 @@ def _register_gate(
     holds amplitude vals[e] at flat index idx[e], identity elsewhere.
 
     Each entry is sent through the nonzero entries of its column of g (the
-    gate's column table, built with the gate) for its digits at `positions`.
+    gate's column table, built once per gate) for its digits at `positions`.
     Two terms can land on one index only if g has a column with more than
     one nonzero and the entries' digits at `positions` differ. Otherwise (a
     monomial gate such as CNOT, CNOT-dagger or Z^r, or any gate on digits
@@ -409,9 +409,10 @@ def _register_gate(
     strides = np.array([d ** (width - 1 - q) for q in positions])
     digits = idx[:, None] // strides % d
     column = digits @ np.array([d ** (g.arity - 1 - j) for j in range(g.arity)])
-    landing = (idx[:, None] + g._column_shifts[column] @ strides).ravel()
-    terms = (vals[:, None] * g._column_entries[column]).ravel()
-    if not g._monomial and (column != column[0]).any():
+    shifts, entries, monomial = g._columns
+    landing = (idx[:, None] + shifts[column] @ strides).ravel()
+    terms = (vals[:, None] * entries[column]).ravel()
+    if not monomial and (column != column[0]).any():
         # a zero term adds nothing, and an index that only zero terms reach is dropped
         out_idx, slot = np.unique(landing, return_inverse=True)
         size = out_idx.size

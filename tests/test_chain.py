@@ -654,7 +654,7 @@ class TestSparseRegister:
         for a in range(1, d):
             mat[a * d : (a + 1) * d, a * d : (a + 1) * d] = gates.hadamard(d).mat
         g = gates.GateMatrix(d, 2, mat)
-        assert g.unitary and not g._monomial
+        assert g.unitary and not g._columns[2]  # not monomial
         # control in superposition, target in F^-1|0>: F sends it back to |0>, the other d - 1
         # sums cancel exactly at d = 2 and to rounding otherwise, and none may be stored
         control = random_state(d, 1, np.random.default_rng(90 + d))
