@@ -405,7 +405,7 @@ def _register_gate(
     terms' magnitudes) is dropped. Returns (indices, values), indices
     strictly increasing.
     """
-    d = g.d
+    d, side = g.d, g.mat.shape[0]
     strides = np.array([d ** (width - 1 - q) for q in positions])
     digits = idx[:, None] // strides % d
     column = digits @ np.array([d ** (g.arity - 1 - j) for j in range(g.arity)])
@@ -420,7 +420,7 @@ def _register_gate(
         out.real = np.bincount(slot, terms.real, size)
         out.imag = np.bincount(slot, terms.imag, size)
         weight = np.bincount(slot, np.abs(terms), size)
-        live = np.abs(out) > g.mat.shape[0] * np.finfo(np.float64).eps * weight
+        live = np.abs(out) > side * np.finfo(np.float64).eps * weight
         return out_idx[live], out[live]
     # no two terms share an index: keep the nonzero ones, in index order
     kept = terms.nonzero()[0]

@@ -540,6 +540,27 @@ class TestFullRegisterChain:
         entropies = full_register_chain(2, 7, psi, path).boundary_entropies
         assert [(e, math.copysign(1.0, e)) for e in entropies] == [(0.0, 1.0)] * 6
 
+    @pytest.mark.parametrize("mode", [LOCAL, DEFERRED])
+    def test_only_the_carrier_inverse_fourier_sums_collisions(self, mode, monkeypatch):
+        # the CNOTs, CNOT-daggers and Z corrections are monomial and F meets a fresh ancilla, so
+        # of a 7-hop run's gates only the 7 F^-1 group terms, and its 6 boundaries take no SVD
+        groupings = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            groupings.append(args)
+            return unique(*args, **kwargs)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a rank-one boundary took the SVD")
+
+        monkeypatch.setattr(np, "unique", counted)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        psi = random_state(2, 1, np.random.default_rng(46))
+        joint = full_register_chain(2, 7, psi, [(1, 0), (0, 1), (1, 1), (0, 0), (1, 0), (0, 1), (1, 1)], mode=mode)
+        assert len(groupings) == 7
+        assert joint.boundary_entropies == (0.0,) * 6
+
     def test_boundary_entropy_count(self):
         psi = random_state(2, 1, np.random.default_rng(43))
         joint = full_register_chain(2, 3, psi, [(0, 0), (1, 1), (0, 1)])
