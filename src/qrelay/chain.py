@@ -23,6 +23,12 @@ exponent k every carrier path delivers Z^K psi0 with K = n*k mod d.
 the library as that command's oracle; both share the enumeration
 preconditions (`_enumeration_exponent`). The CLI runs no state-vector
 code: `run_chain` and `enumerate_branches` are library oracles only.
+
+`full_register_chain` runs the whole chain on one joint 3n-qudit register
+as a cross-check of the factorized hops. It holds one digit per constant
+qudit and a dense block over the live ones (at most three at a time), and
+its gate, measurement and entropy routines share no code with the dense
+gate kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .core import (
     _draw_dit,
     check_dim,
     fidelity,
-    flat_index,
     root_of_unity,
 )
 from .teleport import (
@@ -56,8 +61,6 @@ from .teleport import (
 )
 
 PROBABILITY_TOL = 1e-12
-# joint-register runs are capped at this many amplitudes
-FULL_REGISTER_AMPLITUDE_LIMIT = 2**24
 DEFAULT_PATH_BUDGET = 4096
 
 
@@ -388,75 +391,110 @@ def enumerate_branches(config: ChainConfig, psi0: PureState) -> list[BranchOutco
     return branches
 
 
-def _register_gate(
-    g: gates.GateMatrix, idx: np.ndarray, vals: np.ndarray, positions: tuple[int, ...], width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """g on `positions` (slot order) of the sparse `width`-qudit register that
-    holds amplitude vals[e] at flat index idx[e], identity elsewhere.
+@dataclass(eq=False, slots=True)
+class _JointRegister:
+    """The joint register as one digit per constant qudit plus a dense block.
 
-    Each entry is sent through the nonzero entries of its column of g (the
-    gate's column table, built once per gate) for its digits at `positions`.
-    Two terms can land on one index only if g has a column with more than
-    one nonzero and the entries' digits at `positions` differ. Otherwise (a
-    monomial gate such as CNOT, CNOT-dagger or Z^r, or any gate on digits
-    that every entry shares, such as F on a fresh ancilla) the result is the
-    nonzero terms themselves. Colliding terms are summed, and a sum that
-    cancels to within its rounding bound (side * eps times the sum of its
-    terms' magnitudes) is dropped. Returns (indices, values), indices
-    strictly increasing.
+    digits[q] is qudit q's basis digit while q is constant and None while
+    it is live. `amps` holds the live qudits' amplitudes, one axis of length
+    d per live qudit in the order `axes` lists them; with no live qudit it is
+    a 0-d array, the register's one amplitude. The register is `amps` times
+    the basis state of the constant digits, so d^(3n) never appears.
     """
-    d, side = g.d, g.mat.shape[0]
-    strides = np.array([d ** (width - 1 - q) for q in positions])
-    digits = idx[:, None] // strides % d
-    column = digits @ np.array([d ** (g.arity - 1 - j) for j in range(g.arity)])
-    shifts, entries, monomial = g._columns
-    landing = (idx[:, None] + shifts[column] @ strides).ravel()
-    terms = (vals[:, None] * entries[column]).ravel()
-    if not monomial and (column != column[0]).any():
-        # a zero term adds nothing, and an index that only zero terms reach is dropped
-        out_idx, slot = np.unique(landing, return_inverse=True)
-        size = out_idx.size
-        out = np.empty(size, dtype=np.complex128)
-        out.real = np.bincount(slot, terms.real, size)
-        out.imag = np.bincount(slot, terms.imag, size)
-        weight = np.bincount(slot, np.abs(terms), size)
-        live = np.abs(out) > side * np.finfo(np.float64).eps * weight
-        return out_idx[live], out[live]
-    # no two terms share an index: keep the nonzero ones, in index order
-    kept = terms.nonzero()[0]
-    kept = kept[landing[kept].argsort()]
-    return landing[kept], terms[kept]
+
+    d: int
+    digits: list[int | None]
+    axes: list[int]
+    amps: np.ndarray
 
 
-def _register_measure(
-    idx: np.ndarray, vals: np.ndarray, d: int, target: int, width: int, outcome: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Force `outcome` on qudit `target` of the sparse register: keep the
-    entries with that digit and renormalize them."""
-    kept = idx // d ** (width - 1 - target) % d == outcome
-    idx, vals = idx[kept], vals[kept]
-    prob = float((vals.real**2 + vals.imag**2).sum())
+def _register_gate(g: gates.GateMatrix, reg: _JointRegister, positions: tuple[int, ...]) -> None:
+    """g on `positions` (slot order) of the joint register, identity elsewhere.
+
+    If every operand is constant, g's column for their digits is the
+    result: with one nonzero entry the digits change and the block is
+    scaled, and with several (F on a fresh ancilla) the column becomes new
+    axes. Otherwise each constant operand joins the block as a one-hot
+    axis, the operand axes go to the front, and g is one matmul over
+    (d^arity, rest); the axes are relabelled, not moved back. Then every
+    operand axis with exactly one nonzero slice (exact zeros, no tolerance)
+    becomes a constant digit again. `reg` is updated in place.
+    """
+    d, arity, digits = g.d, g.arity, reg.digits
+    operands = [digits[q] for q in positions]
+    if None not in operands:
+        column = g.mat[:, sum(digit * d ** (arity - 1 - j) for j, digit in enumerate(operands))]
+        rows = column.nonzero()[0]
+        if rows.size == 1:
+            row = int(rows[0])
+            for j, q in enumerate(positions):
+                digits[q] = row // d ** (arity - 1 - j) % d
+            reg.amps = reg.amps * column[row]
+            return
+        out = np.multiply.outer(column.reshape((d,) * arity), reg.amps)
+        axes = [*positions, *reg.axes]
+    else:
+        amps, axes = reg.amps, reg.axes.copy()
+        for q, digit in zip(positions, operands):
+            if digit is not None:
+                joined = np.zeros(amps.shape + (d,), dtype=np.complex128)
+                joined[..., digit] = amps
+                amps = joined
+                axes.append(q)
+        order = [*positions, *(q for q in axes if q not in positions)]
+        moved = amps.transpose([axes.index(q) for q in order])
+        out = (g.mat @ moved.reshape(d**arity, -1)).reshape(moved.shape)
+        axes = order
+    # the operand axes lead, so operand axis `front` is the middle axis of a (d^front, d, rest) view
+    nonzero = out != 0
+    front = 0
+    for q in positions:
+        hits = nonzero.reshape(d**front, d, -1).any(axis=(0, 2)).nonzero()[0]
+        if hits.size == 1:
+            digits[q] = int(hits[0])
+            axes.remove(q)
+            index = (slice(None),) * front + (digits[q],)
+            out, nonzero = out[index], nonzero[index]
+        else:
+            digits[q] = None
+            front += 1
+    reg.axes, reg.amps = axes, out
+
+
+def _register_measure(reg: _JointRegister, target: int, outcome: int) -> None:
+    """Force `outcome` on qudit `target` of the joint register and renormalize.
+
+    A live target's slice at `outcome` is kept. A constant target keeps the
+    whole block if its digit is `outcome`, and otherwise has probability 0.
+    Either way `target` is then the constant digit `outcome`.
+    """
+    digit = reg.digits[target]
+    if digit is None:
+        kept = reg.amps[(slice(None),) * reg.axes.index(target) + (outcome,)]
+        prob = float(np.vdot(kept, kept).real)
+    else:
+        kept = reg.amps
+        prob = float(np.vdot(kept, kept).real) if digit == outcome else 0.0
     _check_possible(outcome, target, prob)
-    return idx, vals / math.sqrt(prob)
+    if digit is None:
+        reg.axes.remove(target)
+    reg.digits[target] = outcome
+    reg.amps = kept / math.sqrt(prob)
 
 
-def _register_block_entropy(idx: np.ndarray, vals: np.ndarray, d: int, first: int, width: int) -> float:
-    """Entropy of qudits first..first+2 of the sparse register, in base-d units.
+def _register_block_entropy(reg: _JointRegister, first: int) -> float:
+    """Entropy of qudits first..first+2 of the joint register, in base-d units.
 
-    If every entry has the same digits on the block, the Schmidt matrix has
-    one row: the block is a basis state times the rest, and the entropy is
-    exactly +0.0. Otherwise it comes from the singular values of the Schmidt
-    matrix restricted to the support.
+    A block with no live qudit is a basis state times the rest, so its
+    entropy is exactly +0.0 and no SVD is taken. Otherwise it comes from the
+    singular values of the block's live axes against the other live axes.
     """
-    low = d ** (width - first - 3)
-    block = idx // low % d**3
-    if (block == block[0]).all():
+    block = [k for k, q in enumerate(reg.axes) if first <= q < first + 3]
+    if not block:
         return 0.0
-    _, row = np.unique(block, return_inverse=True)
-    _, col = np.unique(idx - block * low, return_inverse=True)
-    schmidt = np.zeros((row.max() + 1, col.max() + 1), dtype=np.complex128)
-    schmidt[row, col] = vals
-    return _entropy(np.linalg.svd(schmidt, compute_uv=False) ** 2, d)
+    rest = [k for k in range(len(reg.axes)) if k not in block]
+    schmidt = reg.amps.transpose(block + rest).reshape(reg.d ** len(block), -1)
+    return _entropy(np.linalg.svd(schmidt, compute_uv=False) ** 2, reg.d)
 
 
 def full_register_chain(
@@ -469,39 +507,32 @@ def full_register_chain(
     """Run the whole chain on one joint 3n-qudit register.
 
     Brute-force cross-check of the factorized per-hop simulation: every
-    repeater block (carrier, ancilla, receiver) lives in the same state
-    vector, the received qudit is handed to the next block's carrier with
-    a CNOT / CNOT-dagger pair, and measurements are forced along the given
-    path, which is checked in full before any register work.
+    repeater block (carrier, ancilla, receiver) lives in the same register,
+    the received qudit is handed to the next block's carrier with a CNOT /
+    CNOT-dagger pair, and measurements are forced along the given path,
+    which is checked in full before any register work.
     boundary_entropies[i] is block i's entanglement with the rest of the
     register right after its handoff; the protocol keeps it at zero.
 
-    The register is held by its nonzero amplitudes: the flat indices and
-    values of its support, which never exceeds d^3 entries, since every
-    hop ends with two standard-basis measurements. Gates, measurements and
-    entropies act on the whole register through `_register_gate`,
+    The register (`_JointRegister`) holds one digit per constant qudit and
+    a dense block over the live ones. Every hop ends with two standard-basis
+    measurements and a Z-only correction, so all qudits but at most three
+    are constant and the block never exceeds d^3 amplitudes; no size cap is
+    needed. Gates, measurements and entropies go through `_register_gate`,
     `_register_measure` and `_register_block_entropy`, independently of the
-    dense gate kernel. The CNOTs, CNOT-daggers and Z corrections are
-    monomial and F acts on a fresh ancilla, so only the n F^-1 on the
-    carriers can make terms collide. In a correct run every handed-off
-    block is a basis state, so each boundary entropy is exactly +0.0 with
-    no SVD. Only the final receiver slice leaves, as a validated PureState.
+    dense gate kernel. In a correct run every handed-off block is constant,
+    so each boundary entropy is exactly +0.0 with no SVD. Only the final
+    receiver slice leaves, as a validated PureState.
     """
     d, n = check_dim(d), _check_int("n", n, 1)
     CorrectionMode.check(mode)
     _check_qudit("psi0", psi0, d)
     path = _check_forced("forced_path", forced_path, (n, 2), d)
     width = 3 * n
-    if d**width > FULL_REGISTER_AMPLITUDE_LIMIT:
-        raise ResourceLimitError(
-            f"{d}^{width} amplitudes exceed the joint-register limit of "
-            f"{FULL_REGISTER_AMPLITUDE_LIMIT}"
-        )
 
     local = mode is CorrectionMode.LOCAL_EACH_HOP
-    # psi0 (x) |0...0>: psi0's amplitudes sit at stride d^(3n-1)
-    support = np.flatnonzero(psi0.amps)
-    idx, vals = support * d ** (width - 1), psi0.amps[support]
+    # psi0 (x) |0...0>: qudit 0 is live and holds psi0, every other qudit is the digit 0
+    reg = _JointRegister(d, [None] + [0] * (width - 1), [0], psi0.amps)
     cnot = gates.cnot(d)
     cnot_dag = gates.cnot_dagger(d)
     fourier_inv = gates.hadamard_inverse(d)
@@ -512,21 +543,23 @@ def full_register_chain(
         if i > 0:
             # hand the previous receiver's state to this block's fresh carrier
             for g, positions in ((cnot, (carrier - 1, carrier)), (cnot_dag, (carrier, carrier - 1))):
-                idx, vals = _register_gate(g, idx, vals, positions, width)
-            boundary.append(_register_block_entropy(idx, vals, d, carrier - 3, width))
+                _register_gate(g, reg, positions)
+            boundary.append(_register_block_entropy(reg, carrier - 3))
         for g, positions in ((cnot, (carrier, receiver)), (fourier_inv, (carrier,)), (fourier, (ancilla,))):
-            idx, vals = _register_gate(g, idx, vals, positions, width)
-        idx, vals = _register_measure(idx, vals, d, carrier, width, a)
-        idx, vals = _register_measure(idx, vals, d, ancilla, width, b)
+            _register_gate(g, reg, positions)
+        _register_measure(reg, carrier, a)
+        _register_measure(reg, ancilla, b)
         if local:
-            idx, vals = _register_gate(gates.pauli_z_power(d, a), idx, vals, (receiver,), width)
+            _register_gate(gates.pauli_z_power(d, a), reg, (receiver,))
 
-    # every qudit except the last receiver is collapsed; read its slice exactly and
-    # validate, since the slice is the receiver's state only if the register is a product
-    slicer = [dit for i, (a, b) in enumerate(path) for dit in ((a, b, 0) if i < n - 1 else (a, b))]
+    # slice every qudit but the last receiver along the path digits, and validate, since
+    # the slice is the receiver's state only if the register is a product
+    slicer = [dit for a, b in path for dit in (a, b, 0)]
     amps = np.zeros(d, dtype=np.complex128)
-    in_slice = idx // d == flat_index(d, slicer)
-    amps[idx[in_slice] % d] = vals[in_slice]
+    if all(digit in (None, dit) for digit, dit in zip(reg.digits[:-1], slicer)):
+        index = tuple(slice(None) if q == width - 1 else slicer[q] for q in reg.axes)
+        last = reg.digits[-1]
+        amps[slice(None) if last is None else last] = reg.amps[index]
     final = PureState(d, 1, amps)
     if not local:
         final = apply_correction(final, deferred_exponent([a for a, _ in path], d))

@@ -338,8 +338,10 @@ def cmd_enumerate(config: ExperimentConfig) -> str:
     K = n*k mod d, so all d^n records share one final state and one F[K]
     from fidelity_table; `enumerate_branches` is the state-vector oracle.
     The shared fields are encoded once, and the records differ only in
-    their path digits: the d^n path strings are interleaved with the
-    shared pieces in one list. Returns the report text.
+    their path digits, so each record is two pieces: one of d^(n//2)
+    fronts (the shared head and the leading digits) and one of
+    d^(n - n//2) backs (the trailing digits, the shared tail and the
+    separator), interleaved by slice assignment. Returns the report text.
     """
     psi0 = initial_state(config)
     chain = config.chain
@@ -352,10 +354,14 @@ def cmd_enumerate(config: ExperimentConfig) -> str:
     head = json.dumps({"fidelity": fid, "final_state": final}, separators=(",", ":"))[:-1] + ',"path":['
     tail = f'],"probability":{probability!r}}}'
     digits = [str(j) for j in range(chain.d)]
-    pieces = [head] * (3 * total)
-    pieces[1::3] = map(",".join, itertools.product(digits, repeat=chain.n))
-    pieces[2::3] = [tail + RECORD_SEPARATOR] * total
-    pieces[-1] = tail
+    lead = chain.n // 2
+    fronts = [head + "".join(f"{j}," for j in dits) for dits in itertools.product(digits, repeat=lead)]
+    backs = [",".join(dits) + tail + RECORD_SEPARATOR for dits in itertools.product(digits, repeat=chain.n - lead)]
+    # the path with front f and back b is record f * len(backs) + b
+    pieces = [""] * (2 * total)
+    pieces[0::2] = [front for front in fronts for _ in backs]
+    pieces[1::2] = backs * len(fronts)
+    pieces[-1] = backs[-1].removesuffix(RECORD_SEPARATOR)
     report = {
         "command": "enumerate",
         "config": _config_echo(config),

@@ -2,9 +2,7 @@
 
 Constructors return small dense unitaries (d or d^2 per side). `GateMatrix`
 records once, at construction, whether its matrix is unitary and, for a
-one-qudit gate, whether it is diagonal (Z^r); on first use it also records
-the column table that the joint register's sparse gate routine in `chain`
-reads. One kernel, `_apply`, serves
+one-qudit gate, whether it is diagonal (Z^r). One kernel, `_apply`, serves
 `apply_1q` and `apply_2q` with one path per arity. A one-qudit gate acts on
 the (pre, d, post) view of the amplitudes, with no copy: a diagonal gate is
 an elementwise product and any other is one batched matmul. A two-qudit gate
@@ -16,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,8 +33,7 @@ class GateMatrix:
     """Dense matrix acting on one or two qudits of dimension d.
 
     Construction records `unitary` (within UNITARITY_TOL) and a diagonal
-    one-qudit gate's diagonal, and `_columns` is built on first use, so
-    applying a cached gate costs no scan.
+    one-qudit gate's diagonal, so applying a cached gate costs no scan.
     """
 
     d: int
@@ -62,28 +59,6 @@ class GateMatrix:
         if arity == 1 and not np.any(mat[~np.eye(side, dtype=bool)]):
             diagonal = np.diagonal(mat).reshape(side, 1)
         object.__setattr__(self, "_diagonal", diagonal)
-
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(shifts, entries, monomial), the column table of the joint register.
-
-        Column c's nonzero entries are padded with zero entries to the
-        fullest column's count: entries[c, k] is the k-th, and shifts[c, k]
-        its row's digits minus column c's digits, one per slot. `monomial`
-        means one nonzero in every row and every column, so distinct inputs
-        never share an output.
-        """
-        d, arity, side = self.d, self.arity, self.mat.shape[0]
-        nonzero = self.mat != 0
-        fullest = max(int(nonzero.sum(axis=0).max()), 1)
-        # row k of column c: its k-th nonzero row in row order, then zero rows as padding
-        rows = np.argsort(~nonzero, axis=0, kind="stable")[:fullest].T
-        places = d ** np.arange(arity - 1, -1, -1)
-        shifts = rows[..., None] // places % d - np.arange(side)[:, None, None] // places % d
-        entries = np.ascontiguousarray(np.take_along_axis(self.mat.T, rows, 1))
-        shifts.flags.writeable = entries.flags.writeable = False
-        monomial = (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
-        return shifts, entries, bool(monomial)
 
 
 def pauli_z(d: int) -> GateMatrix:

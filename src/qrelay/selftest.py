@@ -166,13 +166,13 @@ def check_noiseless_transmission() -> CheckResult:
 
 
 def check_joint_register() -> CheckResult:
-    """The joint 3n-qudit register at the largest n under its amplitude cap
-    for d = 2, 3, 4, 5 and the paper's 16, both modes: the final state is
-    psi, every handoff boundary is unentangled, and the final state equals
-    run_chain's on the same forced path."""
+    """The joint 3n-qudit register for d = 2, 3, 4 and 5 at n = 8, 5, 4 and 3,
+    and for the paper's d = 16 at n = 2 and at n = 100, both modes: the final
+    state is psi, every handoff boundary is unentangled, and the final state
+    equals run_chain's on the same forced path."""
     rng = np.random.default_rng(29)
     failures = []
-    for d, n in ((2, 8), (3, 5), (4, 4), (5, 3), (16, 2)):
+    for d, n in ((2, 8), (3, 5), (4, 4), (5, 3), (16, 2), (16, 100)):
         psi = random_state(d, 1, rng)
         path = [(int(rng.integers(d)), int(rng.integers(d))) for _ in range(n)]
         for mode in CorrectionMode:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -12,6 +13,7 @@ from qrelay.chain import (
     ChainConfig,
     NoiseSpec,
     ResourceLimitError,
+    _JointRegister,
     _register_block_entropy,
     _register_gate,
     _register_measure,
@@ -480,11 +482,13 @@ class TestNumpyIntegers:
         np.testing.assert_array_equal(numpy.final.amps, plain.final.amps)
         assert numpy.boundary_entropies == plain.boundary_entropies
 
-    def test_register_cap_holds_for_numpy_dimension(self):
-        # 16^18 wraps to 0 in int64, under the cap, if d is not stored as an int
+    def test_numpy_dimension_gives_the_int_register(self):
+        # 16^18 wraps to 0 in int64: no size of the whole register may be formed from d
         psi = random_state(16, 1, np.random.default_rng(50))
-        with pytest.raises(ResourceLimitError):
-            full_register_chain(np.int64(16), 6, psi, [(1, 2)] * 6)
+        plain = full_register_chain(16, 6, psi, [(1, 2)] * 6)
+        numpy = full_register_chain(np.int64(16), 6, psi, [(1, 2)] * 6)
+        np.testing.assert_array_equal(numpy.final.amps, plain.final.amps)
+        assert numpy.boundary_entropies == plain.boundary_entropies == (0.0,) * 5
 
 
 class TestEnumerateBranches:
@@ -541,35 +545,44 @@ class TestFullRegisterChain:
         assert [(e, math.copysign(1.0, e)) for e in entropies] == [(0.0, 1.0)] * 6
 
     @pytest.mark.parametrize("mode", [LOCAL, DEFERRED])
-    def test_only_the_carrier_inverse_fourier_sums_collisions(self, mode, monkeypatch):
-        # the CNOTs, CNOT-daggers and Z corrections are monomial and F meets a fresh ancilla, so
-        # of a 7-hop run's gates only the 7 F^-1 group terms, and its 6 boundaries take no SVD
-        groupings = []
-        unique = np.unique
+    def test_seven_hops_take_no_svd_and_hold_at_most_three_live_qudits(self, mode, monkeypatch):
+        # every handed-off block is constant, and only a hop's carrier, ancilla and receiver are ever live
+        live = []
 
-        def counted(*args, **kwargs):
-            groupings.append(args)
-            return unique(*args, **kwargs)
+        def watched(routine, slot):
+            def call(*args):
+                routine(*args)
+                reg = args[slot]
+                live.append(len(reg.axes))
+                assert reg.amps.shape == (2,) * len(reg.axes)
+
+            return call
 
         def no_svd(*args, **kwargs):
-            raise AssertionError("a rank-one boundary took the SVD")
+            raise AssertionError("a constant boundary took the SVD")
 
-        monkeypatch.setattr(np, "unique", counted)
+        # the register is the gate routine's second argument and the measurement's first
+        for name, slot in (("_register_gate", 1), ("_register_measure", 0)):
+            monkeypatch.setattr(chain, name, watched(getattr(chain, name), slot))
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         psi = random_state(2, 1, np.random.default_rng(46))
         joint = full_register_chain(2, 7, psi, [(1, 0), (0, 1), (1, 1), (0, 0), (1, 0), (0, 1), (1, 1)], mode=mode)
-        assert len(groupings) == 7
         assert joint.boundary_entropies == (0.0,) * 6
+        assert len(live) == 7 * 5 + 6 * 2 + 7 * (mode is LOCAL)
+        assert max(live) == 3
+        np.testing.assert_allclose(joint.final.amps, psi.amps, rtol=0, atol=1e-12)
 
     def test_boundary_entropy_count(self):
         psi = random_state(2, 1, np.random.default_rng(43))
         joint = full_register_chain(2, 3, psi, [(0, 0), (1, 1), (0, 1)])
         assert len(joint.boundary_entropies) == 2
 
-    def test_register_budget(self):
+    def test_paper_dimension_runs_past_two_hops(self):
+        # 16^9 amplitudes, past any dense register; the live block holds at most 16^3
         psi = random_state(16, 1, np.random.default_rng(44))
-        with pytest.raises(ResourceLimitError):
-            full_register_chain(16, 3, psi, [(0, 0)] * 3)
+        joint = full_register_chain(16, 3, psi, [(0, 0)] * 3)
+        np.testing.assert_allclose(joint.final.amps, psi.amps, rtol=0, atol=1e-12)
+        assert joint.boundary_entropies == (0.0, 0.0)
 
     def test_path_length_checked(self):
         with pytest.raises(ValueError):
@@ -586,15 +599,16 @@ class TestFullRegisterChain:
             assert len(joint.boundary_entropies) == len(entropies) == n - 1
             np.testing.assert_allclose(joint.boundary_entropies, entropies, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("d,n", [(2, 8), (16, 2)])
-    def test_peak_memory_does_not_grow_with_the_register(self, d, n):
-        # one dense d^(3n) register here is 256 MiB; the sparse one holds at most d^3 entries
+    @pytest.mark.parametrize("mode", [LOCAL, DEFERRED])
+    @pytest.mark.parametrize("d,n", [(2, 8), (16, 2), (16, 100)])
+    def test_peak_memory_does_not_grow_with_the_register(self, d, n, mode):
+        # a dense d^(3n) register is 256 MiB at (2, 8) and (16, 2); the live block holds at most d^3 amplitudes
         psi = random_state(d, 1, np.random.default_rng(45))
         path = [(i % d, (i * 7 + 3) % d) for i in range(n)]
-        full_register_chain(d, n, psi, path)  # builds the cached gates first
+        full_register_chain(d, n, psi, path, mode)  # builds the cached gates first
         tracemalloc.start()
         try:
-            full_register_chain(d, n, psi, path)
+            full_register_chain(d, n, psi, path, mode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -610,20 +624,35 @@ HOP_GATES = {
 }
 
 
-def sparse(state):
-    """A state's (indices, values) over its full support."""
-    idx = np.flatnonzero(state.amps)
-    return idx, state.amps[idx]
+def live_register(state):
+    """`state` as a joint register with every qudit live."""
+    return _JointRegister(state.d, [None] * state.num_qudits, list(range(state.num_qudits)), state.tensor())
 
 
-def dense(d, width, idx, vals):
-    amps = np.zeros(d**width, dtype=complex)
-    amps[idx] = vals
-    return amps
+def product_register(d, width, constants, rng):
+    """A product state whose qudits in `constants` (qudit -> digit) hold those basis digits and
+    the rest random states: as a joint register with just those qudits constant, and as a PureState."""
+    factors = [basis_state(d, 1, (constants[q],)) if q in constants else random_state(d, 1, rng) for q in range(width)]
+    live = [q for q in range(width) if q not in constants]
+    amps = functools.reduce(tensor_product, [factors[q] for q in live]).tensor() if live else np.array(1.0 + 0j)
+    reg = _JointRegister(d, [constants.get(q) for q in range(width)], live, amps)
+    return reg, functools.reduce(tensor_product, factors)
 
 
-class TestSparseRegister:
-    """The joint register's sparse routines against the dense public API."""
+def dense(reg):
+    """The register's full d^width amplitude vector, after checking that its parts agree."""
+    d, width = reg.d, len(reg.digits)
+    live = [q for q, digit in enumerate(reg.digits) if digit is None]
+    assert sorted(reg.axes) == live and reg.amps.shape == (d,) * len(live)
+    full = np.zeros((d,) * width, dtype=complex)
+    full[tuple(slice(None) if digit is None else digit for digit in reg.digits)] = reg.amps.transpose(
+        [reg.axes.index(q) for q in live]
+    )
+    return full.reshape(-1)
+
+
+class TestJointRegisterRoutines:
+    """The joint register's routines against the dense public API."""
 
     @pytest.mark.parametrize("name", sorted(HOP_GATES))
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -632,94 +661,97 @@ class TestSparseRegister:
         width = 3
         state = random_state(d, width, np.random.default_rng(50 + d))
         assert np.all(state.amps != 0)
-        idx, vals = sparse(state)
         if g.arity == 1:
             cases = [((q,), apply_1q(state, g, q)) for q in range(width)]
         else:
             pairs = [(c, t) for c in range(width) for t in range(width) if c != t]
             cases = [((c, t), apply_2q(state, g, c, t)) for c, t in pairs]
         for positions, expected in cases:
-            out_idx, out_vals = _register_gate(g, idx, vals, positions, width)
-            assert np.all(np.diff(out_idx) > 0)
-            np.testing.assert_allclose(
-                dense(d, width, out_idx, out_vals), expected.amps, rtol=0, atol=1e-12, err_msg=str(positions)
-            )
+            reg = live_register(state)
+            _register_gate(g, reg, positions)
+            np.testing.assert_allclose(dense(reg), expected.amps, rtol=0, atol=1e-12, err_msg=str(positions))
 
     @pytest.mark.parametrize("name", sorted(HOP_GATES))
     @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_matches_dense_kernel_on_constant_gate_digits(self, d, name):
-        # the gate's qudits hold basis states, the rest is random: every entry shares the gate digits
+    def test_matches_dense_kernel_on_constant_operands(self, d, name):
+        # some or all of the gate's qudits hold basis digits, the rest is random
         g = HOP_GATES[name](d)
         rng = np.random.default_rng(80 + d)
         width = 4
-        for positions in [(1,), (3,)] if g.arity == 1 else [(0, 2), (3, 1)]:
-            digits = [int(k) for k in rng.integers(d, size=g.arity)]
-            factors = {q: basis_state(d, 1, (k,)) for q, k in zip(positions, digits)}
-            state = factors.get(0) or random_state(d, 1, rng)
-            for q in range(1, width):
-                state = tensor_product(state, factors.get(q) or random_state(d, 1, rng))
-            idx, vals = sparse(state)
-            assert idx.size == d ** (width - g.arity)
-            expected = apply_1q(state, g, *positions) if g.arity == 1 else apply_2q(state, g, *positions)
-            out_idx, out_vals = _register_gate(g, idx, vals, positions, width)
-            assert np.all(np.diff(out_idx) > 0) and np.all(out_vals != 0)
-            np.testing.assert_allclose(
-                dense(d, width, out_idx, out_vals), expected.amps, rtol=0, atol=1e-12, err_msg=str(positions)
-            )
+        cases = [(1,), (3,)] if g.arity == 1 else [(0, 2), (3, 1)]
+        for positions in cases:
+            # one qudit off the gate is constant too, and must stay so
+            bystander = min(q for q in range(width) if q not in positions)
+            for held in [positions] + ([positions[:1], positions[1:]] if g.arity == 2 else []):
+                constants = {q: int(rng.integers(d)) for q in (*held, bystander)}
+                reg, state = product_register(d, width, constants, rng)
+                expected = apply_1q(state, g, *positions) if g.arity == 1 else apply_2q(state, g, *positions)
+                _register_gate(g, reg, positions)
+                np.testing.assert_allclose(dense(reg), expected.amps, rtol=0, atol=1e-12, err_msg=str(held))
+                if held == positions:
+                    # a permutation or phase keeps its operands constant; F spreads its one
+                    assert all((reg.digits[q] is None) == name.startswith("hadamard") for q in positions)
+                assert reg.digits[bystander] == constants[bystander]
+                assert all(reg.digits[q] is None for q in range(width) if q not in (*positions, bystander))
 
     @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_uneven_columns_match_dense_kernel_and_store_no_zero(self, d):
+    def test_uneven_controlled_fourier_matches_dense_kernel(self, d):
         # controlled Fourier: one nonzero in each control-0 column, d in every other
         mat = np.zeros((d * d, d * d), dtype=complex)
         mat[:d, :d] = np.eye(d)
         for a in range(1, d):
             mat[a * d : (a + 1) * d, a * d : (a + 1) * d] = gates.hadamard(d).mat
         g = gates.GateMatrix(d, 2, mat)
-        assert g.unitary and not g._columns[2]  # not monomial
-        # control in superposition, target in F^-1|0>: F sends it back to |0>, the other d - 1
-        # sums cancel exactly at d = 2 and to rounding otherwise, and none may be stored
-        control = random_state(d, 1, np.random.default_rng(90 + d))
+        assert g.unitary
+        rng = np.random.default_rng(90 + d)
+        # control in superposition, target in F^-1|0>, which F sends back to |0>
         target = apply_1q(basis_state(d, 1, (0,)), gates.hadamard_inverse(d), 0)
-        rest = random_state(d, 1, np.random.default_rng(91 + d))
-        cases = [tensor_product(tensor_product(control, rest), target)]
-        cases += [tensor_product(tensor_product(basis_state(d, 1, (a,)), rest), target) for a in (0, d - 1)]
-        # constant gate digits: the zero padding of a control-0 column gives zero terms
-        cases += [
-            tensor_product(tensor_product(basis_state(d, 1, (a,)), rest), basis_state(d, 1, (1,))) for a in (0, 1)
-        ]
-        cases.append(random_state(d, 3, np.random.default_rng(92 + d)))
-        for state in cases:
-            idx, vals = sparse(state)
-            out_idx, out_vals = _register_gate(g, idx, vals, (0, 2), 3)
-            assert np.all(np.diff(out_idx) > 0) and np.all(out_vals != 0)
-            expected = apply_2q(state, g, 0, 2).amps
-            np.testing.assert_allclose(dense(d, 3, out_idx, out_vals), expected, rtol=0, atol=1e-12)
-        # the first case: control digit 0 keeps its d target terms, every other control digit one
-        out_idx, _ = _register_gate(g, *sparse(cases[0]), (0, 2), 3)
-        assert out_idx.size == d * (d + d - 1)
+        state = tensor_product(random_state(d, 2, rng), target)
+        reg = live_register(state)
+        _register_gate(g, reg, (0, 2))
+        np.testing.assert_allclose(dense(reg), apply_2q(state, g, 0, 2).amps, rtol=0, atol=1e-12)
+        # constant digits on both operands: a control-0 column has one nonzero, so both stay
+        # constant; any other control's column has d, so the target spreads and the control
+        # settles back to its digit
+        for a in (0, 1, d - 1):
+            reg, state = product_register(d, 3, {0: a, 2: 1}, rng)
+            _register_gate(g, reg, (0, 2))
+            np.testing.assert_allclose(dense(reg), apply_2q(state, g, 0, 2).amps, rtol=0, atol=1e-12)
+            assert reg.digits[0] == a and (reg.digits[2] == 1 if a == 0 else reg.digits[2] is None)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_fourier_then_inverse_cancels_to_one_entry(self, d):
-        state = basis_state(d, 2, (1, d - 1))
-        idx, vals = sparse(state)
-        idx, vals = _register_gate(gates.hadamard(d), idx, vals, (1,), 2)
-        assert idx.size == d
-        idx, vals = _register_gate(gates.hadamard_inverse(d), idx, vals, (1,), 2)
-        np.testing.assert_array_equal(idx, [d + d - 1])
-        np.testing.assert_allclose(vals, [1.0], rtol=0, atol=1e-15)
+    def test_fourier_then_inverse_returns_the_basis_state(self, d):
+        reg = _JointRegister(d, [1, d - 1], [], np.array(1.0 + 0j))
+        _register_gate(gates.hadamard(d), reg, (1,))
+        assert reg.axes == [1] and reg.amps.shape == (d,)
+        _register_gate(gates.hadamard_inverse(d), reg, (1,))
+        expected = basis_state(d, 2, (1, d - 1)).amps
+        np.testing.assert_allclose(dense(reg), expected, rtol=0, atol=1e-15)
+        if d == 2:
+            # the two cross terms cancel exactly, so the qudit settles back to its digit
+            assert reg.digits == [1, 1] and reg.axes == []
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_measure_matches_measure_standard(self, d):
         state = random_state(d, 3, np.random.default_rng(55 + d))
-        idx, vals = sparse(state)
         for target in range(3):
             for outcome in range(d):
                 expected = measure_standard(state, target, forced=outcome).state.amps
-                out_idx, out_vals = _register_measure(idx, vals, d, target, 3, outcome)
-                np.testing.assert_allclose(dense(d, 3, out_idx, out_vals), expected, rtol=0, atol=1e-12)
-        idx, vals = sparse(basis_state(d, 3, (0, 1, 0)))
+                reg = live_register(state)
+                _register_measure(reg, target, outcome)
+                assert reg.digits[target] == outcome and target not in reg.axes
+                np.testing.assert_allclose(dense(reg), expected, rtol=0, atol=1e-12)
+        # a constant qudit: the whole block if the digit matches, probability 0 if not
+        reg, state = product_register(d, 3, {1: 1}, np.random.default_rng(56 + d))
+        _register_measure(reg, 1, 1)
+        np.testing.assert_allclose(dense(reg), state.amps, rtol=0, atol=1e-12)
         with pytest.raises(ImpossibleOutcomeError, match="outcome 0 on qudit 1 has probability 0.000e"):
-            _register_measure(idx, vals, d, 1, 3, 0)
+            _register_measure(reg, 1, 0)
+        # a live qudit whose slice is empty: the same error, and the register is left as it was
+        reg = live_register(tensor_product(random_state(d, 1, np.random.default_rng(57)), basis_state(d, 2, (1, 0))))
+        with pytest.raises(ImpossibleOutcomeError, match="outcome 0 on qudit 1 has probability 0.000e"):
+            _register_measure(reg, 1, 0)
+        assert reg.axes == [0, 1, 2] and reg.digits == [None] * 3
 
     @pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
     def test_block_entropy_matches_dense_entropy(self, d, n):
@@ -728,28 +760,31 @@ class TestSparseRegister:
         width = 3 * n
         for _ in range(3):
             state = random_state(d, width, rng)
-            idx, vals = sparse(state)
             for first in range(0, width - 2, 3):
                 expected = entanglement_entropy(state, (first, first + 1, first + 2))
-                assert abs(_register_block_entropy(idx, vals, d, first, width) - expected) <= 1e-12
+                assert abs(_register_block_entropy(live_register(state), first) - expected) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_entangled_block_is_not_taken_for_rank_one(self, d):
-        # sum_j |j00>|j00> / sqrt(d): the block and the rest share a maximally entangled pair
-        idx = np.array([j * d**5 + j * d**2 for j in range(d)])
-        vals = np.full(d, 1 / math.sqrt(d), dtype=complex)
-        assert abs(_register_block_entropy(idx, vals, d, 0, 6) - 1.0) <= 1e-12
-        assert abs(_register_block_entropy(idx, vals, d, 3, 6) - 1.0) <= 1e-12
+        # sum_j |j00>|j00> / sqrt(d): qudits 0 and 3 share a maximally entangled pair, the rest are 0
+        for axes in ([0, 3], [3, 0]):
+            reg = _JointRegister(d, [None, 0, 0, None, 0, 0], axes, np.eye(d, dtype=complex) / math.sqrt(d))
+            assert abs(_register_block_entropy(reg, 0) - 1.0) <= 1e-12
+            assert abs(_register_block_entropy(reg, 3) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_basis_block_has_entropy_plus_zero(self, d):
-        # block 1 is the basis state |1,0,d-1>; block 0, a random state, is a product with it
-        # too, but its digits vary, so its entropy comes from the singular values
-        state = tensor_product(random_state(d, 3, np.random.default_rng(95 + d)), basis_state(d, 3, (1, 0, d - 1)))
-        idx, vals = sparse(state)
-        entropy = _register_block_entropy(idx, vals, d, 3, 6)
+    def test_basis_block_has_entropy_plus_zero(self, d, monkeypatch):
+        # block 1 is the constant |1,0,d-1>; block 0, a random live state, is a product with it
+        # too, but it is live, so its entropy comes from the singular values
+        reg, _ = product_register(d, 6, {3: 1, 4: 0, 5: d - 1}, np.random.default_rng(95 + d))
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a constant block took the SVD")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", no_svd)
+            entropy = _register_block_entropy(reg, 3)
         assert (entropy, math.copysign(1.0, entropy)) == (0.0, 1.0)
-        assert 0.0 <= _register_block_entropy(idx, vals, d, 0, 6) <= 1e-12
+        assert 0.0 <= _register_block_entropy(reg, 0) <= 1e-12
 
 
 def joint_register_oracle(d, n, psi0, path, mode):

@@ -294,6 +294,24 @@ class TestCmdEnumerate:
 
 
 class TestMain:
+    def test_commands_and_joint_register_leave_numpy_ma_unimported(self):
+        """A bare np.unique imports numpy.ma (tens of ms and about a MB of RSS); no command or
+        joint-register call may pay that. The child's last line shows that the probe sees it."""
+        code = (
+            "import contextlib, io, sys\n"
+            "import numpy as np\n"
+            "from qrelay import cli, full_register_chain, random_state\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['run', '--d', '3', '--n', '4', '--noise', '0.9,0.05,0.05', '--trials', '50']) == 0\n"
+            "    assert cli.main(['enumerate', '--d', '3', '--n', '2', '--state', 'random']) == 0\n"
+            "full_register_chain(3, 2, random_state(3, 1, np.random.default_rng(0)), [(1, 2), (0, 1)])\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "np.unique([2, 1])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        child = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, check=True)
+        assert child.stdout.split() == ["False", "True"]
+
     def test_run_writes_report_to_stdout(self, capsys):
         assert main(["run", "--d", "2", "--n", "1"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -485,6 +503,21 @@ class TestSelftestNegativeControl:
         assert not check.passed
         assert "d=2 local" in check.detail
 
+    def test_joint_register_check_reaches_the_paper_chain(self, monkeypatch):
+        # a register that goes wrong only past 2 hops at d = 16 is caught by the n = 100 run
+        joint = qrelay.selftest.full_register_chain
+
+        def wrong_after_two_hops(d, n, psi, path, mode):
+            result = joint(d, n, psi, path, mode)
+            if d == 16 and n > 2:
+                result = replace(result, boundary_entropies=(*result.boundary_entropies[:-1], 1.0))
+            return result
+
+        monkeypatch.setattr(qrelay.selftest, "full_register_chain", wrong_after_two_hops)
+        check = selftest.check_joint_register()
+        assert not check.passed
+        assert [failure.split(" path ")[0] for failure in check.detail.split("; ")] == ["d=16 local", "d=16 deferred"]
+
     @pytest.mark.parametrize(
         "module,failing", [(qrelay.chain, "run trial"), (qrelay.cli, "enumerate path")]
     )
@@ -655,6 +688,25 @@ class TestReportRendering:
                         "--state", "random", "--seed", "4"])
         text = cmd_enumerate(config)
         assert text == reference_report(text, "paths", reference_path_records(config))
+
+    @pytest.mark.parametrize(
+        "d,n", [(2, 1), (2, 3), (2, 12), (3, 1), (3, 5), (3, 7), (10, 1), (10, 3), (16, 1), (16, 3)]
+    )
+    def test_enumerate_matches_naive_json_records(self, d, n):
+        # n = 1, an odd n, and the largest n within the 4096-path budget; d = 10 and 16 have two-character digits
+        noise = ",".join("1" if j == d - 1 else "0" for j in range(d))
+        config = parse(["enumerate", "--d", str(d), "--n", str(n), "--noise", noise, "--state", "random", "--seed", "8"])
+        psi0 = initial_state(config)
+        exponent = n * (d - 1) % d
+        final = gates.apply_1q(psi0, gates.pauli_z_power(d, exponent), 0)
+        shared = {
+            "fidelity": float(fidelity_table(psi0)[exponent]),
+            "final_state": [[float(a.real), float(a.imag)] for a in final.amps],
+            "probability": 1.0 / d**n,
+        }
+        records = [canonical({**shared, "path": list(path)}) for path in itertools.product(range(d), repeat=n)]
+        text = cmd_enumerate(config)
+        assert text == reference_report(text, "paths", records)
 
     def test_sorted_and_stable(self):
         # the record list sorts among the top-level keys and holds one record per line
