@@ -710,6 +710,12 @@ class TestJointRegisterRoutines:
         reg = live_register(state)
         _register_gate(g, reg, (0, 2))
         np.testing.assert_allclose(dense(reg), apply_2q(state, g, 0, 2).amps, rtol=0, atol=1e-12)
+        # a constant control joins as a one-hot axis and settles back to its digit
+        for a in (0, d - 1):
+            reg, state = product_register(d, 3, {0: a}, rng)
+            _register_gate(g, reg, (0, 2))
+            np.testing.assert_allclose(dense(reg), apply_2q(state, g, 0, 2).amps, rtol=0, atol=1e-12)
+            assert reg.digits[0] == a and reg.digits[2] is None
         # constant digits on both operands: a control-0 column has one nonzero, so both stay
         # constant; any other control's column has d, so the target spreads and the control
         # settles back to its digit
