@@ -411,40 +411,26 @@ class _JointRegister:
 def _register_gate(g: gates.GateMatrix, reg: _JointRegister, positions: tuple[int, ...]) -> None:
     """g on `positions` (slot order) of the joint register, identity elsewhere.
 
-    If every operand is constant, g's column for their digits is the
-    result: with one nonzero entry the digits change and the block is
-    scaled, and with several (F on a fresh ancilla) the column becomes new
-    axes. Otherwise each constant operand joins the block as a one-hot
-    axis, the operand axes go to the front, and g is one matmul over
-    (d^arity, rest); the axes are relabelled, not moved back. Then every
-    operand axis with exactly one nonzero slice (exact zeros, no tolerance)
-    becomes a constant digit again. `reg` is updated in place.
+    Each constant operand joins the block as a one-hot axis, the operand
+    axes go to the front, and g is one matmul over (d^arity, rest); the
+    axes are relabelled, not moved back. Then every operand axis with
+    exactly one nonzero slice (exact zeros, no tolerance) becomes a
+    constant digit again, so a gate that maps the operands' basis state to
+    a basis state (CNOT, Z^a) leaves them constant, and F on a fresh
+    ancilla leaves it live. `reg` is updated in place.
     """
     d, arity, digits = g.d, g.arity, reg.digits
-    operands = [digits[q] for q in positions]
-    if None not in operands:
-        column = g.mat[:, sum(digit * d ** (arity - 1 - j) for j, digit in enumerate(operands))]
-        rows = column.nonzero()[0]
-        if rows.size == 1:
-            row = int(rows[0])
-            for j, q in enumerate(positions):
-                digits[q] = row // d ** (arity - 1 - j) % d
-            reg.amps = reg.amps * column[row]
-            return
-        out = np.multiply.outer(column.reshape((d,) * arity), reg.amps)
-        axes = [*positions, *reg.axes]
-    else:
-        amps, axes = reg.amps, reg.axes.copy()
-        for q, digit in zip(positions, operands):
-            if digit is not None:
-                joined = np.zeros(amps.shape + (d,), dtype=np.complex128)
-                joined[..., digit] = amps
-                amps = joined
-                axes.append(q)
-        order = [*positions, *(q for q in axes if q not in positions)]
-        moved = amps.transpose([axes.index(q) for q in order])
-        out = (g.mat @ moved.reshape(d**arity, -1)).reshape(moved.shape)
-        axes = order
+    amps, axes = reg.amps, reg.axes.copy()
+    for q in positions:
+        if digits[q] is not None:
+            joined = np.zeros(amps.shape + (d,), dtype=np.complex128)
+            joined[..., digits[q]] = amps
+            amps = joined
+            axes.append(q)
+    order = [*positions, *(q for q in axes if q not in positions)]
+    moved = amps.transpose([axes.index(q) for q in order])
+    out = (g.mat @ moved.reshape(d**arity, -1)).reshape(moved.shape)
+    axes = order
     # the operand axes lead, so operand axis `front` is the middle axis of a (d^front, d, rest) view
     nonzero = out != 0
     front = 0
