@@ -23,6 +23,10 @@ exponent k every carrier path delivers Z^K psi0 with K = n*k mod d.
 the library as that command's oracle; both share the enumeration
 preconditions (`_enumeration_exponent`). The CLI runs no state-vector
 code: `run_chain` and `enumerate_branches` are library oracles only.
+This module owns the bits of what the CLI reports about Z^K psi0:
+`fidelity_table` gives F[K] by math.fsum and `_phase_pairs` gives the
+amplitudes by Python's complex product, so no reported byte comes from a
+BLAS call.
 
 `full_register_chain` runs the whole chain on one joint 3n-qudit register
 as a cross-check of the factorized hops. It holds one digit per constant
@@ -282,6 +286,11 @@ class TrajectoryBatch:
     deferred_exponents: np.ndarray | None
 
 
+def _roots(d: int) -> list[complex]:
+    """w^r = root_of_unity(d, r) for r = 0..d-1."""
+    return [root_of_unity(d, r) for r in range(d)]
+
+
 def fidelity_table(psi0: PureState) -> np.ndarray:
     """F[K] = fidelity(psi0, Z^K psi0) = |sum_j |alpha_j|^2 w^(jK)|^2 for K = 0..d-1,
     clipped at 1.0 as `core.fidelity` is: the real and imaginary parts are each
@@ -289,7 +298,7 @@ def fidelity_table(psi0: PureState) -> np.ndarray:
     _check_qudit("psi0", psi0)
     d = psi0.d
     weights = (np.square(psi0.amps.real) + np.square(psi0.amps.imag)).tolist()
-    roots = [root_of_unity(d, r) for r in range(d)]
+    roots = _roots(d)
     table = []
     for k in range(d):
         phases = [roots[j * k % d] for j in range(d)]
@@ -297,6 +306,22 @@ def fidelity_table(psi0: PureState) -> np.ndarray:
         im = math.fsum(w * z.imag for w, z in zip(weights, phases))
         table.append(min(re * re + im * im, 1.0))
     return np.array(table)
+
+
+def _phase_pairs(psi0: PureState, k: int) -> list[list[float]]:
+    """Z^k psi0 as [re, im] pairs of Python floats, the amplitudes `qrelay run
+    --history` and `qrelay enumerate` report. Amplitude j times w = w^(jk) is
+    rounded part by part, as xr*wr - xi*wi and xi*wr + xr*wi with no fused
+    multiply-add, and then added to 0.0 so that a zero part is +0. These are
+    the bits of Python's complex product, the same on every host and BLAS
+    kernel, and the tests pin them."""
+    roots = _roots(psi0.d)
+    amps = zip(psi0.amps.real.tolist(), psi0.amps.imag.tolist())
+    pairs = []
+    for j, (xr, xi) in enumerate(amps):
+        w = roots[j * k % psi0.d]
+        pairs.append([xr * w.real - xi * w.imag + 0.0, xi * w.real + xr * w.imag + 0.0])
+    return pairs
 
 
 def run_trajectories(config: ChainConfig, psi0: PureState, trials: int) -> TrajectoryBatch:

@@ -10,7 +10,9 @@ Both commands are closed-form and run no state-vector code, so no report
 byte depends on the BLAS kernel: `run` uses the trajectory engine and
 writes `--history` snapshots as Z^e psi0, with `run_chain` as the
 library's oracle, and `enumerate` lists every path's Z^K psi0 directly,
-with `enumerate_branches` as its oracle.
+with `enumerate_branches` as its oracle. Z^K psi0 and F[K] come from
+`chain._phase_pairs` and `chain.fidelity_table`; this module does not
+import `gates`.
 Records are rendered column-wise: each field is written once per column
 from a small table of strings, never once per record, and the report is
 put together by one join per block of rows plus one final join.
@@ -31,13 +33,14 @@ from typing import NoReturn
 
 import numpy as np
 
-from . import gates, selftest
+from . import selftest
 from .chain import (
     ChainConfig,
     NoiseSpec,
     ResourceLimitError,
     TrajectoryBatch,
     _enumeration_exponent,
+    _phase_pairs,
     fidelity_table,
     run_trajectories,
 )
@@ -82,7 +85,8 @@ def _check_output_path(key: str, path: object) -> None:
 class ExperimentConfig:
     """Fully resolved experiment parameters; `chain.seed` is the master seed.
 
-    `trials` is None for `enumerate`, which has no trials.
+    `trials` is None for `enumerate`, which has no trials. `state` is any
+    spec `_parse_state` accepts and is stored in its normalized form.
     """
 
     chain: ChainConfig
@@ -92,6 +96,7 @@ class ExperimentConfig:
     history: str | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "state", _parse_state(self.state, self.chain.d))
         if self.trials is not None:
             object.__setattr__(self, "trials", _check_int("trials", self.trials, 1))
         for key in ("out", "history"):
@@ -126,19 +131,18 @@ def _parse_noise(value: object) -> NoiseSpec:
 def _parse_state(value: object, d: int) -> str | tuple[tuple[float, float], ...]:
     """Normalize an initial-state spec to a tag string or (re, im) pairs."""
     if isinstance(value, str):
-        tag = value.strip()
-        if tag in ("uniform", "random"):
-            return tag
-        if tag.startswith("basis:"):
+        if value in ("uniform", "random"):
+            return value
+        if value.startswith("basis:"):
             try:
-                j = int(tag.split(":", 1)[1])
+                j = int(value.split(":", 1)[1])
             except ValueError:
                 raise ValidationError(f"state: bad basis index in {value!r}") from None
             if not 0 <= j < d:
                 raise ValidationError(f"state: basis index {j} out of range [0, {d})")
-            return tag
+            return value
         try:
-            flat = [float(part) for part in tag.split(",")]
+            flat = [float(part) for part in value.split(",")]
         except ValueError:
             raise ValidationError(
                 f"state: expected 'basis:<j>', 'uniform', 'random' or an amplitude list, got {value!r}"
@@ -202,7 +206,7 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
         )
     raw.update((key, value) for key, value in flags.items() if value is not None)
 
-    # d first: the noise and state parsers depend on it
+    # d first: the noiseless default depends on it
     d = check_dim(raw.get("d", DEFAULT_D))
     mode = raw.get("mode", DEFAULT_MODE)
     if not isinstance(mode, CorrectionMode):
@@ -218,7 +222,7 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         chain=chain,
         trials=raw.get("trials", DEFAULT_TRIALS) if "trials" in flags else None,
-        state=_parse_state(raw.get("state", DEFAULT_STATE), d),
+        state=raw.get("state", DEFAULT_STATE),
         out=raw.get("out"),
         history=raw.get("history"),
     )
@@ -238,14 +242,11 @@ def _config_echo(config: ExperimentConfig) -> dict:
     }
 
 
-def _amp_pairs(state: PureState) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in state.amps]
-
-
 def write_history_csv(path: str, psi0: PureState, batch: TrajectoryBatch) -> None:
     """Trial 0's history as run_chain records it: psi0 with r = 0, then hop i's
-    post-noise, pre-correction snapshot with r = a_i, in closed form as Z^e psi0,
-    e = sum_{j<=i} k_j - a_i (local) or sum_{j<=i} (k_j - a_j) (deferred) mod d."""
+    post-noise, pre-correction snapshot with r = a_i, in closed form as Z^e psi0
+    (`chain._phase_pairs`), e = sum_{j<=i} k_j - a_i (local) or
+    sum_{j<=i} (k_j - a_j) (deferred) mod d."""
     d, results = psi0.d, batch.results[0]
     spent = results if batch.deferred_exponents is None else np.cumsum(results)
     exponents = (np.cumsum(batch.noise_exponents[0]) - spent) % d
@@ -253,9 +254,8 @@ def write_history_csv(path: str, psi0: PureState, batch: TrajectoryBatch) -> Non
         writer = csv.writer(handle)
         writer.writerow(["hop", "r", "amplitude_index", "re", "im"])
         for hop, (e, r) in enumerate(zip([0, *exponents.tolist()], [0, *results.tolist()])):
-            snapshot = gates.apply_1q(psi0, gates.pauli_z_power(d, e), 0)
-            for index, amp in enumerate(snapshot.amps):
-                writer.writerow([hop, r, index, repr(float(amp.real)), repr(float(amp.imag))])
+            for index, (re, im) in enumerate(_phase_pairs(psi0, e)):
+                writer.writerow([hop, r, index, repr(re), repr(im)])
 
 
 def _dit_table(n: int, d: int, closing: str) -> np.ndarray:
@@ -335,8 +335,9 @@ def cmd_enumerate(config: ExperimentConfig) -> str:
     """List every carrier-outcome path exactly (noiseless or fixed noise).
 
     With the channel's fixed exponent k, every path delivers Z^K psi0 with
-    K = n*k mod d, so all d^n records share one final state and one F[K]
-    from fidelity_table; `enumerate_branches` is the state-vector oracle.
+    K = n*k mod d, so all d^n records share one final state from
+    _phase_pairs and one F[K] from fidelity_table; `enumerate_branches` is
+    the state-vector oracle.
     The shared fields are encoded once, and the records differ only in
     their path digits, so each record is two pieces: one of d^(n//2)
     fronts (the shared head and the leading digits) and one of
@@ -346,7 +347,7 @@ def cmd_enumerate(config: ExperimentConfig) -> str:
     psi0 = initial_state(config)
     chain = config.chain
     exponent = chain.n * _enumeration_exponent(chain) % chain.d
-    final = _amp_pairs(gates.apply_1q(psi0, gates.pauli_z_power(chain.d, exponent), 0))
+    final = _phase_pairs(psi0, exponent)
     fid = float(fidelity_table(psi0)[exponent])
     total = chain.d**chain.n
     probability = 1.0 / total

@@ -1,13 +1,12 @@
 """Generalized phase-flip, shift, Fourier and CNOT gates for qudits.
 
 Constructors return small dense unitaries (d or d^2 per side). `GateMatrix`
-records once, at construction, whether its matrix is unitary and, for a
-one-qudit gate, whether it is diagonal (Z^r). One kernel, `_apply`, serves
-`apply_1q` and `apply_2q` with one path per arity. A one-qudit gate acts on
-the (pre, d, post) view of the amplitudes, with no copy: a diagonal gate is
-an elementwise product and any other is one batched matmul. A two-qudit gate
-moves its two axes to the front and is one matmul over (d^2, rest). The full
-d^n x d^n operator is never materialized.
+records once, at construction, whether its matrix is unitary. One kernel,
+`_apply`, serves `apply_1q` and `apply_2q` with one path for every gate: the
+gate's axes move to the front, one matmul runs over (d^arity, rest), and the
+axes move back. The full d^n x d^n operator is never materialized. Only the
+state-vector oracles run this kernel, and they are compared within 1e-12, so
+no reported byte depends on its BLAS rounding.
 """
 
 from __future__ import annotations
@@ -32,17 +31,14 @@ def _unitarity_deviation(mat: np.ndarray) -> float:
 class GateMatrix:
     """Dense matrix acting on one or two qudits of dimension d.
 
-    Construction records `unitary` (within UNITARITY_TOL) and a diagonal
-    one-qudit gate's diagonal, so applying a cached gate costs no scan.
+    Construction records `unitary` (within UNITARITY_TOL), so applying a
+    cached gate costs no scan.
     """
 
     d: int
     arity: int
     mat: np.ndarray
     unitary: bool = field(init=False, repr=False)
-    # a diagonal one-qudit gate's diagonal as a (d, 1) column, which broadcasts
-    # over the (pre, d, post) view; None for every other gate
-    _diagonal: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         d, arity = check_dim(self.d), _check_int("arity", self.arity, 1, 3)
@@ -55,10 +51,6 @@ class GateMatrix:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "unitary", _unitarity_deviation(mat) <= UNITARITY_TOL)
-        diagonal = None
-        if arity == 1 and not np.any(mat[~np.eye(side, dtype=bool)]):
-            diagonal = np.diagonal(mat).reshape(side, 1)
-        object.__setattr__(self, "_diagonal", diagonal)
 
 
 def pauli_z(d: int) -> GateMatrix:
@@ -140,34 +132,14 @@ def cnot_dagger(d: int) -> GateMatrix:
     return GateMatrix(d, 2, cnot(d).mat.conj().T)
 
 
-def _diagonal_product(src: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """src * diagonal with each part rounded on its own, as xr*wr - xi*wi and
-    xi*wr + xr*wi with no fused multiply-add, and then added to 0.0, so that
-    a zero part is +0. These are the bits Python's complex arithmetic gives,
-    and the tests pin them.
-
-    A product by a real factor, or by 1j, has an exact zero as one of the two
-    terms of each part, so it rounds as that bare product whatever numpy's
-    complex multiply does. The full complex multiply, and BLAS G @ x, round
-    some entries differently for some d, which would move the last bits of
-    reported fidelities and phase-corrected amplitudes (and turn some zeros
-    to -0.0) in `run`, `enumerate` and `--history` output.
-    """
-    out = src * diagonal.real
-    out += src * 1j * diagonal.imag
-    out += 0.0
-    return out
-
-
 def _apply(g: GateMatrix, state: PureState, positions: tuple[int, ...]) -> np.ndarray:
     """The one gate kernel: g on `positions` (slot order) of `state`'s
     register, identity elsewhere, as a fresh flat amplitude array.
 
-    A one-qudit gate acts on the (pre, d, post) view of the amplitudes, with
-    no copy. A two-qudit gate's axes are moved to the front in slot order,
-    so it is one matmul over (d^2, rest), and moved back. state.amps is
-    never written. The gate must fit: one position per qudit it acts on,
-    and the register's dimension.
+    The gate's axes are moved to the front in slot order, so it is one
+    matmul over (d^arity, rest), and moved back. state.amps is never
+    written. The gate must fit: one position per qudit it acts on, and the
+    register's dimension.
     """
     if g.arity != len(positions) or g.d != state.d:
         raise ValueError(
@@ -179,22 +151,17 @@ def _apply(g: GateMatrix, state: PureState, positions: tuple[int, ...]) -> np.nd
             f"gate must be unitary: this d={g.d} arity-{g.arity} gate has "
             f"max |G G^dagger - I| = {_unitarity_deviation(g.mat):.3e} > {UNITARITY_TOL}"
         )
-    d, size = g.d, state.amps.size
-    if g.arity == 1:
-        src = state.amps.reshape(d ** positions[0], d, -1)
-        if g._diagonal is not None:
-            return _diagonal_product(src, g._diagonal).reshape(size)
-        return (g.mat @ src).reshape(size)
-    moved = np.moveaxis(state.tensor(), positions, (0, 1))
-    out = (g.mat @ moved.reshape(d * d, -1)).reshape(moved.shape)
-    return np.moveaxis(out, (0, 1), positions).reshape(size)
+    front = tuple(range(g.arity))
+    moved = np.moveaxis(state.tensor(), positions, front)
+    out = (g.mat @ moved.reshape(g.mat.shape[0], -1)).reshape(moved.shape)
+    return np.moveaxis(out, front, positions).reshape(state.amps.size)
 
 
 def apply_1q(state: PureState, g: GateMatrix, target: int) -> PureState:
     """Apply a one-qudit unitary to the target position, identity elsewhere.
 
-    Runs the shared kernel on the (pre, d, post) view of the amplitudes; a
-    gate that is not one-qudit, not of the state's d, or not unitary within
+    Runs the shared kernel with the target moved to the front; a gate that
+    is not one-qudit, not of the state's d, or not unitary within
     UNITARITY_TOL raises ValueError.
     """
     target = _check_int("target", target, 0, state.num_qudits)

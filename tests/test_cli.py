@@ -32,6 +32,7 @@ from qrelay.cli import (
 )
 from qrelay.core import ValidationError, random_state
 from qrelay.teleport import CorrectionMode
+from test_gates import python_product
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -596,13 +597,17 @@ def reference_trial_records(batch) -> list[str]:
     ]
 
 
+def python_z_power_pairs(psi0, k) -> list[list[float]]:
+    """Z^k psi0 as [re, im] pairs from Python's complex product, not the BLAS kernel."""
+    return [[a.real, a.imag] for a in python_product(gates.pauli_z_power(psi0.d, k), psi0.amps)]
+
+
 def reference_path_records(config) -> list[str]:
     chain = config.chain
     psi0 = initial_state(config)
     exponent = chain.n * chain.noise.deterministic_exponent() % chain.d
-    final = gates.apply_1q(psi0, gates.pauli_z_power(chain.d, exponent), 0)
     fid = float(fidelity_table(psi0)[exponent])
-    final_pairs = [[float(a.real), float(a.imag)] for a in final.amps]
+    final_pairs = python_z_power_pairs(psi0, exponent)
     head = json.dumps({"fidelity": fid, "final_state": final_pairs}, separators=(",", ":"))[:-1] + ',"path":['
     tail = f'],"probability":{1.0 / chain.d**chain.n!r}}}'
     digits = [str(j) for j in range(chain.d)]
@@ -616,6 +621,14 @@ def reference_report(text: str, key: str, records: list[str]) -> str:
     placeholder = f'\n  "{key}": []'
     head, tail = json.dumps({**report, key: []}, indent=2, sort_keys=True).split(placeholder)
     return f'{head}\n  "{key}": [\n    ' + ",\n    ".join(records) + f"\n  ]{tail}\n"
+
+
+def assert_same_text(text: str, expected: str, context: object = "") -> None:
+    """text == expected, failing with the first differing line rather than a diff of the whole report."""
+    if text != expected:
+        got, want = text.split("\n"), expected.split("\n")
+        index = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"line {index}: got {got[index : index + 1]}, expected {want[index : index + 1]} {context}")
 
 
 class TestReportRendering:
@@ -639,6 +652,20 @@ class TestReportRendering:
         monkeypatch.chdir(tmp_path)
         assert main(command.split()) == 0
         assert hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest()[:16] == HISTORY_BYTES[command]
+
+    @pytest.mark.parametrize("command", dict.fromkeys([*REPORT_BYTES, *HISTORY_BYTES]))
+    def test_pinned_bytes_need_no_gate_kernel(self, capsys, monkeypatch, tmp_path, command):
+        # run, run --history in both modes and enumerate build Z^K psi0 in closed form
+        def no_kernel(*args):
+            raise AssertionError("the state-vector gate kernel ran")
+
+        monkeypatch.setattr(qrelay.gates, "_apply", no_kernel)
+        monkeypatch.chdir(tmp_path)
+        assert main(command.split()) == 0
+        stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+        assert stdout == REPORT_BYTES.get(command, stdout)
+        if command in HISTORY_BYTES:
+            assert hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest()[:16] == HISTORY_BYTES[command]
 
     @pytest.mark.skipif(NOT_DYNAMIC_OPENBLAS is not None, reason=str(NOT_DYNAMIC_OPENBLAS))
     def test_pinned_bytes_do_not_depend_on_the_openblas_kernel(self, tmp_path):
@@ -679,7 +706,7 @@ class TestReportRendering:
                 with monkeypatch.context() as patch:
                     patch.setattr(qrelay.cli, "RECORD_BLOCK_ROWS", block_rows)
                     text = cmd_run(config)
-                assert text == reference_report(text, "trials", records), (trials, block_rows)
+                assert_same_text(text, reference_report(text, "trials", records), (trials, block_rows))
 
     @pytest.mark.parametrize("d,n,k", [(16, 3, 5), (2, 1, 1)])
     def test_enumerate_matches_reference_renderer(self, d, n, k):
@@ -687,7 +714,7 @@ class TestReportRendering:
         config = parse(["enumerate", "--d", str(d), "--n", str(n), "--noise", noise,
                         "--state", "random", "--seed", "4"])
         text = cmd_enumerate(config)
-        assert text == reference_report(text, "paths", reference_path_records(config))
+        assert_same_text(text, reference_report(text, "paths", reference_path_records(config)))
 
     @pytest.mark.parametrize(
         "d,n", [(2, 1), (2, 3), (2, 12), (3, 1), (3, 5), (3, 7), (10, 1), (10, 3), (16, 1), (16, 3)]
@@ -698,15 +725,14 @@ class TestReportRendering:
         config = parse(["enumerate", "--d", str(d), "--n", str(n), "--noise", noise, "--state", "random", "--seed", "8"])
         psi0 = initial_state(config)
         exponent = n * (d - 1) % d
-        final = gates.apply_1q(psi0, gates.pauli_z_power(d, exponent), 0)
         shared = {
             "fidelity": float(fidelity_table(psi0)[exponent]),
-            "final_state": [[float(a.real), float(a.imag)] for a in final.amps],
+            "final_state": python_z_power_pairs(psi0, exponent),
             "probability": 1.0 / d**n,
         }
         records = [canonical({**shared, "path": list(path)}) for path in itertools.product(range(d), repeat=n)]
         text = cmd_enumerate(config)
-        assert text == reference_report(text, "paths", records)
+        assert_same_text(text, reference_report(text, "paths", records))
 
     def test_sorted_and_stable(self):
         # the record list sorts among the top-level keys and holds one record per line
@@ -746,3 +772,14 @@ class TestReportRendering:
             ExperimentConfig(chain=chain, trials=0, state="uniform")
         with pytest.raises(ValidationError, match="out:"):
             ExperimentConfig(chain=chain, trials=1, state="uniform", out=5)
+
+    @pytest.mark.parametrize(
+        "state", ["garbage", "uniform ", "basis:7", "basis:x", ((1.0, 0.0),)],
+        ids=["garbage", "uniform-space", "basis-7", "basis-x", "one-pair"],
+    )
+    def test_experiment_config_checks_state_on_build(self, state):
+        from qrelay.chain import ChainConfig, NoiseSpec
+
+        chain = ChainConfig(d=3, n=1, mode=CorrectionMode.DEFERRED_FINAL, noise=NoiseSpec.noiseless(3), seed=0)
+        with pytest.raises(ValidationError, match="^state: "):
+            ExperimentConfig(chain=chain, trials=1, state=state)
