@@ -5,8 +5,9 @@ records once, at construction, whether its matrix is unitary. One kernel,
 `_apply`, serves `apply_1q` and `apply_2q` with one path for every gate: the
 gate's axes move to the front, one matmul runs over (d^arity, rest), and the
 axes move back. The full d^n x d^n operator is never materialized. Only the
-state-vector oracles run this kernel, and they are compared within 1e-12, so
-no reported byte depends on its BLAS rounding.
+state-vector code (`teleport`, `run_chain`, `enumerate_branches`: the
+library's oracles, compared within 1e-12) runs this kernel, so no reported
+byte depends on its BLAS rounding.
 """
 
 from __future__ import annotations
