@@ -69,7 +69,7 @@ DEFAULT_PATH_BUDGET = 4096
 
 
 class ResourceLimitError(RuntimeError):
-    """An exhaustive mode was asked to exceed its stated budget."""
+    """A run was asked to exceed its stated budget or the memory it can allocate."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class NoiseSpec:
         try:
             values = tuple(self.probs)
             probs = tuple(float(p) for p in values)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"noise.probs: expected reals, got {self.probs!r}") from None
         if any(isinstance(p, (bool, np.bool_)) for p in values):
             raise ValidationError(f"noise.probs: booleans are not probabilities, got {values!r}")
@@ -337,7 +337,13 @@ def run_trajectories(config: ChainConfig, psi0: PureState, trials: int) -> Traje
     _check_qudit("psi0", psi0, config.d)
     trials = _check_int("trials", trials, 1)
     d, n = config.d, config.n
-    draws = _trial_stream(config.seed, n).random((trials, n, 3))
+    try:
+        draws = _trial_stream(config.seed, n).random((trials, n, 3))
+    except (MemoryError, ValueError):  # numpy raises ValueError for a size past the address range
+        raise ResourceLimitError(
+            f"trials: {trials} trials of {n} hops need {trials * n * 3 * 8} bytes of draws, "
+            "more than can be allocated"
+        ) from None
     results = _draw_dit(np.full(d, 1.0 / d), draws[..., 0])
     noise = _draw_dit(config.noise.probs, draws[..., 2])
     local = config.mode is CorrectionMode.LOCAL_EACH_HOP

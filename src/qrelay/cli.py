@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
 
@@ -86,7 +86,8 @@ class ExperimentConfig:
     """Fully resolved experiment parameters; `chain.seed` is the master seed.
 
     `trials` is None for `enumerate`, which has no trials. `state` is any
-    spec `_parse_state` accepts and is stored in its normalized form.
+    spec `_resolve_state` accepts and is stored in its normalized form;
+    `psi0` is the one-qudit input state it names, built here once.
     """
 
     chain: ChainConfig
@@ -94,9 +95,12 @@ class ExperimentConfig:
     state: str | tuple[tuple[float, float], ...]
     out: str | None = None
     history: str | None = None
+    psi0: PureState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "state", _parse_state(self.state, self.chain.d))
+        state, psi0 = _resolve_state(self.state, self.chain)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "psi0", psi0)
         if self.trials is not None:
             object.__setattr__(self, "trials", _check_int("trials", self.trials, 1))
         for key in ("out", "history"):
@@ -128,59 +132,52 @@ def _parse_noise(value: object) -> NoiseSpec:
     return NoiseSpec(tuple(value))
 
 
-def _parse_state(value: object, d: int) -> str | tuple[tuple[float, float], ...]:
-    """Normalize an initial-state spec to a tag string or (re, im) pairs."""
+def _resolve_state(value: object, chain: ChainConfig) -> tuple[str | tuple[tuple[float, float], ...], PureState]:
+    """The one reader of an initial-state spec: the spec as the report echoes it
+    (a tag string or (re, im) pairs) and the one-qudit state it names."""
+    d = chain.d
     if isinstance(value, str):
-        if value in ("uniform", "random"):
-            return value
-        if value.startswith("basis:"):
-            try:
-                j = int(value.split(":", 1)[1])
-            except ValueError:
-                raise ValidationError(f"state: bad basis index in {value!r}") from None
-            if not 0 <= j < d:
-                raise ValidationError(f"state: basis index {j} out of range [0, {d})")
-            return value
+        if value == "uniform":
+            return value, make_state(d, [1.0 / math.sqrt(d)] * d)
+        if value == "random":
+            # the spawn key keeps this stream apart from the trials' stream, default_rng(seed)
+            stream = np.random.SeedSequence(chain.seed, spawn_key=(0,))
+            return value, random_state(d, 1, np.random.default_rng(stream))
+        # one spelling per basis state, so one input gives one report
+        basis = [f"basis:{j}" for j in range(d)]
+        if value in basis:
+            return value, basis_state(d, 1, (basis.index(value),))
         try:
             flat = [float(part) for part in value.split(",")]
         except ValueError:
             raise ValidationError(
-                f"state: expected 'basis:<j>', 'uniform', 'random' or an amplitude list, got {value!r}"
+                f"state: expected one of basis:0 .. basis:{d - 1}, 'uniform', 'random' or an amplitude list, "
+                f"got {value!r}"
             ) from None
         if len(flat) != 2 * d:
             raise ValidationError(
                 f"state: amplitude list needs {2 * d} reals (re, im per basis state), got {len(flat)}"
             )
-        return tuple((flat[2 * i], flat[2 * i + 1]) for i in range(d))
-    if isinstance(value, (list, tuple)):
+        pairs = list(zip(flat[0::2], flat[1::2]))
+    elif isinstance(value, (list, tuple)):
         pairs = []
         for i, item in enumerate(value):
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ValidationError(f"state: amplitude {i} must be an [re, im] pair, got {item!r}")
             try:
-                pairs.append((float(item[0]), float(item[1])))
-            except (TypeError, ValueError):
-                raise ValidationError(f"state: amplitude {i} must hold two reals, got {item!r}") from None
+                pair = (float(item[0]), float(item[1]))
+            except (TypeError, ValueError, OverflowError):
+                pair = None
+            # booleans are not reals, as NoiseSpec does not take them as probabilities
+            if pair is None or any(isinstance(part, (bool, np.bool_)) for part in item):
+                raise ValidationError(f"state: amplitude {i} must hold two reals, got {item!r}")
+            pairs.append(pair)
         if len(pairs) != d:
             raise ValidationError(f"state: expected {d} amplitude pairs, got {len(pairs)}")
-        return tuple(pairs)
-    raise ValidationError(f"state: unsupported value {value!r}")
-
-
-def initial_state(config: ExperimentConfig) -> PureState:
-    """Realize the configured one-qudit input state."""
-    spec, d = config.state, config.chain.d
-    if spec == "uniform":
-        return make_state(d, [1.0 / math.sqrt(d)] * d)
-    if spec == "random":
-        # the spawn key keeps this stream apart from the trials' stream, default_rng(seed)
-        stream = np.random.SeedSequence(config.chain.seed, spawn_key=(0,))
-        return random_state(d, 1, np.random.default_rng(stream))
-    if isinstance(spec, str) and spec.startswith("basis:"):
-        return basis_state(d, 1, (int(spec.split(":", 1)[1]),))
-    amps = [complex(re, im) for re, im in spec]
+    else:
+        raise ValidationError(f"state: unsupported value {value!r}")
     try:
-        return make_state(d, amps)
+        return tuple(pairs), make_state(d, [complex(re, im) for re, im in pairs])
     except ValidationError as exc:
         raise ValidationError(f"state: {exc}") from None
 
@@ -188,7 +185,7 @@ def initial_state(config: ExperimentConfig) -> PureState:
 def _load_config_file(path: str) -> dict:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, bad JSON, an int past 4300 digits
         raise ValidationError(f"config: cannot read {path} as UTF-8 JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValidationError(f"config: {path} must hold a JSON object")
@@ -230,7 +227,6 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _config_echo(config: ExperimentConfig) -> dict:
     """The settings both commands share, as a config file would give them."""
-    state = config.state if isinstance(config.state, str) else [list(pair) for pair in config.state]
     chain = config.chain
     return {
         "d": chain.d,
@@ -238,7 +234,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "mode": chain.mode.value,
         "noise": list(chain.noise.probs),
         "seed": chain.seed,
-        "state": state,
+        "state": config.state,
     }
 
 
@@ -314,10 +310,9 @@ def _trial_blocks(batch: TrajectoryBatch, d: int) -> list[str]:
 
 def cmd_run(config: ExperimentConfig) -> str:
     """Execute the configured number of seeded chain runs; return the report text."""
-    psi0 = initial_state(config)
-    batch = run_trajectories(config.chain, psi0, config.trials)
+    batch = run_trajectories(config.chain, config.psi0, config.trials)
     if config.history:
-        write_history_csv(config.history, psi0, batch)
+        write_history_csv(config.history, config.psi0, batch)
     report = {
         "command": "run",
         "config": {**_config_echo(config), "trials": config.trials},
@@ -344,8 +339,7 @@ def cmd_enumerate(config: ExperimentConfig) -> str:
     d^(n - n//2) backs (the trailing digits, the shared tail and the
     separator), interleaved by slice assignment. Returns the report text.
     """
-    psi0 = initial_state(config)
-    chain = config.chain
+    psi0, chain = config.psi0, config.chain
     exponent = chain.n * _enumeration_exponent(chain) % chain.d
     final = _phase_pairs(psi0, exponent)
     fid = float(fidelity_table(psi0)[exponent])

@@ -195,7 +195,7 @@ def check_engines_match_oracles() -> CheckResult:
     against `enumerate_branches` at d=3, n=2, where the fixed channel's
     total exponent K = n*k mod d is not 0. Parsing the report text checks
     the hand-written records, their `null` and their floats, too."""
-    from .cli import ExperimentConfig, cmd_enumerate, cmd_run, initial_state  # cli imports this module
+    from .cli import ExperimentConfig, cmd_enumerate, cmd_run  # cli imports this module
 
     failures = []
     noisy = ChainConfig(
@@ -204,12 +204,11 @@ def check_engines_match_oracles() -> CheckResult:
     fixed = replace(noisy, n=2, noise=NoiseSpec((0.0, 1.0, 0.0)))
     for mode in CorrectionMode:
         config = ExperimentConfig(chain=replace(noisy, mode=mode), trials=6, state="random")
-        psi = initial_state(config)
         trials = json.loads(cmd_run(config))["trials"]
         if len(trials) != config.trials:
             failures.append(f"{mode.value} run lists {len(trials)} trials, not {config.trials}")
         for i, record in enumerate(trials):
-            oracle = run_chain(config.chain, psi, trial=i)
+            oracle = run_chain(config.chain, config.psi0, trial=i)
             if (
                 record["trial"] != i
                 or record["results"] != list(oracle.results)
@@ -221,7 +220,7 @@ def check_engines_match_oracles() -> CheckResult:
 
         config = ExperimentConfig(chain=replace(fixed, mode=mode), trials=None, state="random")
         paths = json.loads(cmd_enumerate(config))["paths"]
-        branches = enumerate_branches(config.chain, initial_state(config))
+        branches = enumerate_branches(config.chain, config.psi0)
         if len(paths) != len(branches):
             failures.append(
                 f"{mode.value} enumerate lists {len(paths)} paths, the oracle {len(branches)}"

@@ -1,10 +1,13 @@
+import contextlib
 import copy
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -15,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qrelay.chain
 import qrelay.cli
@@ -25,7 +30,6 @@ from qrelay.cli import (
     build_parser,
     cmd_enumerate,
     cmd_run,
-    initial_state,
     main,
     parse_config,
     render_report,
@@ -103,47 +107,53 @@ class TestParseConfig:
     def test_amp_list_state(self):
         config = parse(["run", "--d", "2", "--state", "0.6,0,0.8,0"])
         assert config.state == ((0.6, 0.0), (0.8, 0.0))
-        psi = initial_state(config)
-        np.testing.assert_allclose(psi.amps, [0.6, 0.8], atol=1e-12)
+        np.testing.assert_allclose(config.psi0.amps, [0.6, 0.8], atol=1e-12)
 
     def test_amp_list_wrong_length(self):
         with pytest.raises(ValidationError, match="state"):
             parse(["run", "--d", "3", "--state", "0.6,0,0.8,0"])
 
     def test_amp_list_unnormalized(self):
-        config = parse(["run", "--d", "2", "--state", "1,0,1,0"])
-        with pytest.raises(ValidationError, match="state"):
-            initial_state(config)
+        # refused when the config is built, before any command runs
+        with pytest.raises(ValidationError, match=r"^state: amplitudes must be normalized"):
+            parse(["run", "--d", "2", "--state", "1,0,1,0"])
         # a norm that overflows is reported as inf, without a numpy warning
-        config = parse(["run", "--d", "2", "--state", "1e308,0,1e308,0"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=r"^state: .*\(norm inf\)"):
-                initial_state(config)
+                parse(["run", "--d", "2", "--state", "1e308,0,1e308,0"])
 
     def test_json_amp_pairs(self, tmp_path):
         path = tmp_path / "experiment.json"
         path.write_text(json.dumps({"d": 2, "state": [[0.6, 0.0], [0.0, 0.8]]}))
-        config = parse(["run", "--config", str(path)])
-        psi = initial_state(config)
-        np.testing.assert_allclose(psi.amps, [0.6, 0.8j], atol=1e-12)
+        np.testing.assert_allclose(parse(["run", "--config", str(path)]).psi0.amps, [0.6, 0.8j], atol=1e-12)
 
 
 class TestInitialState:
     def test_uniform(self):
-        psi = initial_state(parse(["run", "--d", "4"]))
+        psi = parse(["run", "--d", "4"]).psi0
         np.testing.assert_allclose(psi.amps, np.full(4, 0.5), atol=1e-15)
 
     def test_basis(self):
-        psi = initial_state(parse(["run", "--d", "3", "--state", "basis:2"]))
+        psi = parse(["run", "--d", "3", "--state", "basis:2"]).psi0
         np.testing.assert_array_equal(psi.amps, [0, 0, 1])
 
     def test_random_is_seed_reproducible(self):
-        first = initial_state(parse(["run", "--state", "random", "--seed", "5"]))
-        second = initial_state(parse(["run", "--state", "random", "--seed", "5"]))
+        first = parse(["run", "--state", "random", "--seed", "5"]).psi0
+        second = parse(["run", "--state", "random", "--seed", "5"]).psi0
         np.testing.assert_array_equal(first.amps, second.amps)
-        other = initial_state(parse(["run", "--state", "random", "--seed", "6"]))
+        other = parse(["run", "--state", "random", "--seed", "6"]).psi0
         assert np.max(np.abs(first.amps - other.amps)) > 1e-6
+
+    def test_psi0_is_derived_and_not_compared(self):
+        # each config builds its own psi0 object, so equality and hashing must ignore it
+        config = parse(["run", "--state", "random", "--seed", "5"])
+        again = parse(["run", "--state", "random", "--seed", "5"])
+        assert config == again and hash(config) == hash(again)
+        assert "psi0" not in repr(config)
+        assert replace(config, trials=2).psi0.amps.tolist() == config.psi0.amps.tolist()
+        with pytest.raises(TypeError):
+            ExperimentConfig(chain=config.chain, trials=1, state="uniform", psi0=config.psi0)
 
     def test_random_state_stream_is_not_trial_0s(self, monkeypatch):
         first_doubles = []
@@ -154,7 +164,7 @@ class TestInitialState:
 
         monkeypatch.setattr(qrelay.cli, "random_state", recording_random_state)
         for master in (0, 1, 5, 123, 2**63 + 5, 2**64 - 1):
-            initial_state(parse(["run", "--state", "random", "--seed", str(master)]))
+            parse(["run", "--state", "random", "--seed", str(master)])
             assert first_doubles.pop() != np.random.default_rng(master).random()
 
 
@@ -206,7 +216,7 @@ class TestCmdRun:
                 rows = list(csv.reader(handle))
             assert rows[0] == ["hop", "r", "amplitude_index", "re", "im"]
             assert len(rows) == 1 + d * (n + 1)  # header + d amplitudes per history entry
-            oracle = run_chain(config.chain, initial_state(config)).history
+            oracle = run_chain(config.chain, config.psi0).history
             for hop, entry in enumerate(oracle):
                 block = rows[1 + hop * d : 1 + (hop + 1) * d]
                 assert [row[:3] for row in block] == [[str(hop), str(entry.r), str(j)] for j in range(d)]
@@ -225,7 +235,7 @@ class TestCmdRun:
         config = parse(["run", "--d", str(d), "--n", str(n), "--noise", noise,
                         "--trials", str(trials), "--seed", "12", "--state", "random"])
         fidelities = [record["fidelity"] for record in json.loads(cmd_run(config))["trials"]]
-        exact = expected_fidelity(config.chain, initial_state(config))
+        exact = expected_fidelity(config.chain, config.psi0)
         sigma = np.std(fidelities) / math.sqrt(trials)
         # a deterministic channel gives every trial the same fidelity, so sigma is 0
         assert abs(np.mean(fidelities) - exact) <= 5 * sigma + 1e-12
@@ -278,7 +288,7 @@ class TestCmdEnumerate:
                 config = parse(["enumerate", "--d", str(d), "--n", str(n), "--mode", mode,
                                 "--noise", noise, "--state", "random", "--seed", str(7 * n + k)])
                 report = json.loads(cmd_enumerate(config))
-                branches = enumerate_branches(config.chain, initial_state(config))
+                branches = enumerate_branches(config.chain, config.psi0)
                 paths = report["paths"]
                 assert [record["path"] for record in paths] == [list(b.path) for b in branches]
                 for record, branch in zip(paths, branches):
@@ -347,7 +357,9 @@ class TestMain:
             ("history", 1, "history"),  # an int path would open that file descriptor
             ("noise", [0.5, "a"], "noise.probs"),
             ("noise", [True, False], "noise.probs"),
+            ("noise", [10**400, 0], "noise.probs"),  # an int too large for a float
             ("state", [[1, 0], ["a", 0]], "state"),
+            ("state", [[True, 0], [0, 0]], "state"),  # a JSON true is not the real 1.0, as it is not a probability
         ]
         for key, value, field in bad_values:
             path = tmp_path / f"{key}.json"
@@ -358,9 +370,23 @@ class TestMain:
             assert captured.out == ""
         not_utf8 = tmp_path / "latin1.json"
         not_utf8.write_bytes(b'{"state": "caf\xe9"}')
-        for path in (str(not_utf8), str(tmp_path / "missing.json")):
+        # json refuses an integer of more than 4300 digits with a plain ValueError
+        long_int = tmp_path / "long_int.json"
+        long_int.write_text('{"seed": 1' + "0" * 5000 + "}")
+        for path in (str(not_utf8), str(long_int), str(tmp_path / "missing.json")):
             assert main(["run", "--config", path]) == 1
             assert "error: config:" in capsys.readouterr().err
+
+    def test_trials_past_the_address_space_exit_2_naming_trials(self, capsys):
+        # 10^13 trials of 3 hops ask for 720 TB of draws, past the 47-bit user address space,
+        # so the allocation fails before any memory is touched; never test a count that might fit
+        assert main(["run", "--trials", "10000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: trials: 10000000000000 trials of 3 hops need 720000000000000 bytes of draws, "
+            "more than can be allocated\n"
+        )
+        assert captured.out == ""
 
     def test_config_file_mode_names_its_choices(self, capsys, tmp_path):
         path = tmp_path / "mode.json"
@@ -466,6 +492,13 @@ class TestMain:
                 assert written == qrelay(argv[:at] + argv[at + 2:])
                 stdout = written
             assert json.loads(stdout)["command"] == argv[1]
+
+    def test_readme_config_example_runs_as_written(self, capsys, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        path = tmp_path / "readme.json"
+        path.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        assert main(["run", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == json.loads(path.read_text())
 
     def test_readme_library_block_runs_as_written(self, tmp_path):
         readme = (ROOT / "README.md").read_text()
@@ -604,7 +637,7 @@ def python_z_power_pairs(psi0, k) -> list[list[float]]:
 
 def reference_path_records(config) -> list[str]:
     chain = config.chain
-    psi0 = initial_state(config)
+    psi0 = config.psi0
     exponent = chain.n * chain.noise.deterministic_exponent() % chain.d
     fid = float(fidelity_table(psi0)[exponent])
     final_pairs = python_z_power_pairs(psi0, exponent)
@@ -701,7 +734,7 @@ class TestReportRendering:
         for trials in (1, 9, 10, 11, 4097):
             config = parse(["run", "--d", str(d), "--n", str(n), "--mode", mode, "--noise", noise,
                             "--trials", str(trials), "--seed", str(trials), "--state", "random"])
-            records = reference_trial_records(run_trajectories(config.chain, initial_state(config), trials))
+            records = reference_trial_records(run_trajectories(config.chain, config.psi0, trials))
             for block_rows in (1, 7, qrelay.cli.RECORD_BLOCK_ROWS):
                 with monkeypatch.context() as patch:
                     patch.setattr(qrelay.cli, "RECORD_BLOCK_ROWS", block_rows)
@@ -723,7 +756,7 @@ class TestReportRendering:
         # n = 1, an odd n, and the largest n within the 4096-path budget; d = 10 and 16 have two-character digits
         noise = ",".join("1" if j == d - 1 else "0" for j in range(d))
         config = parse(["enumerate", "--d", str(d), "--n", str(n), "--noise", noise, "--state", "random", "--seed", "8"])
-        psi0 = initial_state(config)
+        psi0 = config.psi0
         exponent = n * (d - 1) % d
         shared = {
             "fidelity": float(fidelity_table(psi0)[exponent]),
@@ -774,12 +807,134 @@ class TestReportRendering:
             ExperimentConfig(chain=chain, trials=1, state="uniform", out=5)
 
     @pytest.mark.parametrize(
-        "state", ["garbage", "uniform ", "basis:7", "basis:x", ((1.0, 0.0),)],
-        ids=["garbage", "uniform-space", "basis-7", "basis-x", "one-pair"],
+        "d,state",
+        [(3, "garbage"), (3, "uniform "), (3, "basis:7"), (3, "basis:x"), (3, ((1.0, 0.0),)),
+         # zero and non-finite amplitudes are refused on build, not when a command runs
+         (3, ((0.0, 0.0),) * 3), (3, ((math.inf, 0.0), (0.0, 0.0), (0.0, 0.0))),
+         (3, ((True, 0), (0, 0), (0, 0))), (3, ((10**400, 0), (0, 0), (0, 0))),
+         # one spelling per basis state, as str(j) writes j
+         (16, "basis:+1"), (16, "basis: 1"), (16, "basis:1 "), (16, "basis:01"), (16, "basis:1_0"),
+         (16, "basis:-0"), (16, "basis:\u0661"), (16, "basis:")],
+        ids=["garbage", "uniform-space", "basis-7", "basis-x", "one-pair", "zero", "inf", "bool", "huge-int",
+             "basis-plus", "basis-space", "basis-trailing-space", "basis-zero-padded", "basis-underscore",
+             "basis-minus-zero", "basis-arabic-indic-digit", "basis-empty"],
     )
-    def test_experiment_config_checks_state_on_build(self, state):
+    def test_experiment_config_checks_state_on_build(self, d, state):
         from qrelay.chain import ChainConfig, NoiseSpec
 
-        chain = ChainConfig(d=3, n=1, mode=CorrectionMode.DEFERRED_FINAL, noise=NoiseSpec.noiseless(3), seed=0)
+        chain = ChainConfig(d=d, n=1, mode=CorrectionMode.DEFERRED_FINAL, noise=NoiseSpec.noiseless(d), seed=0)
         with pytest.raises(ValidationError, match="^state: "):
             ExperimentConfig(chain=chain, trials=1, state=state)
+
+
+# every field a refusal may name; `qrelay run` reads no other input
+KNOWN_FIELDS = {"config", "d", "n", "mode", "noise.probs", "seed", "state", "trials", "out", "history"}
+ODD_INT = st.one_of(
+    st.booleans(), st.none(), st.floats(allow_nan=True), st.integers(max_value=0), st.just(2**64),
+    st.sampled_from(["3", "+3", " 3", "03", "3_0", "0x3", "3.0"]), st.lists(st.integers(0, 3), max_size=2),
+)
+BASIS_INDEX_TEXT = st.one_of(
+    st.integers(0, 17).map(str), st.sampled_from(["+1", " 1", "1 ", "01", "1_0", "-0", "1.0", "", "x", "\u0661"])
+)
+AMPLITUDE_TEXT = st.one_of(
+    st.sampled_from(["0", "1", "0.6", "0.8", "+1", " 1", "1_0", "nan", "-inf", "1e400", "x", ""]),
+    st.floats().map(repr),
+)
+AMPLITUDE_PART = st.one_of(
+    st.integers(-1, 1), st.floats(), st.booleans(), st.none(), st.just(10**400), st.sampled_from(["0.6", "x"]),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+STATE_TEXT = st.one_of(
+    st.sampled_from(["uniform", "random", "Uniform", "uniform ", "", ",", "1,0,0,0", "0.6,0,0,0.8", "1,0,0,0,0,0"]),
+    BASIS_INDEX_TEXT.map("basis:".__add__),
+    st.lists(AMPLITUDE_TEXT, max_size=6).map(",".join),
+)
+STATE_VALUE = st.one_of(
+    STATE_TEXT,
+    st.sampled_from([[[1, 0], [0, 0]], [[0.6, 0], [0, 0.8]], [], {}, None]),
+    st.lists(st.lists(AMPLITUDE_PART, max_size=3), max_size=4),
+    st.lists(st.lists(st.lists(AMPLITUDE_PART, max_size=2), max_size=2), max_size=3),
+)
+# n and trials are small when valid: a large valid count really allocates
+ODD_VALUES = {"d": st.one_of(ODD_INT, st.just(17)), "n": ODD_INT, "trials": ODD_INT, "seed": ODD_INT,
+              "state": STATE_VALUE}
+
+
+def pick(*strategies):
+    """A value from one of `strategies`, each chosen equally often; list one twice to weight it."""
+    return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
+
+
+def unit_pairs(d):
+    """Basis state j of dimension d as [re, im] pairs, the part at k (if k < 2d) spelled
+    by a JSON value that is not a real."""
+    one, zero = st.sampled_from([1, 1.0, "1", " 1"]), st.sampled_from([0, 0.0, -0.0, "0"])
+    odd = st.sampled_from([True, False, None, 10**400, "x", [1]])
+
+    def spelled(j, k):
+        return st.tuples(*[odd if i == k else one if i == 2 * j else zero for i in range(2 * d)])
+
+    parts = st.tuples(st.integers(0, d - 1), st.integers(0, 2 * d)).flatmap(lambda jk: spelled(*jk))
+    return parts.map(lambda parts: [list(parts[i : i + 2]) for i in range(0, 2 * d, 2)])
+
+
+def has_bool(value) -> bool:
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, bool) or isinstance(value, list) and any(map(has_bool, value))
+
+
+@st.composite
+def config_files(draw):
+    """A valid run config, as the README's grammar gives it, with some keys left out
+    and at most one key given an odd value."""
+    d = draw(st.integers(2, 16))
+    config = {
+        "d": d,
+        "n": draw(st.integers(1, 4)),
+        "trials": draw(st.integers(1, 8)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "state": draw(pick(
+            st.sampled_from(["uniform", "random"]), st.integers(0, d - 1).map("basis:{}".format),
+            BASIS_INDEX_TEXT.map("basis:".__add__), unit_pairs(d), unit_pairs(d),
+        )),
+    }
+    for key in draw(st.sets(st.sampled_from(["n", "trials", "seed", "state"]))):
+        del config[key]
+    odd = draw(st.sampled_from([None, *ODD_VALUES]))
+    if odd is not None:
+        config[odd] = draw(ODD_VALUES[odd])
+    return config
+
+
+class TestInputBoundary:
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(config=config_files(), state=pick(st.none(), st.none(), st.none(), STATE_TEXT))
+    def test_run_reports_or_names_the_field(self, tmp_path_factory, config, state):
+        """Every input ends in a report whose config echo gives the same bytes again, or in
+        exit 1 or 2 with `error: <field>:`; an uncaught exception fails the example."""
+        path = tmp_path_factory.getbasetemp() / "boundary.json"
+        path.write_text(json.dumps(config))
+        argv = ["run", "--config", str(path)] + ([] if state is None else [f"--state={state}"])
+        code, out, err = self.run(argv)
+        if code == 0:
+            # booleans are never numbers, and the echo spells the state one way only
+            assert not has_bool({**config, "state": config.get("state") if state is None else state})
+            echo = json.loads(out)["config"]
+            d, echoed = echo["d"], echo["state"]
+            assert echoed in ("uniform", "random", *(f"basis:{j}" for j in range(d))) or (
+                len(echoed) == d and all(list(map(type, pair)) == [float, float] for pair in echoed)
+            )
+            path.write_text(json.dumps(echo))
+            assert self.run(["run", "--config", str(path)]) == (0, out, "")
+        else:
+            assert code in (1, 2) and out == ""
+            field = re.match(r"error: ([\w.]+): ", err)
+            assert field and field.group(1) in KNOWN_FIELDS, err
