@@ -12,10 +12,10 @@ oracle: it builds, measures and slices every hop register. Because every
 hop is corrected by a Z power and every channel error is a Z power, a run
 always delivers Z^K psi0 with K = (sum of noise exponents) mod d, so
 `run_trajectories`, the engine `qrelay run` uses, only draws the dits and
-reads the fidelity from a d-entry table. The two agree exactly on the
-dits except on at most d * 2^-50 of the doubles a hop's carrier draw can
-take: the oracle's Born cdf equals k/d only up to rounding, and the tests
-count the doubles between the two cdfs.
+returns each trial's K and takes no state; F[K] = fidelity_table(psi0)[K].
+The two agree exactly on the dits except on at most d * 2^-50 of the
+doubles a hop's carrier draw can take: the oracle's Born cdf equals k/d
+only up to rounding, and the tests count the doubles between the two cdfs.
 
 The same fact makes `qrelay enumerate` closed-form: under a fixed channel
 exponent k every carrier path delivers Z^K psi0 with K = n*k mod d.
@@ -275,14 +275,14 @@ def run_chain(
 class TrajectoryBatch:
     """Closed-form outcomes of one seeded run; row i is trial i.
 
-    Each row holds what run_chain reports for that trial: `results` and
-    `noise_exponents` are (trials, n) integer arrays, `fidelities` has one
-    entry per trial, and `deferred_exponents` is None in local mode.
+    Each row holds run_chain's integers for that trial: `results` and
+    `noise_exponents` are (trials, n), `phase_exponents` is K (the trial
+    delivers Z^K psi0), and `deferred_exponents` is None in local mode.
     """
 
     results: np.ndarray
     noise_exponents: np.ndarray
-    fidelities: np.ndarray
+    phase_exponents: np.ndarray
     deferred_exponents: np.ndarray | None
 
 
@@ -324,17 +324,16 @@ def _phase_pairs(psi0: PureState, k: int) -> list[list[float]]:
     return pairs
 
 
-def run_trajectories(config: ChainConfig, psi0: PureState, trials: int) -> TrajectoryBatch:
+def run_trajectories(config: ChainConfig, trials: int) -> TrajectoryBatch:
     """Run `trials` chains in closed form; trial i is block i of the seed's stream.
 
     One random((trials, n, 3)) call draws every trial's doubles, one per
     hop for the carrier, ancilla and noise draws in run_chain's order.
     The carrier and noise doubles become dits by the package's draw rule
     (`core._draw_dit`); the ancilla double is discarded, since the
-    ancilla outcome never changes the received state. The fidelity is
-    F[K] from fidelity_table with K = (sum of noise exponents) mod d.
+    ancilla outcome never changes the received state. Each trial's K is
+    (sum of noise exponents) mod d; no state is involved.
     """
-    _check_qudit("psi0", psi0, config.d)
     trials = _check_int("trials", trials, 1)
     d, n = config.d, config.n
     try:
@@ -350,7 +349,7 @@ def run_trajectories(config: ChainConfig, psi0: PureState, trials: int) -> Traje
     return TrajectoryBatch(
         results=results,
         noise_exponents=noise,
-        fidelities=fidelity_table(psi0)[noise.sum(axis=1) % d],
+        phase_exponents=noise.sum(axis=1) % d,
         deferred_exponents=None if local else results.sum(axis=1) % d,
     )
 
@@ -383,7 +382,7 @@ def _enumeration_exponent(config: ChainConfig) -> int:
     # d >= 2, so a long chain is over budget before d^n is ever built
     if config.n >= DEFAULT_PATH_BUDGET.bit_length() or config.d**config.n > DEFAULT_PATH_BUDGET:
         raise ResourceLimitError(
-            f"{config.d}^{config.n} paths exceed the budget of {DEFAULT_PATH_BUDGET}; "
+            f"n: {config.d}^{config.n} paths exceed the budget of {DEFAULT_PATH_BUDGET}; "
             "use Monte Carlo runs instead"
         )
     return forced_k

@@ -265,26 +265,25 @@ def _dit_table(n: int, d: int, closing: str) -> np.ndarray:
     return table
 
 
-def _trial_blocks(batch: TrajectoryBatch, d: int) -> list[str]:
+def _trial_blocks(batch: TrajectoryBatch, table: np.ndarray) -> list[str]:
     """The trial records as text, one string per RECORD_BLOCK_ROWS trials.
 
     The records are built column by column, never record by record. Every
     field but the trial index takes at most d^2 values, so each is a table
-    of strings indexed by the batch's arrays, and the keys and brackets
-    ride on the table entries. Row i of the pieces array, read in order, is
-    trial i's key-sorted record followed by RECORD_SEPARATOR (none after
-    the last), and one join turns a block of rows into text. Ints are
-    written by str and floats by repr, as json writes them.
+    of strings indexed by the batch's arrays (the fidelity by K, from
+    `table` = fidelity_table(psi0)), and the keys and brackets ride on the
+    table entries. Row i of the pieces array, read in order, is trial i's
+    key-sorted record followed by RECORD_SEPARATOR (none after the last),
+    and one join turns a block of rows into text. Ints are written by str
+    and floats by repr, as json writes them.
     """
-    trials, n = batch.results.shape
-    # keyed by bit pattern, so that each fidelity's table entry is its own repr
-    bits, fidelity_index = np.unique(batch.fidelities.view(np.int64), return_inverse=True)
-    fidelities = [repr(value) for value in bits.view(np.float64).tolist()]
+    (trials, n), d = batch.results.shape, len(table)
+    fidelities = [repr(value) for value in table.tolist()]
     if batch.deferred_exponents is None:
-        exponents, opening_index = ["null"], fidelity_index
+        exponents, opening_index = ["null"], batch.phase_exponents
     else:
         exponents = [str(e) for e in range(d)]
-        opening_index = batch.deferred_exponents * len(fidelities) + fidelity_index
+        opening_index = batch.deferred_exponents * d + batch.phase_exponents
     opening = np.array(
         [f'{{"deferred_exponent":{e},"fidelity":{f},"noise_exponents":[' for e in exponents for f in fidelities],
         dtype=object,
@@ -310,20 +309,22 @@ def _trial_blocks(batch: TrajectoryBatch, d: int) -> list[str]:
 
 def cmd_run(config: ExperimentConfig) -> str:
     """Execute the configured number of seeded chain runs; return the report text."""
-    batch = run_trajectories(config.chain, config.psi0, config.trials)
+    batch = run_trajectories(config.chain, config.trials)
     if config.history:
         write_history_csv(config.history, config.psi0, batch)
+    table = fidelity_table(config.psi0)
+    fidelities = table[batch.phase_exponents]
     report = {
         "command": "run",
         "config": {**_config_echo(config), "trials": config.trials},
         "aggregate": {
-            "fidelity_mean": float(np.mean(batch.fidelities)),
-            "fidelity_min": float(np.min(batch.fidelities)),
+            "fidelity_mean": float(np.mean(fidelities)),
+            "fidelity_min": float(np.min(fidelities)),
             "outcome_histogram": np.bincount(batch.results.ravel(), minlength=config.chain.d).tolist(),
         },
         "history_path": config.history,
     }
-    return render_report(report, "trials", _trial_blocks(batch, config.chain.d))
+    return render_report(report, "trials", _trial_blocks(batch, table))
 
 
 def cmd_enumerate(config: ExperimentConfig) -> str:

@@ -266,7 +266,7 @@ class TestCmdEnumerate:
     def test_budget_exit_code(self, capsys):
         for n in ("8", "10000"):
             assert main(["enumerate", "--d", "3", "--n", n]) == 2
-            assert f"3^{n} paths exceed the budget" in capsys.readouterr().err
+            assert capsys.readouterr().err.startswith(f"error: n: 3^{n} paths exceed the budget of 4096; ")
 
     def test_stochastic_noise_exit_code(self, capsys):
         assert main(["enumerate", "--d", "2", "--n", "2", "--noise", "0.5,0.5"]) == 1
@@ -552,15 +552,14 @@ class TestSelftestNegativeControl:
         assert not check.passed
         assert [failure.split(" path ")[0] for failure in check.detail.split("; ")] == ["d=16 local", "d=16 deferred"]
 
-    @pytest.mark.parametrize(
-        "module,failing", [(qrelay.chain, "run trial"), (qrelay.cli, "enumerate path")]
-    )
-    def test_wrong_closed_form_fails_oracle_check(self, monkeypatch, module, failing):
+    def test_wrong_closed_form_fails_oracle_check(self, monkeypatch):
+        # run and enumerate both read F[K] from the table cmd_run and cmd_enumerate build
         table = qrelay.chain.fidelity_table
-        monkeypatch.setattr(module, "fidelity_table", lambda psi: table(psi)[::-1])
+        monkeypatch.setattr(qrelay.cli, "fidelity_table", lambda psi: table(psi)[::-1])
         check = selftest.check_engines_match_oracles()
         assert not check.passed
-        assert failing in check.detail
+        assert "run trial" in check.detail
+        assert "enumerate path" in check.detail
 
     def test_dropped_deferred_exponent_fails_oracle_check(self, monkeypatch):
         engine = qrelay.chain.run_trajectories
@@ -614,7 +613,7 @@ def canonical(value) -> str:
 
 
 # the record-by-record renderer that the column-wise one replaced, kept as its reference
-def reference_trial_records(batch) -> list[str]:
+def reference_trial_records(batch, table) -> list[str]:
     def dit_lists(dits):
         return json.dumps(dits.tolist(), separators=(",", ":"))[2:-2].split("],[")
 
@@ -622,7 +621,8 @@ def reference_trial_records(batch) -> list[str]:
         deferred = itertools.repeat("null")
     else:
         deferred = map(str, batch.deferred_exponents.tolist())
-    rows = zip(deferred, batch.fidelities.tolist(), dit_lists(batch.noise_exponents), dit_lists(batch.results))
+    fidelities = table[batch.phase_exponents].tolist()
+    rows = zip(deferred, fidelities, dit_lists(batch.noise_exponents), dit_lists(batch.results))
     return [
         f'{{"deferred_exponent":{exponent},"fidelity":{fidelity!r},'
         f'"noise_exponents":[{noise}],"results":[{results}],"trial":{index}}}'
@@ -734,7 +734,8 @@ class TestReportRendering:
         for trials in (1, 9, 10, 11, 4097):
             config = parse(["run", "--d", str(d), "--n", str(n), "--mode", mode, "--noise", noise,
                             "--trials", str(trials), "--seed", str(trials), "--state", "random"])
-            records = reference_trial_records(run_trajectories(config.chain, config.psi0, trials))
+            batch = run_trajectories(config.chain, trials)
+            records = reference_trial_records(batch, fidelity_table(config.psi0))
             for block_rows in (1, 7, qrelay.cli.RECORD_BLOCK_ROWS):
                 with monkeypatch.context() as patch:
                     patch.setattr(qrelay.cli, "RECORD_BLOCK_ROWS", block_rows)
@@ -827,7 +828,7 @@ class TestReportRendering:
             ExperimentConfig(chain=chain, trials=1, state=state)
 
 
-# every field a refusal may name; `qrelay run` reads no other input
+# every field a refusal may name; `qrelay run` and `qrelay enumerate` read no other input
 KNOWN_FIELDS = {"config", "d", "n", "mode", "noise.probs", "seed", "state", "trials", "out", "history"}
 ODD_INT = st.one_of(
     st.booleans(), st.none(), st.floats(allow_nan=True), st.integers(max_value=0), st.just(2**64),
@@ -855,9 +856,18 @@ STATE_VALUE = st.one_of(
     st.lists(st.lists(AMPLITUDE_PART, max_size=3), max_size=4),
     st.lists(st.lists(st.lists(AMPLITUDE_PART, max_size=2), max_size=2), max_size=3),
 )
+ODD_NOISE = st.one_of(
+    st.booleans(), st.floats(), st.integers(), st.just({}), st.sampled_from(["", "x", "1,0,x", "nan,1"]),
+    st.lists(st.one_of(st.booleans(), st.just(math.nan), st.floats(-1, -1e-9), st.sampled_from(["x", "1"])),
+             max_size=4),
+    st.lists(st.lists(st.floats(0, 1), max_size=2), max_size=3),
+    st.integers(0, 17).map(lambda count: [1 / max(count, 1)] * count),  # a count that may not be d
+)
+ODD_MODE = st.one_of(st.sampled_from(["LOCAL", "Deferred", "local ", "", None, 1, 0, True, {}]),
+                     st.lists(st.sampled_from(["local", "deferred"]), max_size=2))
 # n and trials are small when valid: a large valid count really allocates
 ODD_VALUES = {"d": st.one_of(ODD_INT, st.just(17)), "n": ODD_INT, "trials": ODD_INT, "seed": ODD_INT,
-              "state": STATE_VALUE}
+              "state": STATE_VALUE, "noise": ODD_NOISE, "mode": ODD_MODE}
 
 
 def pick(*strategies):
@@ -884,24 +894,38 @@ def has_bool(value) -> bool:
     return isinstance(value, bool) or isinstance(value, list) and any(map(has_bool, value))
 
 
+def noise_probs(d):
+    """d probabilities of a Z^k channel: a one-hot, the exact uniform law or normalized weights."""
+    weights = st.lists(st.floats(0.01, 1), min_size=d, max_size=d).map(lambda w: [x / sum(w) for x in w])
+    one_hot = st.integers(0, d - 1).flatmap(
+        lambda k: st.sampled_from([[int(j == k) for j in range(d)], [float(j == k) for j in range(d)]])
+    )
+    return pick(one_hot, one_hot, st.just([1 / d] * d), weights)
+
+
 @st.composite
-def config_files(draw):
-    """A valid run config, as the README's grammar gives it, with some keys left out
-    and at most one key given an odd value."""
+def config_files(draw, command="run"):
+    """A valid config for `command`, as the README's grammar gives it, with some keys
+    left out and at most one key given an odd value. `enumerate` has no trials, and
+    draws n = 4 often, so that d >= 9 reaches its path budget."""
     d = draw(st.integers(2, 16))
     config = {
         "d": d,
-        "n": draw(st.integers(1, 4)),
+        "n": draw(st.integers(1, 4) if command == "run" else pick(st.integers(1, 4), st.just(4))),
         "trials": draw(st.integers(1, 8)),
         "seed": draw(st.integers(0, 2**64 - 1)),
         "state": draw(pick(
             st.sampled_from(["uniform", "random"]), st.integers(0, d - 1).map("basis:{}".format),
             BASIS_INDEX_TEXT.map("basis:".__add__), unit_pairs(d), unit_pairs(d),
         )),
+        "noise": draw(noise_probs(d)),
+        "mode": draw(st.sampled_from(["local", "deferred"])),
     }
-    for key in draw(st.sets(st.sampled_from(["n", "trials", "seed", "state"]))):
+    if command != "run":
+        del config["trials"]
+    for key in draw(st.sets(st.sampled_from([key for key in config if key != "d"]))):
         del config[key]
-    odd = draw(st.sampled_from([None, *ODD_VALUES]))
+    odd = draw(st.sampled_from([None, *(key for key in ODD_VALUES if command == "run" or key != "trials")]))
     if odd is not None:
         config[odd] = draw(ODD_VALUES[odd])
     return config
@@ -915,14 +939,11 @@ class TestInputBoundary:
             code = main(argv)
         return code, out.getvalue(), err.getvalue()
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(config=config_files(), state=pick(st.none(), st.none(), st.none(), STATE_TEXT))
-    def test_run_reports_or_names_the_field(self, tmp_path_factory, config, state):
+    def check(self, path, command, config, state):
         """Every input ends in a report whose config echo gives the same bytes again, or in
         exit 1 or 2 with `error: <field>:`; an uncaught exception fails the example."""
-        path = tmp_path_factory.getbasetemp() / "boundary.json"
         path.write_text(json.dumps(config))
-        argv = ["run", "--config", str(path)] + ([] if state is None else [f"--state={state}"])
+        argv = [command, "--config", str(path)] + ([] if state is None else [f"--state={state}"])
         code, out, err = self.run(argv)
         if code == 0:
             # booleans are never numbers, and the echo spells the state one way only
@@ -933,8 +954,19 @@ class TestInputBoundary:
                 len(echoed) == d and all(list(map(type, pair)) == [float, float] for pair in echoed)
             )
             path.write_text(json.dumps(echo))
-            assert self.run(["run", "--config", str(path)]) == (0, out, "")
+            assert self.run([command, "--config", str(path)]) == (0, out, "")
         else:
             assert code in (1, 2) and out == ""
             field = re.match(r"error: ([\w.]+): ", err)
             assert field and field.group(1) in KNOWN_FIELDS, err
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(config=config_files(), state=pick(st.none(), st.none(), st.none(), STATE_TEXT))
+    def test_run_reports_or_names_the_field(self, tmp_path_factory, config, state):
+        self.check(tmp_path_factory.getbasetemp() / "boundary.json", "run", config, state)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(config=config_files("enumerate"), state=pick(st.none(), st.none(), st.none(), STATE_TEXT))
+    def test_enumerate_reports_or_names_the_field(self, tmp_path_factory, config, state):
+        # n <= 4, so d >= 9 with n = 4 reaches the path budget's refusal, which names n
+        self.check(tmp_path_factory.getbasetemp() / "boundary.json", "enumerate", config, state)
