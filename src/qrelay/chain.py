@@ -534,11 +534,12 @@ def full_register_chain(
     a dense block over the live ones. Every hop ends with two standard-basis
     measurements and a Z-only correction, so all qudits but at most three
     are constant and the block never exceeds d^3 amplitudes; no size cap is
-    needed. Gates, measurements and entropies go through `_register_gate`,
-    `_register_measure` and `_register_block_entropy`, independently of the
-    dense gate kernel. In a correct run every handed-off block is constant,
-    so each boundary entropy is exactly +0.0 with no SVD. Only the final
-    receiver slice leaves, as a validated PureState.
+    needed. Gates (the deferred Z^f too), measurements and entropies go
+    through `_register_gate`, `_register_measure` and
+    `_register_block_entropy`, independently of the dense gate kernel. In a
+    correct run every handed-off block is constant, so each boundary entropy
+    is exactly +0.0 with no SVD. Only the final receiver slice leaves, as a
+    validated PureState.
     """
     d, n = check_dim(d), _check_int("n", n, 1)
     CorrectionMode.check(mode)
@@ -567,6 +568,8 @@ def full_register_chain(
         _register_measure(reg, ancilla, b)
         if local:
             _register_gate(gates.pauli_z_power(d, a), reg, (receiver,))
+    if not local:  # the deferred Z^f acts on the last receiver before it is sliced out
+        _register_gate(gates.pauli_z_power(d, deferred_exponent([a for a, _ in path], d)), reg, (width - 1,))
 
     # slice every qudit but the last receiver along the path digits, and validate, since
     # the slice is the receiver's state only if the register is a product
@@ -576,7 +579,4 @@ def full_register_chain(
         index = tuple(slice(None) if q == width - 1 else slicer[q] for q in reg.axes)
         last = reg.digits[-1]
         amps[slice(None) if last is None else last] = reg.amps[index]
-    final = PureState(d, 1, amps)
-    if not local:
-        final = apply_correction(final, deferred_exponent([a for a, _ in path], d))
-    return FullRegisterResult(final=final, boundary_entropies=tuple(boundary))
+    return FullRegisterResult(final=PureState(d, 1, amps), boundary_entropies=tuple(boundary))

@@ -1,19 +1,19 @@
 """Generalized phase-flip, shift, Fourier and CNOT gates for qudits.
 
-Constructors return small dense unitaries (d or d^2 per side). `GateMatrix`
-records once, at construction, whether its matrix is unitary. One kernel,
-`_apply`, serves `apply_1q` and `apply_2q` with one path for every gate: the
-gate's axes move to the front, one matmul runs over (d^arity, rest), and the
-axes move back. The full d^n x d^n operator is never materialized. Only the
-state-vector code (`teleport`, `run_chain`, `enumerate_branches`: the
-library's oracles, compared within 1e-12) runs this kernel, so no reported
-byte depends on its BLAS rounding.
+Constructors return small dense unitaries (d or d^2 per side); a
+`GateMatrix` refuses a matrix that is not unitary within UNITARITY_TOL.
+One kernel, `_apply`, serves `apply_1q` and `apply_2q` with one path for
+every gate: the gate's axes move to the front, one matmul runs over
+(d^arity, rest), and the axes move back. The full d^n x d^n operator is
+never materialized. Only the state-vector code (`teleport`, `run_chain`,
+`enumerate_branches`: the library's oracles, compared within 1e-12) runs
+this kernel, so no reported byte depends on its BLAS rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,23 +23,17 @@ from .core import PureState, _check_int, check_dim, root_of_unity
 UNITARITY_TOL = 1e-12
 
 
-def _unitarity_deviation(mat: np.ndarray) -> float:
-    """max |G G^dagger - I|, the number UNITARITY_TOL bounds."""
-    return float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
-
-
 @dataclass(frozen=True, eq=False)
 class GateMatrix:
-    """Dense matrix acting on one or two qudits of dimension d.
+    """Dense unitary acting on one or two qudits of dimension d.
 
-    Construction records `unitary` (within UNITARITY_TOL), so applying a
-    cached gate costs no scan.
+    Construction raises ValueError if max |G G^dagger - I| exceeds
+    UNITARITY_TOL or is NaN, so applying a gate needs no check.
     """
 
     d: int
     arity: int
     mat: np.ndarray
-    unitary: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         d, arity = check_dim(self.d), _check_int("arity", self.arity, 1, 3)
@@ -47,11 +41,17 @@ class GateMatrix:
         side = d**arity
         if mat.shape != (side, side):
             raise ValueError(f"gate matrix must be {side}x{side}, got shape {mat.shape}")
+        with np.errstate(all="ignore"):  # an inf or NaN entry gives a NaN or inf deviation
+            deviation = float(np.max(np.abs(mat @ mat.conj().T - np.eye(side))))
+        if not deviation <= UNITARITY_TOL:  # a NaN deviation fails too
+            raise ValueError(
+                f"gate must be unitary: this d={d} arity-{arity} gate has "
+                f"max |G G^dagger - I| = {deviation:.3e} > {UNITARITY_TOL}"
+            )
         mat.flags.writeable = False
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "unitary", _unitarity_deviation(mat) <= UNITARITY_TOL)
 
 
 def pauli_z(d: int) -> GateMatrix:
@@ -74,9 +74,10 @@ def pauli_z_power(d: int, r: int) -> GateMatrix:
 
     Avoids the phase drift of repeated multiplication; agreement with
     gate_power(pauli_z(d), r) is asserted by tests. d and r are checked on
-    every call, before the cache.
+    every call, before the cache, which is keyed on r mod d (the same phases).
     """
-    return _z_power(check_dim(d), _check_int("r", r, 0))
+    d = check_dim(d)
+    return _z_power(d, _check_int("r", r, 0) % d)
 
 
 @lru_cache(maxsize=None)
@@ -140,17 +141,12 @@ def _apply(g: GateMatrix, state: PureState, positions: tuple[int, ...]) -> np.nd
     The gate's axes are moved to the front in slot order, so it is one
     matmul over (d^arity, rest), and moved back. state.amps is never
     written. The gate must fit: one position per qudit it acts on, and the
-    register's dimension.
+    register's dimension; it is unitary by construction.
     """
     if g.arity != len(positions) or g.d != state.d:
         raise ValueError(
             f"a d={g.d} arity-{g.arity} gate cannot act on {len(positions)} qudit(s) "
             f"of a d={state.d} register"
-        )
-    if not g.unitary:
-        raise ValueError(
-            f"gate must be unitary: this d={g.d} arity-{g.arity} gate has "
-            f"max |G G^dagger - I| = {_unitarity_deviation(g.mat):.3e} > {UNITARITY_TOL}"
         )
     front = tuple(range(g.arity))
     moved = np.moveaxis(state.tensor(), positions, front)
@@ -162,8 +158,7 @@ def apply_1q(state: PureState, g: GateMatrix, target: int) -> PureState:
     """Apply a one-qudit unitary to the target position, identity elsewhere.
 
     Runs the shared kernel with the target moved to the front; a gate that
-    is not one-qudit, not of the state's d, or not unitary within
-    UNITARITY_TOL raises ValueError.
+    is not one-qudit or not of the state's d raises ValueError.
     """
     target = _check_int("target", target, 0, state.num_qudits)
     return PureState._trusted(state.d, state.num_qudits, _apply(g, state, (target,)))
@@ -174,8 +169,7 @@ def apply_2q(state: PureState, g: GateMatrix, control: int, target: int) -> Pure
 
     Positions may be arbitrary and non-adjacent; control != target. Runs the
     shared kernel with both positions moved to the front; a gate that is not
-    two-qudit, not of the state's d, or not unitary within UNITARITY_TOL
-    raises ValueError.
+    two-qudit or not of the state's d raises ValueError.
     """
     control = _check_int("control", control, 0, state.num_qudits)
     target = _check_int("target", target, 0, state.num_qudits)

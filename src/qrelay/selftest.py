@@ -122,24 +122,27 @@ def check_unitarity_sweep(
 ) -> CheckResult:
     """Unitarity of every constructor plus the cyclic and commutation laws.
 
+    A constructor passes if it builds: GateMatrix refuses a non-unitary matrix.
     `hadamard_factory` is an injection point so a deliberately corrupted
     gate can prove the sweep is able to fail.
     """
+    constructors = {
+        "pauli_z": gates.pauli_z,
+        "pauli_x": gates.pauli_x,
+        "hadamard": hadamard_factory,
+        "hadamard_inverse": gates.hadamard_inverse,
+        "cnot": gates.cnot,
+        "cnot_dagger": gates.cnot_dagger,
+        "pauli_z_power": lambda d: gates.pauli_z_power(d, d - 1),
+    }
     failures = []
     for d in range(2, 17):
+        for name, build in constructors.items():
+            try:
+                build(d)
+            except ValueError as exc:
+                failures.append(f"{name}(d={d}): {exc}")
         z, x = gates.pauli_z(d), gates.pauli_x(d)
-        constructors = {
-            "pauli_z": z,
-            "pauli_x": x,
-            "hadamard": hadamard_factory(d),
-            "hadamard_inverse": gates.hadamard_inverse(d),
-            "cnot": gates.cnot(d),
-            "cnot_dagger": gates.cnot_dagger(d),
-            "pauli_z_power": gates.pauli_z_power(d, d - 1),
-        }
-        for name, gate in constructors.items():
-            if not gate.unitary:
-                failures.append(f"{name}(d={d}) not unitary")
         eye = np.eye(d)
         if float(np.max(np.abs(gates.gate_power(z, d).mat - eye))) > TOL:
             failures.append(f"Z^{d} != I for d={d}")

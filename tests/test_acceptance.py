@@ -149,7 +149,7 @@ def test_criterion_7_unitarity_sweep():
         z, x = gates.pauli_z(d), gates.pauli_x(d)
         for gate in (z, x, gates.hadamard(d), gates.hadamard_inverse(d), gates.cnot(d),
                      gates.cnot_dagger(d), gates.pauli_z_power(d, d - 1)):
-            assert gate.unitary, f"d={d}"
+            assert np.max(np.abs(gate.mat @ gate.mat.conj().T - np.eye(len(gate.mat)))) <= TOL, f"d={d}"
         assert np.max(np.abs(gates.gate_power(z, d).mat - np.eye(d))) <= TOL
         assert np.max(np.abs(gates.gate_power(x, d).mat - np.eye(d))) <= TOL
         omega = complex(math.cos(2 * math.pi / d), math.sin(2 * math.pi / d))

@@ -191,6 +191,10 @@ class TestApplyPhaseNoise:
         with pytest.raises(ValueError):
             apply_phase_noise(uniform_state(2), NoiseSpec.noiseless(2))
 
+    def test_noise_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"^noise has 3 probabilities but state has d=2$"):
+            apply_phase_noise(uniform_state(2), NoiseSpec.noiseless(3), forced=0)
+
     def test_sampling_frequencies(self):
         rng = np.random.default_rng(32)
         spec = NoiseSpec((0.7, 0.3))
@@ -568,9 +572,25 @@ class TestFullRegisterChain:
         psi = random_state(2, 1, np.random.default_rng(46))
         joint = full_register_chain(2, 7, psi, [(1, 0), (0, 1), (1, 1), (0, 0), (1, 0), (0, 1), (1, 1)], mode=mode)
         assert joint.boundary_entropies == (0.0,) * 6
-        assert len(live) == 7 * 5 + 6 * 2 + 7 * (mode is LOCAL)
+        # a Z^a per hop in local mode, one Z^f at the end in deferred mode
+        assert len(live) == 7 * 5 + 6 * 2 + (7 if mode is LOCAL else 1)
         assert max(live) == 3
         np.testing.assert_allclose(joint.final.amps, psi.amps, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [LOCAL, DEFERRED])
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_runs_without_the_dense_kernel(self, d, mode, monkeypatch):
+        # the deferred Z^f acts inside the register too, so the register checks the kernel in both modes
+        def no_kernel(*args):
+            raise AssertionError("the joint register ran the dense gate kernel")
+
+        rng = np.random.default_rng(47 + d)
+        psi = random_state(d, 1, rng)
+        path = [(int(rng.integers(d)), int(rng.integers(d))) for _ in range(5)]
+        monkeypatch.setattr(gates, "_apply", no_kernel)
+        joint = full_register_chain(d, 5, psi, path, mode)
+        np.testing.assert_allclose(joint.final.amps, psi.amps, rtol=0, atol=1e-12)
+        assert [(e, math.copysign(1.0, e)) for e in joint.boundary_entropies] == [(0.0, 1.0)] * 4
 
     def test_boundary_entropy_count(self):
         psi = random_state(2, 1, np.random.default_rng(43))
@@ -702,7 +722,7 @@ class TestJointRegisterRoutines:
         for a in range(1, d):
             mat[a * d : (a + 1) * d, a * d : (a + 1) * d] = gates.hadamard(d).mat
         g = gates.GateMatrix(d, 2, mat)
-        assert g.unitary
+        assert np.max(np.abs(g.mat @ g.mat.conj().T - np.eye(d * d))) <= 1e-12
         rng = np.random.default_rng(90 + d)
         # control in superposition, target in F^-1|0>, which F sends back to |0>
         target = apply_1q(basis_state(d, 1, (0,)), gates.hadamard_inverse(d), 0)

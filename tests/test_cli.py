@@ -368,6 +368,18 @@ class TestMain:
             captured = capsys.readouterr()
             assert f"error: {field}:" in captured.err
             assert captured.out == ""
+        # these print exactly one line, naming the field and the value
+        exact = [
+            ('{"out": 5}', "out: expected a file path string, got 5"),
+            ('{"history": ["x"]}', "history: expected a file path string, got ['x']"),
+            ('{"state": 5}', "state: unsupported value 5"),
+            ("[1, 2]", "config: {path} must hold a JSON object"),
+        ]
+        path = tmp_path / "exact.json"
+        for text, message in exact:
+            path.write_text(text)
+            assert main(["run", "--config", str(path)]) == 1
+            assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
         not_utf8 = tmp_path / "latin1.json"
         not_utf8.write_bytes(b'{"state": "caf\xe9"}')
         # json refuses an integer of more than 4300 digits with a plain ValueError
@@ -524,6 +536,14 @@ class TestSelftestNegativeControl:
         assert not sweep.passed
         assert "hadamard" in sweep.detail
         assert [check.name for check in results if not check.passed] == [sweep.name]
+
+    def test_failing_selftest_exits_3_naming_the_check(self, capsys, monkeypatch):
+        run_all = selftest.run_all
+        monkeypatch.setattr(selftest, "run_all", lambda: run_all(hadamard_factory=selftest.corrupted_hadamard))
+        assert main(["selftest"]) == 3
+        captured = capsys.readouterr()
+        assert "\nFAIL gate unitarity and commutation sweep: hadamard(d=2): gate must be unitary" in captured.out
+        assert captured.err == "self-test failed: gate unitarity and commutation sweep\n"
 
     def test_wrong_joint_register_fails_its_check(self, monkeypatch):
         joint = qrelay.selftest.full_register_chain

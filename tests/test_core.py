@@ -189,9 +189,10 @@ class TestMakeState:
         with pytest.raises(ValidationError):
             make_state(2, [0, 0])
 
-    def test_rejects_non_power_length(self):
-        with pytest.raises(ValidationError):
-            make_state(3, [1, 0, 0, 0, 0, 0])
+    @pytest.mark.parametrize("d,amps", [(3, [1, 0, 0, 0, 0, 0]), (2, [1, 0, 0])])
+    def test_rejects_non_power_length(self, d, amps):
+        with pytest.raises(ValidationError, match=rf"^amplitude count {len(amps)} is not a power of d={d}$"):
+            make_state(d, amps)
 
     def test_renormalizes_small_deviation(self):
         amp = math.sqrt(0.5) * (1 + 4e-10)
@@ -380,6 +381,10 @@ class TestReducedDensity:
     def test_duplicate_keep(self):
         with pytest.raises(ValueError):
             reduced_density(basis_state(2, 2, (0, 0)), (0, 0))
+
+    def test_empty_keep(self):
+        with pytest.raises(ValueError, match=r"^must keep at least one qudit$"):
+            reduced_density(basis_state(2, 2, (0, 0)), [])
 
     @pytest.mark.parametrize(
         "keep",
