@@ -579,4 +579,4 @@ def full_register_chain(
         index = tuple(slice(None) if q == width - 1 else slicer[q] for q in reg.axes)
         last = reg.digits[-1]
         amps[slice(None) if last is None else last] = reg.amps[index]
-    return FullRegisterResult(final=PureState(d, 1, amps), boundary_entropies=tuple(boundary))
+    return FullRegisterResult(final=PureState(d, amps), boundary_entropies=tuple(boundary))

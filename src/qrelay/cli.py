@@ -146,7 +146,7 @@ def _resolve_state(value: object, chain: ChainConfig) -> tuple[str | tuple[tuple
         # one spelling per basis state, so one input gives one report
         basis = [f"basis:{j}" for j in range(d)]
         if value in basis:
-            return value, basis_state(d, 1, (basis.index(value),))
+            return value, basis_state(d, (basis.index(value),))
         try:
             flat = [float(part) for part in value.split(",")]
         except ValueError:
@@ -373,7 +373,7 @@ def cmd_enumerate(config: ExperimentConfig) -> str:
 
 
 def cmd_selftest() -> int:
-    """Run the embedded checks, print one line per check, 0 iff all pass."""
+    """Run the embedded checks, print one line per check; 0 iff all pass, else 3."""
     results = selftest.run_all()
     for check in results:
         if check.passed:

@@ -8,7 +8,7 @@ safe to share between threads; amplitude arrays are marked read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +50,17 @@ def _norm(amps: np.ndarray) -> float:
         return math.sqrt(math.fsum(squares))
     except OverflowError:  # finite squares whose sum passes the largest float
         return math.inf
+
+
+def _width(d: int, amps: np.ndarray) -> int:
+    """The package's one amplitude-count rule: amps is a flat array of d^n
+    finite amplitudes, n >= 1. Returns n; anything else raises ValidationError."""
+    n = round(math.log(amps.size, d)) if amps.ndim == 1 and amps.size >= d else 0
+    if n < 1 or d**n != amps.size:
+        raise ValidationError(f"amplitudes must form a flat array of d^n, n >= 1 (d={d}), got shape {amps.shape}")
+    if not np.all(np.isfinite(amps)):
+        raise ValidationError("amplitudes must be finite")
+    return n
 
 
 def check_dim(d: int) -> int:
@@ -109,24 +120,22 @@ def flat_index(d: int, digits: Sequence[int]) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized amplitude vector over a register of num_qudits qudits.
+    """Normalized d^n amplitudes over a register of n = num_qudits qudits.
 
+    `PureState(d, amps)` derives num_qudits from the amplitude count (`_width`).
     Compared by identity; use np.allclose on .amps for value comparisons.
     Direct construction copies and validates the amplitudes; the package's
     own gate, kron and collapse results go through _trusted instead.
     """
 
     d: int
-    num_qudits: int
+    num_qudits: int = field(init=False)
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        d, n = check_dim(self.d), _check_int("num_qudits", self.num_qudits, 1)
+        d = check_dim(self.d)
         amps = np.array(self.amps, dtype=np.complex128)
-        if amps.shape != (d**n,):
-            raise ValueError(f"amplitude vector must have length {d**n} (= {d}^{n}), got shape {amps.shape}")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite (no NaN/Inf)")
+        n = _width(d, amps)
         norm = _norm(amps)
         if abs(norm - 1.0) > INTERNAL_TOL:
             raise ValueError(f"state norm must be 1 within {INTERNAL_TOL}, got {norm!r}")
@@ -154,14 +163,14 @@ class PureState:
         return self.amps.reshape((self.d,) * self.num_qudits)
 
 
-def basis_state(d: int, num_qudits: int, digits: Sequence[int]) -> PureState:
-    """Standard-basis state |digits> with big-endian digit order."""
-    d, num_qudits, digits = check_dim(d), _check_int("num_qudits", num_qudits, 1), tuple(digits)
-    if len(digits) != num_qudits:
-        raise ValueError(f"expected {num_qudits} digits, got {len(digits)}")
-    amps = np.zeros(d**num_qudits, dtype=np.complex128)
+def basis_state(d: int, digits: Sequence[int]) -> PureState:
+    """Standard-basis state |digits> with big-endian digit order, one qudit per digit."""
+    d, digits = check_dim(d), tuple(digits)
+    if not digits:
+        raise ValidationError("digits: must list at least one digit, got ()")
+    amps = np.zeros(d ** len(digits), dtype=np.complex128)
     amps[flat_index(d, digits)] = 1.0
-    return PureState._trusted(d, num_qudits, amps)
+    return PureState._trusted(d, len(digits), amps)
 
 
 def make_state(d: int, amps: Sequence[complex]) -> PureState:
@@ -169,17 +178,11 @@ def make_state(d: int, amps: Sequence[complex]) -> PureState:
 
     A norm deviation of at most INPUT_NORM_TOL is renormalized silently;
     anything larger (including the zero vector) raises ValidationError.
-    Amplitude count must be an exact power of d.
+    The amplitude count follows `_width`, as for PureState.
     """
     d = check_dim(d)
     arr = np.asarray(amps, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size < d:
-        raise ValidationError(f"amplitudes must be a flat sequence of length >= {d}")
-    num_qudits = round(math.log(arr.size, d))
-    if d**num_qudits != arr.size:
-        raise ValidationError(f"amplitude count {arr.size} is not a power of d={d}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("amplitudes must be finite")
+    num_qudits = _width(d, arr)
     norm = _norm(arr)
     if abs(norm - 1.0) > INPUT_NORM_TOL:
         raise ValidationError(

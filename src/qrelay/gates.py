@@ -1,7 +1,8 @@
 """Generalized phase-flip, shift, Fourier and CNOT gates for qudits.
 
-Constructors return small dense unitaries (d or d^2 per side); a
-`GateMatrix` refuses a matrix that is not unitary within UNITARITY_TOL.
+Constructors return small dense unitaries; `GateMatrix(d, mat)` takes its
+arity from the side of mat (d or d^2) and refuses a matrix that is not
+unitary within UNITARITY_TOL.
 One kernel, `_apply`, serves `apply_1q` and `apply_2q` with one path for
 every gate: the gate's axes move to the front, one matmul runs over
 (d^arity, rest), and the axes move back. The full d^n x d^n operator is
@@ -13,7 +14,7 @@ this kernel, so no reported byte depends on its BLAS rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -27,20 +28,21 @@ UNITARITY_TOL = 1e-12
 class GateMatrix:
     """Dense unitary acting on one or two qudits of dimension d.
 
-    Construction raises ValueError if max |G G^dagger - I| exceeds
-    UNITARITY_TOL or is NaN, so applying a gate needs no check.
+    The side of mat gives the arity: d is one qudit, d^2 two. Any other shape
+    raises ValueError, as does a max |G G^dagger - I| above UNITARITY_TOL or
+    NaN, so applying a gate needs no check.
     """
 
     d: int
-    arity: int
+    arity: int = field(init=False)
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        d, arity = check_dim(self.d), _check_int("arity", self.arity, 1, 3)
+        d = check_dim(self.d)
         mat = np.array(self.mat, dtype=np.complex128)
-        side = d**arity
-        if mat.shape != (side, side):
-            raise ValueError(f"gate matrix must be {side}x{side}, got shape {mat.shape}")
+        if mat.shape not in ((d, d), (d * d, d * d)):
+            raise ValueError(f"gate matrix must be {d}x{d} or {d * d}x{d * d}, got shape {mat.shape}")
+        arity, side = (1, d) if mat.shape[0] == d else (2, d * d)
         with np.errstate(all="ignore"):  # an inf or NaN entry gives a NaN or inf deviation
             deviation = float(np.max(np.abs(mat @ mat.conj().T - np.eye(side))))
         if not deviation <= UNITARITY_TOL:  # a NaN deviation fails too
@@ -66,7 +68,7 @@ def pauli_x(d: int) -> GateMatrix:
     mat = np.zeros((d, d), dtype=np.complex128)
     for j in range(d):
         mat[(j + 1) % d, j] = 1.0
-    return GateMatrix(d, 1, mat)
+    return GateMatrix(d, mat)
 
 
 def pauli_z_power(d: int, r: int) -> GateMatrix:
@@ -82,12 +84,12 @@ def pauli_z_power(d: int, r: int) -> GateMatrix:
 
 @lru_cache(maxsize=None)
 def _z_power(d: int, r: int) -> GateMatrix:
-    return GateMatrix(d, 1, np.diag([root_of_unity(d, (r * j) % d) for j in range(d)]))
+    return GateMatrix(d, np.diag([root_of_unity(d, (r * j) % d) for j in range(d)]))
 
 
 def gate_power(g: GateMatrix, r: int) -> GateMatrix:
     """r-fold application of g as a matrix power; r = 0 gives the identity."""
-    return GateMatrix(g.d, g.arity, np.linalg.matrix_power(g.mat, _check_int("r", r, 0)))
+    return GateMatrix(g.d, np.linalg.matrix_power(g.mat, _check_int("r", r, 0)))
 
 
 @lru_cache(maxsize=None)
@@ -102,13 +104,13 @@ def hadamard(d: int) -> GateMatrix:
     for k in range(d):
         for j in range(d):
             mat[k, j] = root_of_unity(d, (j * k) % d)
-    return GateMatrix(d, 1, mat / math.sqrt(d))
+    return GateMatrix(d, mat / math.sqrt(d))
 
 
 @lru_cache(maxsize=None)
 def hadamard_inverse(d: int) -> GateMatrix:
     """Conjugate transpose of hadamard(d), the inverse Fourier gate."""
-    return GateMatrix(d, 1, hadamard(d).mat.conj().T)
+    return GateMatrix(d, hadamard(d).mat.conj().T)
 
 
 @lru_cache(maxsize=None)
@@ -125,13 +127,13 @@ def cnot(d: int) -> GateMatrix:
     for a in range(d):
         mat[a * d : (a + 1) * d, a * d : (a + 1) * d] = block
         block = x @ block
-    return GateMatrix(d, 2, mat)
+    return GateMatrix(d, mat)
 
 
 @lru_cache(maxsize=None)
 def cnot_dagger(d: int) -> GateMatrix:
     """Hermitian conjugate of cnot(d); acts as |a,b> -> |a,(b-a) mod d>."""
-    return GateMatrix(d, 2, cnot(d).mat.conj().T)
+    return GateMatrix(d, cnot(d).mat.conj().T)
 
 
 def _apply(g: GateMatrix, state: PureState, positions: tuple[int, ...]) -> np.ndarray:

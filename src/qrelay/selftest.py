@@ -46,13 +46,9 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name: str, passed: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(passed), "" if passed else detail)
-
-
-def check_qutrit_cnot_golden() -> CheckResult:
+def check_qutrit_cnot_golden() -> tuple[bool, str]:
     deviation = float(np.max(np.abs(gates.cnot(3).mat - QUTRIT_CNOT_GOLDEN)))
-    return _result("qutrit cnot golden matrix", deviation == 0.0, f"max deviation {deviation}")
+    return deviation == 0.0, f"max deviation {deviation}"
 
 
 def basis_permutation_cnot(d: int) -> np.ndarray:
@@ -64,12 +60,12 @@ def basis_permutation_cnot(d: int) -> np.ndarray:
     return mat
 
 
-def check_direct_sum_permutation() -> CheckResult:
+def check_direct_sum_permutation() -> tuple[bool, str]:
     bad = [d for d in range(2, 17) if not np.array_equal(gates.cnot(d).mat, basis_permutation_cnot(d))]
-    return _result("cnot direct sum equals basis permutation", not bad, f"mismatch for d={bad}")
+    return not bad, f"mismatch for d={bad}"
 
 
-def check_circuit_matches_expansion() -> CheckResult:
+def check_circuit_matches_expansion() -> tuple[bool, str]:
     rng = np.random.default_rng(7)
     worst = 0.0
     for d in (2, 3, 4, 5):
@@ -78,12 +74,10 @@ def check_circuit_matches_expansion() -> CheckResult:
             circuit = hop_circuit(prepare_hop(psi)).amps
             expansion = hop_expansion(psi).amps
             worst = max(worst, float(np.max(np.abs(circuit - expansion))))
-    return _result(
-        "hop circuit matches closed-form expansion", worst <= TOL, f"max deviation {worst:.3e}"
-    )
+    return worst <= TOL, f"max deviation {worst:.3e}"
 
 
-def check_exact_recovery() -> CheckResult:
+def check_exact_recovery() -> tuple[bool, str]:
     rng = np.random.default_rng(11)
     worst = 0.0
     for d in (2, 3, 5):
@@ -93,12 +87,10 @@ def check_exact_recovery() -> CheckResult:
                 for b in range(d):
                     hop = teleport_hop(psi, CorrectionMode.LOCAL_EACH_HOP, forced=(a, b))
                     worst = max(worst, float(np.max(np.abs(hop.bob_post.amps - psi.amps))))
-    return _result(
-        "corrected hop returns the input exactly", worst <= TOL, f"max deviation {worst:.3e}"
-    )
+    return worst <= TOL, f"max deviation {worst:.3e}"
 
 
-def check_strategy_equivalence() -> CheckResult:
+def check_strategy_equivalence() -> tuple[bool, str]:
     rng = np.random.default_rng(13)
     worst = 0.0
     for d, n in ((2, 4), (3, 3), (5, 2)):
@@ -112,49 +104,50 @@ def check_strategy_equivalence() -> CheckResult:
                 final[mode] = run_chain(config, psi, forced_outcomes=path).final.amps
             delta = np.abs(final[CorrectionMode.LOCAL_EACH_HOP] - final[CorrectionMode.DEFERRED_FINAL])
             worst = max(worst, float(np.max(delta)))
-    return _result(
-        "local and deferred corrections agree", worst <= TOL, f"max deviation {worst:.3e}"
-    )
+    return worst <= TOL, f"max deviation {worst:.3e}"
 
 
-def check_unitarity_sweep(
-    hadamard_factory: Callable[[int], gates.GateMatrix] = gates.hadamard,
-) -> CheckResult:
-    """Unitarity of every constructor plus the cyclic and commutation laws.
+# the gates the sweep builds for d = 2..16, by name; its Z^d, X^d and Weyl laws
+# take Z and X from here too
+GATE_CONSTRUCTORS: dict[str, Callable[[int], gates.GateMatrix]] = {
+    "pauli_z": gates.pauli_z,
+    "pauli_x": gates.pauli_x,
+    "hadamard": gates.hadamard,
+    "hadamard_inverse": gates.hadamard_inverse,
+    "cnot": gates.cnot,
+    "cnot_dagger": gates.cnot_dagger,
+    "pauli_z_power": lambda d: gates.pauli_z_power(d, d - 1),
+}
+
+
+def check_unitarity_sweep() -> tuple[bool, str]:
+    """Unitarity of every constructor in GATE_CONSTRUCTORS plus the cyclic and
+    commutation laws of its Z and X.
 
     A constructor passes if it builds: GateMatrix refuses a non-unitary matrix.
-    `hadamard_factory` is an injection point so a deliberately corrupted
-    gate can prove the sweep is able to fail.
     """
-    constructors = {
-        "pauli_z": gates.pauli_z,
-        "pauli_x": gates.pauli_x,
-        "hadamard": hadamard_factory,
-        "hadamard_inverse": gates.hadamard_inverse,
-        "cnot": gates.cnot,
-        "cnot_dagger": gates.cnot_dagger,
-        "pauli_z_power": lambda d: gates.pauli_z_power(d, d - 1),
-    }
     failures = []
     for d in range(2, 17):
-        for name, build in constructors.items():
+        built = {}
+        for name, build in GATE_CONSTRUCTORS.items():
             try:
-                build(d)
+                built[name] = build(d)
             except ValueError as exc:
                 failures.append(f"{name}(d={d}): {exc}")
-        z, x = gates.pauli_z(d), gates.pauli_x(d)
-        eye = np.eye(d)
-        if float(np.max(np.abs(gates.gate_power(z, d).mat - eye))) > TOL:
-            failures.append(f"Z^{d} != I for d={d}")
-        if float(np.max(np.abs(gates.gate_power(x, d).mat - eye))) > TOL:
-            failures.append(f"X^{d} != I for d={d}")
-        weyl = z.mat @ x.mat - root_of_unity(d, 1) * (x.mat @ z.mat)
-        if float(np.max(np.abs(weyl))) > TOL:
-            failures.append(f"ZX != wXZ for d={d}")
-    return _result("gate unitarity and commutation sweep", not failures, "; ".join(failures))
+        if "pauli_z" not in built or "pauli_x" not in built:
+            continue  # failed above; the laws need both
+        z, x = built["pauli_z"], built["pauli_x"]
+        for law, deviation in (
+            (f"Z^{d} != I", gates.gate_power(z, d).mat - np.eye(d)),
+            (f"X^{d} != I", gates.gate_power(x, d).mat - np.eye(d)),
+            ("ZX != wXZ", z.mat @ x.mat - root_of_unity(d, 1) * (x.mat @ z.mat)),
+        ):
+            if float(np.max(np.abs(deviation))) > TOL:
+                failures.append(f"{law} for d={d}")
+    return not failures, "; ".join(failures)
 
 
-def check_noiseless_transmission() -> CheckResult:
+def check_noiseless_transmission() -> tuple[bool, str]:
     rng = np.random.default_rng(17)
     worst = 1.0
     for d, n in ((2, 5), (3, 4)):
@@ -163,12 +156,10 @@ def check_noiseless_transmission() -> CheckResult:
             d=d, n=n, mode=CorrectionMode.DEFERRED_FINAL, noise=NoiseSpec.noiseless(d), seed=17
         )
         worst = min(worst, run_chain(config, psi).fidelity_vs_initial)
-    return _result(
-        "noiseless chain preserves fidelity", worst >= 1.0 - TOL, f"min fidelity {worst!r}"
-    )
+    return worst >= 1.0 - TOL, f"min fidelity {worst!r}"
 
 
-def check_joint_register() -> CheckResult:
+def check_joint_register() -> tuple[bool, str]:
     """The joint 3n-qudit register for d = 2, 3, 4 and 5 at n = 8, 5, 4 and 3,
     and for the paper's d = 16 at n = 2 and at n = 100, both modes: the final
     state is psi, every handoff boundary is unentangled, and the final state
@@ -188,10 +179,10 @@ def check_joint_register() -> CheckResult:
                 or max(joint.boundary_entropies) > TOL
             ):
                 failures.append(f"d={d} {mode.value} path {path}")
-    return _result("joint register matches psi and the factorized chain", not failures, "; ".join(failures))
+    return not failures, "; ".join(failures)
 
 
-def check_engines_match_oracles() -> CheckResult:
+def check_engines_match_oracles() -> tuple[bool, str]:
     """The rendered `run` and `enumerate` reports against the state-vector
     oracles in both modes: `run` trial for trial against
     `run_chain(..., trial=i)` at d=3, n=3, and `enumerate` path by path
@@ -237,28 +228,32 @@ def check_engines_match_oracles() -> CheckResult:
                 or float(np.max(np.abs(final - branch.final.amps))) > TOL
             ):
                 failures.append(f"{mode.value} enumerate path {record['path']}")
-    return _result(
-        "closed-form engines match the state-vector oracles", not failures, "; ".join(failures)
-    )
+    return not failures, "; ".join(failures)
 
 
-def run_all(
-    hadamard_factory: Callable[[int], gates.GateMatrix] = gates.hadamard,
-) -> list[CheckResult]:
-    """Run every check; basis vector for cmd_selftest and the negative control."""
-    return [
-        check_qutrit_cnot_golden(),
-        check_direct_sum_permutation(),
-        check_circuit_matches_expansion(),
-        check_exact_recovery(),
-        check_strategy_equivalence(),
-        check_unitarity_sweep(hadamard_factory=hadamard_factory),
-        check_noiseless_transmission(),
-        check_joint_register(),
-        check_engines_match_oracles(),
-    ]
+# every check, by the name its PASS or FAIL line gives, in the order they print
+CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
+    "qutrit cnot golden matrix": check_qutrit_cnot_golden,
+    "cnot direct sum equals basis permutation": check_direct_sum_permutation,
+    "hop circuit matches closed-form expansion": check_circuit_matches_expansion,
+    "corrected hop returns the input exactly": check_exact_recovery,
+    "local and deferred corrections agree": check_strategy_equivalence,
+    "gate unitarity and commutation sweep": check_unitarity_sweep,
+    "noiseless chain preserves fidelity": check_noiseless_transmission,
+    "joint register matches psi and the factorized chain": check_joint_register,
+    "closed-form engines match the state-vector oracles": check_engines_match_oracles,
+}
 
 
-def corrupted_hadamard(d: int) -> gates.GateMatrix:
-    """Fourier gate without its normalization; exists to fail the sweep."""
-    return gates.GateMatrix(d, 1, gates.hadamard(d).mat * np.sqrt(d))
+def run_all() -> list[CheckResult]:
+    """Run every check in CHECKS. Each returns (passed, detail); an Exception a
+    check raises is its FAIL, with `<ExceptionType>: <message>` as the detail,
+    and the checks after it still run."""
+    results = []
+    for name, check in CHECKS.items():
+        try:
+            passed, detail = check()
+        except Exception as exc:  # a check that raises has failed; it must not stop the others
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, bool(passed), "" if passed else detail))
+    return results

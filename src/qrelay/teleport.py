@@ -106,7 +106,7 @@ def _check_forced(name: str, values: object, shape: tuple[int, ...], d: int) -> 
 def prepare_hop(psi: PureState) -> PureState:
     """Assemble the three-qudit hop register |psi, 0, 0>."""
     _check_qudit("psi", psi)
-    return tensor_product(psi, basis_state(psi.d, 2, (0, 0)))
+    return tensor_product(psi, basis_state(psi.d, (0, 0)))
 
 
 def _check_hop_register(register: PureState) -> None:
@@ -148,7 +148,7 @@ def hop_expansion(psi: PureState) -> PureState:
             for j in range(d):
                 phase = root_of_unity(d, phase_exponent(a, j, d))
                 amps[base + j] = phase * psi.amps[j] / d
-    return PureState(d, 3, amps)
+    return PureState(d, amps)
 
 
 def measure_standard(
@@ -216,7 +216,7 @@ def teleport_hop(
     a, prob_a, state = measure_standard(pre, 0, rng=rng, forced=forced_a)
     b, prob_b, state = measure_standard(state, 1, rng=rng, forced=forced_b)
     # validated: the slice is the receiver's state only if the register is a product
-    bob_pre = PureState(psi.d, 1, state.tensor()[a, b, :])
+    bob_pre = PureState(psi.d, state.tensor()[a, b, :])
     if mode is CorrectionMode.LOCAL_EACH_HOP:
         bob_post = apply_correction(bob_pre, a)
     else:

@@ -172,7 +172,7 @@ class TestApplyPhaseNoise:
     def test_basis_states_only_pick_up_global_phase(self):
         for d in (2, 3):
             for j in range(d):
-                psi = basis_state(d, 1, (j,))
+                psi = basis_state(d, (j,))
                 for k in range(d):
                     out, applied = apply_phase_noise(psi, NoiseSpec.noiseless(d), forced=k)
                     assert applied == k
@@ -360,7 +360,7 @@ class TestRunTrajectories:
         uniform = grid(np.full(d, 1.0 / d))
         rng = np.random.default_rng(100 + d)
         worst = 0
-        for psi in [random_state(d, 1, rng) for _ in range(40)] + [uniform_state(d), basis_state(d, 1, (d - 1,))]:
+        for psi in [random_state(d, 1, rng) for _ in range(40)] + [uniform_state(d), basis_state(d, (d - 1,))]:
             draws.clear()
             teleport_hop(psi, DEFERRED, rng=rng)
             born = grid(draws[0])  # the carrier's; the ancilla's comes second
@@ -390,16 +390,16 @@ class TestRunTrajectories:
 
     def test_fidelity_table(self):
         # a Z power only rephases basis states; Z^1 makes the uniform qubit orthogonal
-        np.testing.assert_allclose(fidelity_table(basis_state(3, 1, (1,))), [1, 1, 1], atol=1e-12)
+        np.testing.assert_allclose(fidelity_table(basis_state(3, (1,))), [1, 1, 1], atol=1e-12)
         np.testing.assert_allclose(fidelity_table(uniform_state(2)), [1, 0], atol=1e-12)
         with pytest.raises(ValidationError, match="psi0: must be a single qudit"):
-            fidelity_table(basis_state(2, 2, (0, 1)))
+            fidelity_table(basis_state(2, (0, 1)))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 16])
     def test_fidelity_table_matches_state_vector_oracle(self, d, monkeypatch):
         """The closed form against fidelity(psi0, Z^K psi0), built and overlapped as states."""
         states = [random_state(d, 1, np.random.default_rng(seed)) for seed in range(5)]
-        states += [uniform_state(d), basis_state(d, 1, (d - 1,))]
+        states += [uniform_state(d), basis_state(d, (d - 1,))]
         oracle = [[fidelity(psi, apply_1q(psi, gates.pauli_z_power(d, k), 0)) for k in range(d)] for psi in states]
 
         def no_blas(*args, **kwargs):
@@ -461,8 +461,8 @@ class TestNumpyIntegers:
         chain = ChainConfig(
             d=np.int64(3), n=np.int32(2), mode=LOCAL, noise=NoiseSpec.noiseless(3), seed=np.uint64(5)
         )
-        state = PureState(np.int64(3), np.int64(1), uniform_state(3).amps)
-        gate = gates.GateMatrix(np.int8(3), np.int64(1), np.eye(3))
+        state = PureState(np.int64(3), uniform_state(3).amps)
+        gate = gates.GateMatrix(np.int8(3), np.eye(3))
         for value in (chain.d, chain.n, chain.seed, state.d, state.num_qudits, gate.d, gate.arity):
             assert type(value) is int
         assert chain == config(d=3, n=2, mode=LOCAL, seed=5)
@@ -652,7 +652,7 @@ def live_register(state):
 def product_register(d, width, constants, rng):
     """A product state whose qudits in `constants` (qudit -> digit) hold those basis digits and
     the rest random states: as a joint register with just those qudits constant, and as a PureState."""
-    factors = [basis_state(d, 1, (constants[q],)) if q in constants else random_state(d, 1, rng) for q in range(width)]
+    factors = [basis_state(d, (constants[q],)) if q in constants else random_state(d, 1, rng) for q in range(width)]
     live = [q for q in range(width) if q not in constants]
     amps = functools.reduce(tensor_product, [factors[q] for q in live]).tensor() if live else np.array(1.0 + 0j)
     reg = _JointRegister(d, [constants.get(q) for q in range(width)], live, amps)
@@ -721,11 +721,11 @@ class TestJointRegisterRoutines:
         mat[:d, :d] = np.eye(d)
         for a in range(1, d):
             mat[a * d : (a + 1) * d, a * d : (a + 1) * d] = gates.hadamard(d).mat
-        g = gates.GateMatrix(d, 2, mat)
+        g = gates.GateMatrix(d, mat)
         assert np.max(np.abs(g.mat @ g.mat.conj().T - np.eye(d * d))) <= 1e-12
         rng = np.random.default_rng(90 + d)
         # control in superposition, target in F^-1|0>, which F sends back to |0>
-        target = apply_1q(basis_state(d, 1, (0,)), gates.hadamard_inverse(d), 0)
+        target = apply_1q(basis_state(d, (0,)), gates.hadamard_inverse(d), 0)
         state = tensor_product(random_state(d, 2, rng), target)
         reg = live_register(state)
         _register_gate(g, reg, (0, 2))
@@ -751,7 +751,7 @@ class TestJointRegisterRoutines:
         _register_gate(gates.hadamard(d), reg, (1,))
         assert reg.axes == [1] and reg.amps.shape == (d,)
         _register_gate(gates.hadamard_inverse(d), reg, (1,))
-        expected = basis_state(d, 2, (1, d - 1)).amps
+        expected = basis_state(d, (1, d - 1)).amps
         np.testing.assert_allclose(dense(reg), expected, rtol=0, atol=1e-15)
         if d == 2:
             # the two cross terms cancel exactly, so the qudit settles back to its digit
@@ -774,7 +774,7 @@ class TestJointRegisterRoutines:
         with pytest.raises(ImpossibleOutcomeError, match="outcome 0 on qudit 1 has probability 0.000e"):
             _register_measure(reg, 1, 0)
         # a live qudit whose slice is empty: the same error, and the register is left as it was
-        reg = live_register(tensor_product(random_state(d, 1, np.random.default_rng(57)), basis_state(d, 2, (1, 0))))
+        reg = live_register(tensor_product(random_state(d, 1, np.random.default_rng(57)), basis_state(d, (1, 0))))
         with pytest.raises(ImpossibleOutcomeError, match="outcome 0 on qudit 1 has probability 0.000e"):
             _register_measure(reg, 1, 0)
         assert reg.axes == [0, 1, 2] and reg.digits == [None] * 3
@@ -816,7 +816,7 @@ class TestJointRegisterRoutines:
 def joint_register_oracle(d, n, psi0, path, mode):
     """The joint 3n-qudit register rebuilt from the allocating public API:
     (final receiver amplitudes, boundary entropies)."""
-    state = tensor_product(psi0, basis_state(d, 3 * n - 1, (0,) * (3 * n - 1)))
+    state = tensor_product(psi0, basis_state(d, (0,) * (3 * n - 1)))
     entropies = []
     for i, (a, b) in enumerate(path):
         carrier, ancilla, receiver = 3 * i, 3 * i + 1, 3 * i + 2

@@ -528,9 +528,43 @@ class TestMain:
         assert "FAIL" not in out
 
 
+def corrupted_hadamard(d):
+    """Fourier gate without its normalization; exists to fail the sweep."""
+    return gates.GateMatrix(d, gates.hadamard(d).mat * np.sqrt(d))
+
+
+def wrong_root_z(d):
+    """A unitary diagonal Z on the root exp(2 pi i/(d+1)) in place of w."""
+    return gates.GateMatrix(d, np.diag(np.exp(2j * np.pi * np.arange(d) / (d + 1))))
+
+
+def non_cyclic_x(d):
+    """A permutation that is not the d-cycle: |j> -> |(j+1) mod (d-1)> for j < d-1, fixing d-1."""
+    image = [(j + 1) % (d - 1) for j in range(d - 1)] + [d - 1]
+    return gates.GateMatrix(d, np.eye(d)[:, image])
+
+
+GATE_ONLY_CHECKS = [
+    "qutrit cnot golden matrix",
+    "cnot direct sum equals basis permutation",
+    "gate unitarity and commutation sweep",
+]
+
+
+def hop_circuit_without_ancilla_fourier(register):
+    d = register.d
+    state = gates.apply_2q(register, gates.cnot(d), 0, 2)
+    return gates.apply_1q(state, gates.hadamard_inverse(d), 0)
+
+
+def raise_index_error(*args):
+    raise IndexError("register index out of range")
+
+
 class TestSelftestNegativeControl:
-    def test_corrupted_hadamard_fails_unitarity_sweep(self):
-        results = selftest.run_all(hadamard_factory=selftest.corrupted_hadamard)
+    def test_corrupted_hadamard_fails_unitarity_sweep(self, monkeypatch):
+        monkeypatch.setitem(selftest.GATE_CONSTRUCTORS, "hadamard", corrupted_hadamard)
+        results = selftest.run_all()
         by_name = {check.name: check for check in results}
         sweep = by_name["gate unitarity and commutation sweep"]
         assert not sweep.passed
@@ -538,12 +572,94 @@ class TestSelftestNegativeControl:
         assert [check.name for check in results if not check.passed] == [sweep.name]
 
     def test_failing_selftest_exits_3_naming_the_check(self, capsys, monkeypatch):
-        run_all = selftest.run_all
-        monkeypatch.setattr(selftest, "run_all", lambda: run_all(hadamard_factory=selftest.corrupted_hadamard))
+        monkeypatch.setitem(selftest.GATE_CONSTRUCTORS, "hadamard", corrupted_hadamard)
         assert main(["selftest"]) == 3
         captured = capsys.readouterr()
         assert "\nFAIL gate unitarity and commutation sweep: hadamard(d=2): gate must be unitary" in captured.out
         assert captured.err == "self-test failed: gate unitarity and commutation sweep\n"
+
+    def test_the_sweep_takes_every_constructor_from_its_table(self):
+        assert set(selftest.GATE_CONSTRUCTORS) == {
+            "pauli_z", "pauli_x", "hadamard", "hadamard_inverse", "cnot", "cnot_dagger", "pauli_z_power",
+        }
+        assert selftest.check_unitarity_sweep() == (True, "")
+
+    @pytest.mark.parametrize(
+        "name, build, laws",
+        [
+            # both laws that involve Z fail at every d
+            ("pauli_z", wrong_root_z, lambda d: [f"Z^{d} != I", "ZX != wXZ"]),
+            # at d = 2 the permutation is the identity: X^2 = I holds, the Weyl law does not
+            ("pauli_x", non_cyclic_x, lambda d: ["ZX != wXZ"] if d == 2 else [f"X^{d} != I", "ZX != wXZ"]),
+            # Z^(d-1) = Z^-1 is cyclic, but Z^-1 X = w^-1 X Z^-1, which is wXZ only at d = 2
+            ("pauli_z", lambda d: gates.pauli_z_power(d, d - 1), lambda d: [] if d == 2 else ["ZX != wXZ"]),
+        ],
+        ids=["wrong-root-z", "non-cyclic-x", "inverse-z"],
+    )
+    def test_a_broken_law_fails_by_name(self, monkeypatch, name, build, laws):
+        monkeypatch.setitem(selftest.GATE_CONSTRUCTORS, name, build)
+        passed, detail = selftest.check_unitarity_sweep()
+        assert not passed
+        assert detail == "; ".join(f"{law} for d={d}" for d in range(2, 17) for law in laws(d))
+
+    @pytest.mark.parametrize(
+        "patches, failure",
+        [
+            (
+                [("qrelay.teleport.hop_circuit", hop_circuit_without_ancilla_fourier),
+                 ("qrelay.selftest.hop_circuit", hop_circuit_without_ancilla_fourier)],
+                "FAIL corrected hop returns the input exactly: "
+                "ImpossibleOutcomeError: outcome 1 on qudit 1 has probability 0.000e+00",
+            ),
+            (
+                [("qrelay.selftest.full_register_chain", raise_index_error)],
+                "FAIL joint register matches psi and the factorized chain: IndexError: register index out of range",
+            ),
+        ],
+        ids=["hop-circuit-without-ancilla-fourier", "joint-register-raises"],
+    )
+    def test_a_raising_check_is_a_fail_with_exit_3(self, capsys, monkeypatch, patches, failure):
+        for target, replacement in patches:
+            monkeypatch.setattr(target, replacement)
+        assert main(["selftest"]) == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line.split(" ", 1)[0] in ("PASS", "FAIL") for line in lines] == [True] * 9
+        assert failure in lines
+        for name in GATE_ONLY_CHECKS:
+            assert f"PASS {name}" in lines
+        failed = [line.split(" ", 1)[1].split(":", 1)[0] for line in lines if line.startswith("FAIL ")]
+        assert captured.err == f"self-test failed: {', '.join(failed)}\n"
+
+    def test_an_interrupt_is_not_a_fail(self, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(qrelay.selftest, "full_register_chain", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            selftest.run_all()
+
+    @pytest.mark.parametrize(
+        "command, key, detail",
+        [
+            ("cmd_run", "trials", "local run lists 5 trials, not 6; deferred run lists 5 trials, not 6"),
+            (
+                "cmd_enumerate",
+                "paths",
+                "local enumerate lists 8 paths, the oracle 9; deferred enumerate lists 8 paths, the oracle 9",
+            ),
+        ],
+    )
+    def test_a_dropped_record_fails_the_oracle_check(self, monkeypatch, command, key, detail):
+        render = getattr(qrelay.cli, command)
+
+        def drop_last_record(config):
+            report = json.loads(render(config))
+            report[key].pop()
+            return json.dumps(report)
+
+        monkeypatch.setattr(qrelay.cli, command, drop_last_record)
+        assert selftest.check_engines_match_oracles() == (False, detail)
 
     def test_wrong_joint_register_fails_its_check(self, monkeypatch):
         joint = qrelay.selftest.full_register_chain
@@ -553,9 +669,9 @@ class TestSelftestNegativeControl:
             return replace(result, final=qrelay.gates.apply_1q(result.final, qrelay.gates.pauli_z(d), 0))
 
         monkeypatch.setattr(qrelay.selftest, "full_register_chain", off_by_one_phase)
-        check = selftest.check_joint_register()
-        assert not check.passed
-        assert "d=2 local" in check.detail
+        passed, detail = selftest.check_joint_register()
+        assert not passed
+        assert "d=2 local" in detail
 
     def test_joint_register_check_reaches_the_paper_chain(self, monkeypatch):
         # a register that goes wrong only past 2 hops at d = 16 is caught by the n = 100 run
@@ -568,28 +684,28 @@ class TestSelftestNegativeControl:
             return result
 
         monkeypatch.setattr(qrelay.selftest, "full_register_chain", wrong_after_two_hops)
-        check = selftest.check_joint_register()
-        assert not check.passed
-        assert [failure.split(" path ")[0] for failure in check.detail.split("; ")] == ["d=16 local", "d=16 deferred"]
+        passed, detail = selftest.check_joint_register()
+        assert not passed
+        assert [failure.split(" path ")[0] for failure in detail.split("; ")] == ["d=16 local", "d=16 deferred"]
 
     def test_wrong_closed_form_fails_oracle_check(self, monkeypatch):
         # run and enumerate both read F[K] from the table cmd_run and cmd_enumerate build
         table = qrelay.chain.fidelity_table
         monkeypatch.setattr(qrelay.cli, "fidelity_table", lambda psi: table(psi)[::-1])
-        check = selftest.check_engines_match_oracles()
-        assert not check.passed
-        assert "run trial" in check.detail
-        assert "enumerate path" in check.detail
+        passed, detail = selftest.check_engines_match_oracles()
+        assert not passed
+        assert "run trial" in detail
+        assert "enumerate path" in detail
 
     def test_dropped_deferred_exponent_fails_oracle_check(self, monkeypatch):
         engine = qrelay.chain.run_trajectories
         monkeypatch.setattr(
             qrelay.cli, "run_trajectories", lambda *args: replace(engine(*args), deferred_exponents=None)
         )
-        check = selftest.check_engines_match_oracles()
-        assert not check.passed
-        assert "deferred run trial 0" in check.detail
-        assert "local run" not in check.detail
+        passed, detail = selftest.check_engines_match_oracles()
+        assert not passed
+        assert "deferred run trial 0" in detail
+        assert "local run" not in detail
 
 
 # the sha256 prefix of each report's canonical JSON value, as the indent-2 layout gave it

@@ -136,25 +136,26 @@ class TestPhaseExponent:
 
 class TestBasisEncoding:
     def test_qutrit_two(self):
-        state = basis_state(3, 1, (2,))
+        state = basis_state(3, (2,))
         assert np.array_equal(state.amps, np.array([0, 0, 1], dtype=complex))
 
     def test_qubit_zero(self):
-        state = basis_state(2, 1, (0,))
+        state = basis_state(2, (0,))
         assert np.array_equal(state.amps, np.array([1, 0], dtype=complex))
 
     def test_big_endian_flat_position(self):
-        state = basis_state(3, 2, (1, 0))
+        state = basis_state(3, (1, 0))
+        assert state.num_qudits == 2
         assert state.amps[3] == 1.0
         assert np.sum(np.abs(state.amps)) == 1.0
 
     def test_digit_out_of_range(self):
         with pytest.raises(ValueError):
-            basis_state(3, 2, (1, 3))
+            basis_state(3, (1, 3))
 
-    def test_wrong_digit_count(self):
-        with pytest.raises(ValueError):
-            basis_state(3, 2, (1,))
+    def test_empty_digits(self):
+        with pytest.raises(ValidationError, match=r"^digits: must list at least one digit, got \(\)$"):
+            basis_state(3, ())
 
     @pytest.mark.parametrize("d", range(2, 6))
     @pytest.mark.parametrize("n", range(1, 5))
@@ -188,11 +189,6 @@ class TestMakeState:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValidationError):
             make_state(2, [0, 0])
-
-    @pytest.mark.parametrize("d,amps", [(3, [1, 0, 0, 0, 0, 0]), (2, [1, 0, 0])])
-    def test_rejects_non_power_length(self, d, amps):
-        with pytest.raises(ValidationError, match=rf"^amplitude count {len(amps)} is not a power of d={d}$"):
-            make_state(d, amps)
 
     def test_renormalizes_small_deviation(self):
         amp = math.sqrt(0.5) * (1 + 4e-10)
@@ -288,13 +284,13 @@ class TestOverlap:
         assert fidelity(uniform, uniform) == 1.0
 
     def test_orthogonal(self):
-        zero = basis_state(2, 1, (0,))
-        one = basis_state(2, 1, (1,))
+        zero = basis_state(2, (0,))
+        one = basis_state(2, (1,))
         assert inner_product(zero, one) == 0.0
         assert fidelity(zero, one) == 0.0
 
     def test_uniform_overlap(self):
-        zero = basis_state(2, 1, (0,))
+        zero = basis_state(2, (0,))
         plus = make_state(2, [1 / math.sqrt(2), 1 / math.sqrt(2)])
         assert inner_product(zero, plus) == pytest.approx(1 / math.sqrt(2))
         assert fidelity(zero, plus) == pytest.approx(0.5)
@@ -302,26 +298,26 @@ class TestOverlap:
     def test_conjugation_side(self):
         # <x|y> conjugates the first argument
         x = make_state(2, [1 / math.sqrt(2), 1j / math.sqrt(2)])
-        y = basis_state(2, 1, (1,))
+        y = basis_state(2, (1,))
         assert inner_product(x, y) == pytest.approx(-1j / math.sqrt(2))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            inner_product(basis_state(2, 1, (0,)), basis_state(3, 1, (0,)))
+            inner_product(basis_state(2, (0,)), basis_state(3, (0,)))
         with pytest.raises(ValueError):
-            inner_product(basis_state(2, 1, (0,)), basis_state(2, 2, (0, 0)))
+            inner_product(basis_state(2, (0,)), basis_state(2, (0, 0)))
 
 
 class TestTensorProduct:
     def test_basis_concatenation(self):
-        product = tensor_product(basis_state(2, 1, (1,)), basis_state(2, 1, (0,)))
+        product = tensor_product(basis_state(2, (1,)), basis_state(2, (0,)))
         assert product.num_qudits == 2
         assert product.amps[2] == 1.0
 
     def test_stride_placement(self):
         rng = np.random.default_rng(9)
         state = random_state(3, 1, rng)
-        product = tensor_product(state, basis_state(3, 1, (0,)))
+        product = tensor_product(state, basis_state(3, (0,)))
         np.testing.assert_allclose(product.amps[::3], state.amps)
         assert np.all(product.amps[1::3] == 0)
 
@@ -332,14 +328,14 @@ class TestTensorProduct:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            tensor_product(basis_state(2, 1, (0,)), basis_state(3, 1, (0,)))
+            tensor_product(basis_state(2, (0,)), basis_state(3, (0,)))
 
 
 class TestReducedDensity:
     def test_product_state_projector(self):
         rng = np.random.default_rng(11)
         factor = random_state(3, 1, rng)
-        state = tensor_product(factor, basis_state(3, 1, (2,)))
+        state = tensor_product(factor, basis_state(3, (2,)))
         rho = reduced_density(state, 0)
         np.testing.assert_allclose(rho, np.outer(factor.amps, factor.amps.conj()), atol=1e-14)
 
@@ -376,15 +372,15 @@ class TestReducedDensity:
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            reduced_density(basis_state(2, 2, (0, 0)), 2)
+            reduced_density(basis_state(2, (0, 0)), 2)
 
     def test_duplicate_keep(self):
         with pytest.raises(ValueError):
-            reduced_density(basis_state(2, 2, (0, 0)), (0, 0))
+            reduced_density(basis_state(2, (0, 0)), (0, 0))
 
     def test_empty_keep(self):
         with pytest.raises(ValueError, match=r"^must keep at least one qudit$"):
-            reduced_density(basis_state(2, 2, (0, 0)), [])
+            reduced_density(basis_state(2, (0, 0)), [])
 
     @pytest.mark.parametrize(
         "keep",
@@ -418,55 +414,74 @@ def reference_density(state, keep):
 
 class TestStateValidation:
     def test_rejects_non_normalized(self):
-        with pytest.raises(ValueError):
-            PureState(2, 1, np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="^state norm must be 1 within 1e-12"):
+            PureState(2, np.array([1.0, 1.0]))
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            PureState(2, 1, np.array([np.nan, 0.0]))
+        # the finiteness rule is make_state's too, with the same message
+        for build in (make_state, PureState):
+            with pytest.raises(ValidationError, match="^amplitudes must be finite$"):
+                build(2, np.array([np.nan, 0.0]))
 
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            PureState(2, 2, np.array([1.0, 0.0]))
+    def test_num_qudits_is_derived(self):
+        state = PureState(np.int64(3), np.eye(9)[4])
+        assert (state.d, state.num_qudits) == (3, 2)
+        assert type(state.num_qudits) is int
+        with pytest.raises(TypeError):
+            PureState(2, 1, np.array([1.0, 0.0]))  # the count is not an input
+
+    @pytest.mark.parametrize(
+        "d,amps",
+        [(2, [[1, 0], [0, 0]]), (2, 1.0), (2, []), (2, [1.0]), (3, [1, 0]), (3, [1, 0, 0, 0, 0, 0]), (2, [1, 0, 0])],
+        ids=["2-d", "scalar", "empty", "one-of-two", "two-of-three", "six-at-3", "three-at-2"],
+    )
+    def test_amplitude_count_rule_has_one_message(self, d, amps):
+        """A flat array of d^n amplitudes, n >= 1: make_state and PureState give one message."""
+        shape = np.shape(amps)
+        message = f"amplitudes must form a flat array of d^n, n >= 1 (d={d}), got shape {shape}"
+        for build in (make_state, PureState):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                build(d, amps)
 
     @pytest.mark.parametrize("num_qudits", [0.5, 1.0, True, -1, 0])
     def test_rejects_non_integer_num_qudits(self, num_qudits):
+        """random_state is the one public builder that takes a qudit count."""
         message = f"num_qudits: must be an integer >= 1, got {num_qudits!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            PureState(2, num_qudits, np.array([1.0, 0.0]))
+            random_state(2, num_qudits, np.random.default_rng(0))
 
 
 # every library entry point that takes a dit, with the argument its error names
 # qudit positions follow the same rule on 2-qudit states, so their range is [0, 2) too
 DIT_ARGUMENTS = {
-    "measure_standard": (lambda v: measure_standard(basis_state(2, 2, (0, 0)), 1, forced=v), "forced"),
-    "measure_standard/target": (lambda v: measure_standard(basis_state(2, 2, (0, 0)), v, forced=0), "target"),
-    "apply_1q/target": (lambda v: gates.apply_1q(basis_state(2, 2, (0, 0)), gates.hadamard(2), v), "target"),
-    "apply_2q/control": (lambda v: gates.apply_2q(basis_state(2, 2, (0, 0)), gates.cnot(2), v, 0), "control"),
-    "apply_2q/target": (lambda v: gates.apply_2q(basis_state(2, 2, (0, 0)), gates.cnot(2), 0, v), "target"),
-    "reduced_density/keep": (lambda v: reduced_density(basis_state(2, 2, (0, 0)), v), "keep"),
-    "reduced_density/keep_item": (lambda v: reduced_density(basis_state(2, 2, (0, 0)), (0, v)), "keep[1]"),
-    "entanglement_entropy/keep": (lambda v: teleport.entanglement_entropy(basis_state(2, 2, (0, 0)), v), "keep"),
+    "measure_standard": (lambda v: measure_standard(basis_state(2, (0, 0)), 1, forced=v), "forced"),
+    "measure_standard/target": (lambda v: measure_standard(basis_state(2, (0, 0)), v, forced=0), "target"),
+    "apply_1q/target": (lambda v: gates.apply_1q(basis_state(2, (0, 0)), gates.hadamard(2), v), "target"),
+    "apply_2q/control": (lambda v: gates.apply_2q(basis_state(2, (0, 0)), gates.cnot(2), v, 0), "control"),
+    "apply_2q/target": (lambda v: gates.apply_2q(basis_state(2, (0, 0)), gates.cnot(2), 0, v), "target"),
+    "reduced_density/keep": (lambda v: reduced_density(basis_state(2, (0, 0)), v), "keep"),
+    "reduced_density/keep_item": (lambda v: reduced_density(basis_state(2, (0, 0)), (0, v)), "keep[1]"),
+    "entanglement_entropy/keep": (lambda v: teleport.entanglement_entropy(basis_state(2, (0, 0)), v), "keep"),
     "entanglement_entropy/keep_item": (
-        lambda v: teleport.entanglement_entropy(basis_state(2, 2, (0, 0)), (v,)),
+        lambda v: teleport.entanglement_entropy(basis_state(2, (0, 0)), (v,)),
         "keep[0]",
     ),
     "apply_phase_noise": (
-        lambda v: apply_phase_noise(basis_state(2, 1, (0,)), NoiseSpec.noiseless(2), forced=v),
+        lambda v: apply_phase_noise(basis_state(2, (0,)), NoiseSpec.noiseless(2), forced=v),
         "forced",
     ),
-    "apply_correction": (lambda v: apply_correction(basis_state(2, 1, (0,)), v), "r"),
+    "apply_correction": (lambda v: apply_correction(basis_state(2, (0,)), v), "r"),
     "deferred_exponent": (lambda v: deferred_exponent([0, v], 2), "results[1]"),
     "run_chain": (
         lambda v: run_chain(
             ChainConfig(2, 2, CorrectionMode.LOCAL_EACH_HOP, NoiseSpec.noiseless(2), 0),
-            basis_state(2, 1, (0,)),
+            basis_state(2, (0,)),
             forced_noise=[v, 0],
         ),
         "forced_noise[0]",
     ),
     "full_register_chain": (
-        lambda v: full_register_chain(2, 1, basis_state(2, 1, (0,)), [(v, 0)]),
+        lambda v: full_register_chain(2, 1, basis_state(2, (0,)), [(v, 0)]),
         "forced_path[0][0]",
     ),
 }
@@ -550,6 +565,7 @@ def test_state_builders_return_unit_norm(d, n, seed):
 
 
 def assert_state_invariants(state, d, num_qudits):
+    assert (state.d, state.num_qudits) == (d, num_qudits)
     assert state.amps.shape == (d**num_qudits,)
     assert np.all(np.isfinite(state.amps))
     assert abs(np.linalg.norm(state.amps) - 1.0) <= core.INTERNAL_TOL
@@ -566,7 +582,7 @@ def test_trusted_results_keep_state_invariants(d, n, seed):
     """Gate, kron, basis and collapse results skip validation; check them here."""
     rng = np.random.default_rng(seed)
     digits = tuple(int(k) for k in rng.integers(d, size=n))
-    assert_state_invariants(basis_state(d, n, digits), d, n)
+    assert_state_invariants(basis_state(d, digits), d, n)
     state = random_state(d, n, rng)
     assert_state_invariants(tensor_product(state, random_state(d, 1, rng)), d, n + 1)
     one_qudit = [gates.pauli_z_power(d, 0), gates.pauli_z(d), gates.pauli_x(d), gates.hadamard(d),

@@ -63,8 +63,8 @@ class TestPauliX:
         np.testing.assert_array_equal(gates.pauli_x(2).mat, np.array([[0, 1], [1, 0]]))
 
     def test_wraparound(self):
-        state = gates.apply_1q(basis_state(3, 1, (2,)), gates.pauli_x(3), 0)
-        np.testing.assert_array_equal(state.amps, basis_state(3, 1, (0,)).amps)
+        state = gates.apply_1q(basis_state(3, (2,)), gates.pauli_x(3), 0)
+        np.testing.assert_array_equal(state.amps, basis_state(3, (0,)).amps)
 
     @pytest.mark.parametrize("d", ALL_DIMS)
     def test_full_cycle(self, d):
@@ -83,8 +83,8 @@ class TestGatePower:
                 np.testing.assert_allclose(gates.gate_power(gates.pauli_z(d), r).mat, expected, atol=1e-12)
 
     def test_shift_power(self):
-        state = gates.apply_1q(basis_state(3, 1, (0,)), gates.gate_power(gates.pauli_x(3), 2), 0)
-        np.testing.assert_array_equal(state.amps, basis_state(3, 1, (2,)).amps)
+        state = gates.apply_1q(basis_state(3, (0,)), gates.gate_power(gates.pauli_x(3), 2), 0)
+        np.testing.assert_array_equal(state.amps, basis_state(3, (2,)).amps)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ class TestHadamard:
 
     def test_maps_zero_to_uniform(self):
         for d in (2, 3, 5):
-            state = gates.apply_1q(basis_state(d, 1, (0,)), gates.hadamard(d), 0)
+            state = gates.apply_1q(basis_state(d, (0,)), gates.hadamard(d), 0)
             np.testing.assert_allclose(state.amps, np.full(d, 1 / math.sqrt(d)), atol=1e-15)
 
     def test_qutrit_vandermonde(self):
@@ -177,7 +177,7 @@ class TestCnot:
     def test_basis_action(self, d):
         for a in range(d):
             for b in range(d):
-                out = gates.apply_2q(basis_state(d, 2, (a, b)), gates.cnot(d), 0, 1)
+                out = gates.apply_2q(basis_state(d, (a, b)), gates.cnot(d), 0, 1)
                 digits = divmod(int(np.argmax(np.abs(out.amps))), d)
                 assert digits == (a, (a + b) % d)
 
@@ -193,13 +193,13 @@ class TestCnot:
     def test_dagger_subtracts(self, d):
         for a in range(d):
             for b in range(d):
-                out = gates.apply_2q(basis_state(d, 2, (a, b)), gates.cnot_dagger(d), 0, 1)
+                out = gates.apply_2q(basis_state(d, (a, b)), gates.cnot_dagger(d), 0, 1)
                 digits = divmod(int(np.argmax(np.abs(out.amps))), d)
                 assert digits == (a, (b - a) % d)
 
     def test_qutrit_dagger_example(self):
-        out = gates.apply_2q(basis_state(3, 2, (1, 0)), gates.cnot_dagger(3), 0, 1)
-        np.testing.assert_array_equal(out.amps, basis_state(3, 2, (1, 2)).amps)
+        out = gates.apply_2q(basis_state(3, (1, 0)), gates.cnot_dagger(3), 0, 1)
+        np.testing.assert_array_equal(out.amps, basis_state(3, (1, 2)).amps)
 
 
 class TestAlgebraicLaws:
@@ -241,8 +241,8 @@ class TestApply1q:
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-15)
 
     def test_not_on_second_qudit(self):
-        out = gates.apply_1q(basis_state(2, 2, (0, 0)), gates.pauli_x(2), 1)
-        np.testing.assert_array_equal(out.amps, basis_state(2, 2, (0, 1)).amps)
+        out = gates.apply_1q(basis_state(2, (0, 0)), gates.pauli_x(2), 1)
+        np.testing.assert_array_equal(out.amps, basis_state(2, (0, 1)).amps)
 
     def test_two_applications_equal_power(self):
         rng = np.random.default_rng(22)
@@ -252,7 +252,7 @@ class TestApply1q:
         np.testing.assert_allclose(twice.amps, power.amps, atol=1e-14)
 
     def test_errors(self):
-        state = basis_state(2, 2, (0, 0))
+        state = basis_state(2, (0, 0))
         with pytest.raises(ValueError):
             gates.apply_1q(state, gates.cnot(2), 0)  # wrong arity
         with pytest.raises(ValueError):
@@ -263,18 +263,18 @@ class TestApply1q:
 
 class TestApply2q:
     def test_qubit_cnot_adjacent(self):
-        out = gates.apply_2q(basis_state(2, 2, (1, 0)), gates.cnot(2), 0, 1)
-        np.testing.assert_array_equal(out.amps, basis_state(2, 2, (1, 1)).amps)
+        out = gates.apply_2q(basis_state(2, (1, 0)), gates.cnot(2), 0, 1)
+        np.testing.assert_array_equal(out.amps, basis_state(2, (1, 1)).amps)
 
     def test_qutrit_cnot_non_adjacent(self):
-        out = gates.apply_2q(basis_state(3, 3, (1, 0, 1)), gates.cnot(3), 0, 2)
-        np.testing.assert_array_equal(out.amps, basis_state(3, 3, (1, 0, 2)).amps)
+        out = gates.apply_2q(basis_state(3, (1, 0, 1)), gates.cnot(3), 0, 2)
+        np.testing.assert_array_equal(out.amps, basis_state(3, (1, 0, 2)).amps)
 
     def test_reversed_positions(self):
         # control on the later qudit: |b, a> with a controlling
         for a in range(3):
             for b in range(3):
-                out = gates.apply_2q(basis_state(3, 2, (b, a)), gates.cnot(3), 1, 0)
+                out = gates.apply_2q(basis_state(3, (b, a)), gates.cnot(3), 1, 0)
                 digits = divmod(int(np.argmax(np.abs(out.amps))), 3)
                 assert digits == ((a + b) % 3, a)
 
@@ -286,7 +286,7 @@ class TestApply2q:
         np.testing.assert_allclose(back.amps, state.amps, atol=1e-14)
 
     def test_errors(self):
-        state = basis_state(2, 3, (0, 0, 0))
+        state = basis_state(2, (0, 0, 0))
         with pytest.raises(ValueError):
             gates.apply_2q(state, gates.pauli_x(2), 0, 1)  # wrong arity
         with pytest.raises(ValueError):
@@ -349,20 +349,20 @@ def one_qudit_gates(d, rng):
     return {
         "pauli_z_power": gates.pauli_z_power(d, d - 1),
         "pauli_x": gates.pauli_x(d),
-        "phased_shift": gates.GateMatrix(d, 1, gates.pauli_x(d).mat @ gates.pauli_z(d).mat),
+        "phased_shift": gates.GateMatrix(d, gates.pauli_x(d).mat @ gates.pauli_z(d).mat),
         "hadamard": gates.hadamard(d),
-        "random_dense": gates.GateMatrix(d, 1, random_unitary(d, rng)),
+        "random_dense": gates.GateMatrix(d, random_unitary(d, rng)),
     }
 
 
 def two_qudit_gates(d, rng):
     """Diagonal, monomial (with and without phases) and dense two-qudit gates."""
     return {
-        "random_phases": gates.GateMatrix(d, 2, np.diag(np.exp(2j * np.pi * rng.random(d * d)))),
+        "random_phases": gates.GateMatrix(d, np.diag(np.exp(2j * np.pi * rng.random(d * d)))),
         "cnot": gates.cnot(d),
         "cnot_dagger": gates.cnot_dagger(d),
-        "phased_cnot": gates.GateMatrix(d, 2, np.kron(gates.pauli_z(d).mat, np.eye(d)) @ gates.cnot(d).mat),
-        "random_dense": gates.GateMatrix(d, 2, random_unitary(d * d, rng)),
+        "phased_cnot": gates.GateMatrix(d, np.kron(gates.pauli_z(d).mat, np.eye(d)) @ gates.cnot(d).mat),
+        "random_dense": gates.GateMatrix(d, random_unitary(d * d, rng)),
     }
 
 
@@ -414,7 +414,7 @@ def test_z_power_bits_match_python_product(d):
     # the Z^k psi0 that run --history and enumerate report has these bits on every BLAS kernel
     rng = np.random.default_rng(d)
     states = [random_state(d, 1, rng) for _ in range(3)] + [make_state(d, [1 / math.sqrt(d)] * d)]
-    states += [basis_state(d, 1, (j,)) for j in range(d)]
+    states += [basis_state(d, (j,)) for j in range(d)]
     # real parts that are zeros of both signs
     states.append(make_state(d, [complex(-0.0, (-1) ** j / math.sqrt(d)) for j in range(d)]))
     for k in range(d):
@@ -440,16 +440,20 @@ class TestNonUnitaryGate:
     def test_construction_refuses(self, d, arity, mat, deviation):
         message = f"gate must be unitary: this d={d} arity-{arity} gate has max |G G^dagger - I| = {deviation} > 1e-12"
         with pytest.raises(ValueError, match=re.escape(message)):
-            gates.GateMatrix(d, arity, mat)
+            gates.GateMatrix(d, mat)
 
     def test_within_the_tolerance_constructs(self):
-        g = gates.GateMatrix(2, 1, np.eye(2) * (1 + 4e-13))
-        state = basis_state(2, 2, (0, 1))
+        g = gates.GateMatrix(2, np.eye(2) * (1 + 4e-13))
+        state = basis_state(2, (0, 1))
         np.testing.assert_allclose(gates.apply_1q(state, g, 0).amps, state.amps, rtol=0, atol=1e-12)
 
 
 def test_gate_matrix_shape_validation():
-    with pytest.raises(ValueError):
-        gates.GateMatrix(2, 1, np.eye(3))
-    with pytest.raises(ValueError):
-        gates.GateMatrix(2, 3, np.eye(8))
+    """The side of the matrix gives the arity; every other shape names the two it may take."""
+    assert (gates.GateMatrix(3, np.eye(3)).arity, gates.GateMatrix(3, np.eye(9)).arity) == (1, 2)
+    for d, mat in ((2, np.eye(3)), (2, np.eye(8)), (3, np.zeros((3, 9))), (2, np.zeros(4)), (2, np.zeros((2, 2, 2)))):
+        message = f"gate matrix must be {d}x{d} or {d * d}x{d * d}, got shape {mat.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gates.GateMatrix(d, mat)
+    with pytest.raises(TypeError):
+        gates.GateMatrix(2, 1, np.eye(2))  # the arity is not an input

@@ -34,14 +34,14 @@ def uniform_state(d):
 
 def plus_zero_zero_register():
     """(|0> + |1>)/sqrt(2) on the carrier, |0> on ancilla and receiver."""
-    plus = apply_1q(basis_state(2, 1, (0,)), hadamard(2), 0)
-    return tensor_product(plus, basis_state(2, 2, (0, 0)))
+    plus = apply_1q(basis_state(2, (0,)), hadamard(2), 0)
+    return tensor_product(plus, basis_state(2, (0, 0)))
 
 
 class TestPrepareHop:
     def test_basis_input(self):
-        register = prepare_hop(basis_state(3, 1, (1,)))
-        np.testing.assert_array_equal(register.amps, basis_state(3, 3, (1, 0, 0)).amps)
+        register = prepare_hop(basis_state(3, (1,)))
+        np.testing.assert_array_equal(register.amps, basis_state(3, (1, 0, 0)).amps)
 
     def test_norm_preserved(self):
         register = prepare_hop(random_state(4, 1, np.random.default_rng(0)))
@@ -54,13 +54,13 @@ class TestPrepareHop:
 
     def test_rejects_multi_qudit_input(self):
         with pytest.raises(ValueError):
-            prepare_hop(basis_state(2, 2, (0, 0)))
+            prepare_hop(basis_state(2, (0, 0)))
 
 
 class TestHopCircuit:
     def test_zero_input_gives_flat_magnitudes(self):
         for d in (2, 3, 5):
-            out = hop_circuit(prepare_hop(basis_state(d, 1, (0,))))
+            out = hop_circuit(prepare_hop(basis_state(d, (0,))))
             tensor = out.tensor()
             # every branch carries |0> on the receiver with amplitude 1/d
             np.testing.assert_allclose(tensor[:, :, 0], np.full((d, d), 1 / d), atol=1e-12)
@@ -84,9 +84,9 @@ class TestHopCircuit:
 
     def test_rejects_malformed_register(self):
         with pytest.raises(ValueError):
-            hop_circuit(basis_state(3, 3, (0, 1, 0)))
+            hop_circuit(basis_state(3, (0, 1, 0)))
         with pytest.raises(ValueError):
-            hop_circuit(basis_state(3, 2, (0, 0)))
+            hop_circuit(basis_state(3, (0, 0)))
 
 
 class TestHopExpansion:
@@ -111,10 +111,10 @@ class TestHopExpansion:
 
 class TestMeasureStandard:
     def test_definite_outcome(self):
-        outcome, prob, collapsed = measure_standard(basis_state(3, 3, (1, 0, 0)), 0, forced=1)
+        outcome, prob, collapsed = measure_standard(basis_state(3, (1, 0, 0)), 0, forced=1)
         assert outcome == 1
         assert prob == pytest.approx(1.0)
-        np.testing.assert_allclose(collapsed.amps, basis_state(3, 3, (1, 0, 0)).amps, atol=1e-15)
+        np.testing.assert_allclose(collapsed.amps, basis_state(3, (1, 0, 0)).amps, atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_uniform_marginal_on_hop_output(self, d):
@@ -125,7 +125,7 @@ class TestMeasureStandard:
 
     def test_forced_impossible_outcome(self):
         with pytest.raises(ImpossibleOutcomeError):
-            measure_standard(basis_state(2, 1, (0,)), 0, forced=1)
+            measure_standard(basis_state(2, (0,)), 0, forced=1)
 
     def test_completeness_and_collapse_norm(self):
         state = random_state(3, 2, np.random.default_rng(9))
@@ -173,17 +173,17 @@ class TestMeasureStandard:
             faint = block.copy()
             faint[:, d - 1, :] = 0
             faint[0, d - 1, 0] = math.sqrt(FORCED_OUTCOME_MIN_PROB / 4)
-            faint_state = PureState(d, 4, faint.reshape(-1) / np.linalg.norm(faint))
+            faint_state = PureState(d, faint.reshape(-1) / np.linalg.norm(faint))
             with pytest.raises(ImpossibleOutcomeError):
                 measure_standard(faint_state, target, forced=d - 1)
 
     def test_requires_rng_or_forced(self):
         with pytest.raises(ValueError):
-            measure_standard(basis_state(2, 1, (0,)), 0)
+            measure_standard(basis_state(2, (0,)), 0)
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            measure_standard(basis_state(2, 1, (0,)), 1)
+            measure_standard(basis_state(2, (0,)), 1)
 
 
 class TestApplyCorrection:
@@ -199,7 +199,7 @@ class TestApplyCorrection:
         np.testing.assert_allclose(corrected.amps, psi.amps, atol=1e-13)
 
     def test_exponent_out_of_range(self):
-        psi = basis_state(3, 1, (0,))
+        psi = basis_state(3, (0,))
         with pytest.raises(ValueError):
             apply_correction(psi, 3)
         with pytest.raises(ValueError):
@@ -257,14 +257,14 @@ class TestTeleportHop:
 
     def test_entropy_diagnostic(self):
         # the receiver's entanglement with the rest of the register, just before measurement
-        basis_pre = hop_circuit(prepare_hop(basis_state(3, 1, (1,))))
+        basis_pre = hop_circuit(prepare_hop(basis_state(3, (1,))))
         assert entanglement_entropy(basis_pre, 2) == pytest.approx(0.0, abs=1e-10)
         uniform_pre = hop_circuit(prepare_hop(uniform_state(3)))
         assert entanglement_entropy(uniform_pre, 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_requires_randomness_source(self):
         with pytest.raises(ValueError):
-            teleport_hop(basis_state(2, 1, (0,)), CorrectionMode.LOCAL_EACH_HOP)
+            teleport_hop(basis_state(2, (0,)), CorrectionMode.LOCAL_EACH_HOP)
 
 
 class TestEntanglementEntropy:
@@ -294,4 +294,4 @@ class TestEntanglementEntropy:
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            entanglement_entropy(basis_state(2, 2, (0, 0)), 5)
+            entanglement_entropy(basis_state(2, (0, 0)), 5)
