@@ -11,7 +11,6 @@ from .chain import (
     ChainConfig,
     HistoryEntry,
     NoiseSpec,
-    ResourceLimitError,
     apply_phase_noise,
     enumerate_branches,
     expected_fidelity,
@@ -21,6 +20,7 @@ from .chain import (
 )
 from .core import (
     PureState,
+    ResourceLimitError,
     ValidationError,
     basis_state,
     fidelity,

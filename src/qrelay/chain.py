@@ -47,29 +47,22 @@ import numpy as np
 from . import gates
 from .core import (
     PureState,
+    ResourceLimitError,
     ValidationError,
+    _check_forced,
     _check_int,
+    _check_state,
+    _check_type,
     _draw_dit,
+    _forced_or_drawn,
     check_dim,
     fidelity,
     root_of_unity,
 )
-from .teleport import (
-    CorrectionMode,
-    _check_forced,
-    _check_possible,
-    _check_qudit,
-    _entropy,
-    apply_correction,
-    teleport_hop,
-)
+from .teleport import CorrectionMode, _check_possible, _entropy, apply_correction, teleport_hop
 
 PROBABILITY_TOL = 1e-12
 DEFAULT_PATH_BUDGET = 4096
-
-
-class ResourceLimitError(RuntimeError):
-    """A run was asked to exceed its stated budget or the memory it can allocate."""
 
 
 @dataclass(frozen=True)
@@ -109,6 +102,13 @@ class NoiseSpec:
         return None
 
 
+def _check_noise(noise: object, d: int) -> NoiseSpec:
+    """The noise rule: a NoiseSpec with one probability per dit value of d. Returns it."""
+    if len(_check_type("noise", noise, NoiseSpec).probs) != d:
+        raise ValidationError(f"noise.probs: expected {d} probabilities, got {len(noise.probs)}")
+    return noise
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """Static parameters of one transmission chain."""
@@ -122,13 +122,8 @@ class ChainConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", check_dim(self.d))
         object.__setattr__(self, "n", _check_int("n", self.n, 1))
-        CorrectionMode.check(self.mode)
-        if not isinstance(self.noise, NoiseSpec):
-            raise ValidationError(f"noise: expected NoiseSpec, got {self.noise!r}")
-        if len(self.noise.probs) != self.d:
-            raise ValidationError(
-                f"noise.probs: expected {self.d} probabilities, got {len(self.noise.probs)}"
-            )
+        _check_type("mode", self.mode, CorrectionMode)
+        _check_noise(self.noise, self.d)
         object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, 2**64))
 
 
@@ -185,17 +180,11 @@ def apply_phase_noise(
     """Sample one Z^k error and apply it; returns (state, k).
 
     Trajectory semantics: one exponent is drawn per call, the state stays
-    pure. `forced` pins the exponent for exhaustive or replay runs.
+    pure. `forced` pins the exponent for exhaustive or replay runs. The
+    state is the one in-flight qudit; a register is refused.
     """
-    d = state.d
-    if len(noise.probs) != d:
-        raise ValueError(f"noise has {len(noise.probs)} probabilities but state has d={d}")
-    if forced is not None:
-        k = _check_int("forced", forced, 0, d)
-    else:
-        if rng is None:
-            raise ValueError("apply_phase_noise needs either an rng or a forced exponent")
-        k = int(_draw_dit(noise.probs, rng.random()))
+    d = _check_state("state", state, num_qudits=1).d
+    k = _forced_or_drawn(_check_noise(noise, d).probs, rng, forced)
     if k == 0:
         return state, 0
     return gates.apply_1q(state, gates.pauli_z_power(d, k), 0), k
@@ -224,7 +213,7 @@ def run_chain(
     n + 1 entries; entry 0 is (psi0, 0). Drawing trial `trial`'s block of
     the seed's stream replays that row of run_trajectories.
     """
-    _check_qudit("psi0", psi0, config.d)
+    _check_state("psi0", psi0, _check_type("config", config, ChainConfig).d, 1)
     trial = _check_int("trial", trial, 0)
     if forced_outcomes is not None:
         forced_outcomes = _check_forced("forced_outcomes", forced_outcomes, (config.n, 2), config.d)
@@ -295,8 +284,7 @@ def fidelity_table(psi0: PureState) -> np.ndarray:
     """F[K] = fidelity(psi0, Z^K psi0) = |sum_j |alpha_j|^2 w^(jK)|^2 for K = 0..d-1,
     clipped at 1.0 as `core.fidelity` is: the real and imaginary parts are each
     summed by math.fsum, so no state is built and no BLAS call is made."""
-    _check_qudit("psi0", psi0)
-    d = psi0.d
+    d = _check_state("psi0", psi0, num_qudits=1).d
     weights = (np.square(psi0.amps.real) + np.square(psi0.amps.imag)).tolist()
     roots = _roots(d)
     table = []
@@ -334,8 +322,8 @@ def run_trajectories(config: ChainConfig, trials: int) -> TrajectoryBatch:
     ancilla outcome never changes the received state. Each trial's K is
     (sum of noise exponents) mod d; no state is involved.
     """
+    d, n = _check_type("config", config, ChainConfig).d, config.n
     trials = _check_int("trials", trials, 1)
-    d, n = config.d, config.n
     try:
         draws = _trial_stream(config.seed, n).random((trials, n, 3))
     except (MemoryError, ValueError):  # numpy raises ValueError for a size past the address range
@@ -361,7 +349,7 @@ def expected_fidelity(config: ChainConfig, psi0: PureState) -> float:
     P(K) is their n-fold cyclic convolution (the inverse DFT of the
     probabilities' DFT to the n-th power) and E[F] = sum_K P(K) F[K].
     """
-    _check_qudit("psi0", psi0, config.d)
+    _check_state("psi0", psi0, _check_type("config", config, ChainConfig).d, 1)
     p_k = np.fft.ifft(np.fft.fft(config.noise.probs) ** config.n).real
     return float(p_k @ fidelity_table(psi0))
 
@@ -400,7 +388,7 @@ def enumerate_branches(config: ChainConfig, psi0: PureState) -> list[BranchOutco
     enumerate`, which lists the same paths in closed form: with the
     channel's fixed exponent k, every path delivers Z^K psi0, K = n*k mod d.
     """
-    forced_k = _enumeration_exponent(config)
+    forced_k = _enumeration_exponent(_check_type("config", config, ChainConfig))
     probability = 1.0 / config.d**config.n
     branches = []
     for path in itertools.product(range(config.d), repeat=config.n):
@@ -491,7 +479,7 @@ def _register_measure(reg: _JointRegister, target: int, outcome: int) -> None:
     else:
         kept = reg.amps
         prob = float(np.vdot(kept, kept).real) if digit == outcome else 0.0
-    _check_possible(outcome, target, prob)
+    _check_possible("forced_path", outcome, target, prob)
     if digit is None:
         reg.axes.remove(target)
     reg.digits[target] = outcome
@@ -542,8 +530,8 @@ def full_register_chain(
     validated PureState.
     """
     d, n = check_dim(d), _check_int("n", n, 1)
-    CorrectionMode.check(mode)
-    _check_qudit("psi0", psi0, d)
+    _check_type("mode", mode, CorrectionMode)
+    _check_state("psi0", psi0, d, 1)
     path = _check_forced("forced_path", forced_path, (n, 2), d)
     width = 3 * n
 

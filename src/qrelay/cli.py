@@ -178,8 +178,8 @@ def _resolve_state(value: object, chain: ChainConfig) -> tuple[str | tuple[tuple
         raise ValidationError(f"state: unsupported value {value!r}")
     try:
         return tuple(pairs), make_state(d, [complex(re, im) for re, im in pairs])
-    except ValidationError as exc:
-        raise ValidationError(f"state: {exc}") from None
+    except ValidationError as exc:  # the config key names the amplitudes here, not make_state's parameter
+        raise ValidationError(f"state: {str(exc).removeprefix('amps: ')}") from None
 
 
 def _load_config_file(path: str) -> dict:

@@ -3,13 +3,16 @@
 Register convention is big-endian: qudit 0 is the most significant base-d
 digit of the flat amplitude index. All values are immutable once built and
 safe to share between threads; amplitude arrays are marked read-only.
+This module also owns the library's argument rules (`_check_int`,
+`_check_type`, `_check_state`, `_check_forced`, `_forced_or_drawn`): every
+refusal is a ValidationError whose message starts with the parameter's name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -23,7 +26,12 @@ INTERNAL_TOL = 1e-12
 
 
 class ValidationError(ValueError):
-    """User-supplied data violates a documented contract."""
+    """User-supplied data violates a documented contract. Every argument the
+    library refuses raises one, and its message starts with the parameter's name."""
+
+
+class ResourceLimitError(RuntimeError):
+    """A run was asked to exceed its stated budget or the memory it can allocate."""
 
 
 def _check_int(name: str, value: object, lo: int, hi: int | None = None) -> int:
@@ -41,6 +49,32 @@ def _check_int(name: str, value: object, lo: int, hi: int | None = None) -> int:
     raise ValidationError(f"{name}: must be an integer {bounds}, got {value!r}")
 
 
+def _check_forced(name: str, values: object, shape: tuple[int, ...], d: int) -> int | tuple:
+    """The forced-value rule: `values` nests to `shape`, every leaf a dit in
+    [0, d), as ints. A forced pair has shape (2,), a forced path (n, 2) and
+    forced noise (n,). Every level is a tuple, list or integer array, never
+    a dict or set. Entries are checked in order before any state is built,
+    and the error names the first bad one, as in forced_path[6][0].
+    """
+    if not shape:
+        return _check_int(name, values, 0, d)
+    entries = "dits" if len(shape) == 1 else "(a, b) pairs"
+    int_array = isinstance(values, np.ndarray) and values.ndim > 0 and values.dtype.kind in "iu"
+    if not (int_array or isinstance(values, (tuple, list))):
+        raise ValidationError(f"{name}: must be a tuple, list or integer array of {entries}, got {values!r}")
+    if len(values) != shape[0]:
+        raise ValidationError(f"{name}: must list {shape[0]} {entries}, got {values!r}")
+    return tuple(_check_forced(f"{name}[{i}]", value, shape[1:], d) for i, value in enumerate(values))
+
+
+def _check_type(name: str, value: Any, kind: type) -> Any:
+    """The package's one type rule: value is a `kind` (a state, a config, a
+    noise spec, a mode, an rng). Returns it."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def _norm(amps: np.ndarray) -> float:
     """Euclidean norm of amplitudes, inf on overflow: the squared parts summed by
     math.fsum, so no BLAS kernel is involved and every CPU gives the same bits."""
@@ -52,15 +86,20 @@ def _norm(amps: np.ndarray) -> float:
         return math.inf
 
 
-def _width(d: int, amps: np.ndarray) -> int:
-    """The package's one amplitude-count rule: amps is a flat array of d^n
-    finite amplitudes, n >= 1. Returns n; anything else raises ValidationError."""
-    n = round(math.log(amps.size, d)) if amps.ndim == 1 and amps.size >= d else 0
-    if n < 1 or d**n != amps.size:
-        raise ValidationError(f"amplitudes must form a flat array of d^n, n >= 1 (d={d}), got shape {amps.shape}")
-    if not np.all(np.isfinite(amps)):
-        raise ValidationError("amplitudes must be finite")
-    return n
+def _width(d: int, amps: object) -> tuple[np.ndarray, int]:
+    """The package's one amplitude rule: amps converts to a flat array of d^n
+    finite complex amplitudes, n >= 1. Returns a fresh complex128 copy and n;
+    anything else raises ValidationError naming `amps`."""
+    try:
+        arr = np.array(amps, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):  # a string that is no number, a ragged list, a huge int
+        raise ValidationError(f"amps: expected complex amplitudes, got {amps!r}") from None
+    n = round(math.log(arr.size, d)) if arr.ndim == 1 and arr.size >= d else 0
+    if n < 1 or d**n != arr.size:
+        raise ValidationError(f"amps: amplitudes must form a flat array of d^n, n >= 1 (d={d}), got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("amps: amplitudes must be finite")
+    return arr, n
 
 
 def check_dim(d: int) -> int:
@@ -77,6 +116,14 @@ def _draw_dit(probs: Sequence[float] | np.ndarray, u: float | np.ndarray) -> np.
     cdf = (p / p.sum()).cumsum()
     cdf /= cdf[-1]
     return cdf.searchsorted(u, side="right")
+
+
+def _forced_or_drawn(probs: Sequence[float] | np.ndarray, rng: object, forced: object) -> int:
+    """The package's one dit rule: `forced` checked on [0, len(probs)) if it is
+    given, else one dit drawn from rng's next double through probs."""
+    if forced is not None:
+        return _check_int("forced", forced, 0, len(probs))
+    return int(_draw_dit(probs, _check_type("rng", rng, np.random.Generator).random()))
 
 
 def root_of_unity(d: int, k: int) -> complex:
@@ -114,7 +161,7 @@ def flat_index(d: int, digits: Sequence[int]) -> int:
     d = check_dim(d)
     index = 0
     for pos, digit in enumerate(digits):
-        index = index * d + _check_int(f"digit[{pos}]", digit, 0, d)
+        index = index * d + _check_int(f"digits[{pos}]", digit, 0, d)
     return index
 
 
@@ -122,7 +169,7 @@ def flat_index(d: int, digits: Sequence[int]) -> int:
 class PureState:
     """Normalized d^n amplitudes over a register of n = num_qudits qudits.
 
-    `PureState(d, amps)` derives num_qudits from the amplitude count (`_width`).
+    `PureState(d, amps)` derives num_qudits from the amplitudes (`_width`).
     Compared by identity; use np.allclose on .amps for value comparisons.
     Direct construction copies and validates the amplitudes; the package's
     own gate, kron and collapse results go through _trusted instead.
@@ -134,11 +181,10 @@ class PureState:
 
     def __post_init__(self) -> None:
         d = check_dim(self.d)
-        amps = np.array(self.amps, dtype=np.complex128)
-        n = _width(d, amps)
+        amps, n = _width(d, self.amps)
         norm = _norm(amps)
         if abs(norm - 1.0) > INTERNAL_TOL:
-            raise ValueError(f"state norm must be 1 within {INTERNAL_TOL}, got {norm!r}")
+            raise ValidationError(f"amps: state norm must be 1 within {INTERNAL_TOL}, got {norm!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "num_qudits", n)
@@ -163,13 +209,28 @@ class PureState:
         return self.amps.reshape((self.d,) * self.num_qudits)
 
 
+def _check_state(name: str, value: object, d: int | None = None, num_qudits: int | None = None) -> PureState:
+    """The package's one state rule: value is a PureState, of dimension d and
+    with num_qudits qudits where those are given. Returns it."""
+    _check_type(name, value, PureState)
+    if (d is not None and value.d != d) or (num_qudits is not None and value.num_qudits != num_qudits):
+        count = {None: "a register", 1: "a single qudit"}.get(num_qudits, f"{num_qudits} qudits")
+        wanted = count if d is None else f"{count} of dimension {d}"
+        raise ValidationError(f"{name}: must be {wanted}, got {value.num_qudits} qudit(s) of dimension {value.d}")
+    return value
+
+
 def basis_state(d: int, digits: Sequence[int]) -> PureState:
     """Standard-basis state |digits> with big-endian digit order, one qudit per digit."""
     d, digits = check_dim(d), tuple(digits)
     if not digits:
         raise ValidationError("digits: must list at least one digit, got ()")
-    amps = np.zeros(d ** len(digits), dtype=np.complex128)
-    amps[flat_index(d, digits)] = 1.0
+    index = flat_index(d, digits)
+    try:
+        amps = np.zeros(d ** len(digits), dtype=np.complex128)
+    except (MemoryError, ValueError):  # numpy raises ValueError for a size past the address range
+        raise ResourceLimitError(f"digits: {d}^{len(digits)} amplitudes are more than can be allocated") from None
+    amps[index] = 1.0
     return PureState._trusted(d, len(digits), amps)
 
 
@@ -180,14 +241,10 @@ def make_state(d: int, amps: Sequence[complex]) -> PureState:
     anything larger (including the zero vector) raises ValidationError.
     The amplitude count follows `_width`, as for PureState.
     """
-    d = check_dim(d)
-    arr = np.asarray(amps, dtype=np.complex128)
-    num_qudits = _width(d, arr)
+    arr, num_qudits = _width(check_dim(d), amps)
     norm = _norm(arr)
     if abs(norm - 1.0) > INPUT_NORM_TOL:
-        raise ValidationError(
-            f"amplitudes must be normalized within {INPUT_NORM_TOL} (norm {norm!r})"
-        )
+        raise ValidationError(f"amps: amplitudes must be normalized within {INPUT_NORM_TOL} (norm {norm!r})")
     # dividing by the norm leaves it 1 to within rounding, so it is not summed again
     return PureState._trusted(d, num_qudits, arr / norm)
 
@@ -195,21 +252,19 @@ def make_state(d: int, amps: Sequence[complex]) -> PureState:
 def random_state(d: int, num_qudits: int, rng: np.random.Generator) -> PureState:
     """Haar-like random pure state from complex normal amplitudes."""
     d, num_qudits = check_dim(d), _check_int("num_qudits", num_qudits, 1)
+    rng = _check_type("rng", rng, np.random.Generator)
     size = d**num_qudits
-    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    try:
+        amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    except (MemoryError, ValueError):  # numpy raises ValueError for a size past the address range
+        raise ResourceLimitError(f"num_qudits: {d}^{num_qudits} amplitudes are more than can be allocated") from None
     return PureState._trusted(d, num_qudits, amps / _norm(amps))
-
-
-def _check_same_shape(x: PureState, y: PureState) -> None:
-    if x.d != y.d or x.num_qudits != y.num_qudits:
-        raise ValueError(
-            f"shape mismatch: ({x.d}, {x.num_qudits} qudits) vs ({y.d}, {y.num_qudits} qudits)"
-        )
 
 
 def inner_product(x: PureState, y: PureState) -> complex:
     """Raw overlap <x|y> (conjugation on the first argument)."""
-    _check_same_shape(x, y)
+    _check_state("x", x)
+    _check_state("y", y, x.d, x.num_qudits)
     return complex(np.vdot(x.amps, y.amps))
 
 
@@ -220,8 +275,8 @@ def fidelity(x: PureState, y: PureState) -> float:
 
 def tensor_product(x: PureState, y: PureState) -> PureState:
     """Kronecker product x (x) y; x supplies the most significant digits."""
-    if x.d != y.d:
-        raise ValueError(f"dimension mismatch: {x.d} vs {y.d}")
+    _check_state("x", x)
+    _check_state("y", y, x.d)
     return PureState._trusted(x.d, x.num_qudits + y.num_qudits, np.kron(x.amps, y.amps))
 
 
@@ -234,15 +289,15 @@ def reduced_density(state: PureState, keep: int | Sequence[int]) -> np.ndarray:
     re-checked; a property test checks that it is Hermitian, has unit trace
     and is positive semidefinite.
     """
-    n = state.num_qudits
+    n = _check_state("state", state).num_qudits
     if np.ndim(keep) == 0:
         keep_tuple = (_check_int("keep", keep, 0, n),)
     else:
         keep_tuple = tuple(_check_int(f"keep[{i}]", q, 0, n) for i, q in enumerate(keep))
     if not keep_tuple:
-        raise ValueError("must keep at least one qudit")
+        raise ValidationError("keep: must keep at least one qudit")
     if len(set(keep_tuple)) != len(keep_tuple):
-        raise ValueError(f"kept qudit indices must be distinct, got {keep_tuple}")
+        raise ValidationError(f"keep: kept qudit indices must be distinct, got {keep_tuple}")
     moved = np.moveaxis(state.tensor(), keep_tuple, range(len(keep_tuple)))
     block = moved.reshape(state.d ** len(keep_tuple), -1)
     rho = block @ block.conj().T

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import PureState, _check_int, check_dim, root_of_unity
+from .core import PureState, ValidationError, _check_int, _check_state, check_dim, root_of_unity
 
 UNITARITY_TOL = 1e-12
 
@@ -29,8 +29,8 @@ class GateMatrix:
     """Dense unitary acting on one or two qudits of dimension d.
 
     The side of mat gives the arity: d is one qudit, d^2 two. Any other shape
-    raises ValueError, as does a max |G G^dagger - I| above UNITARITY_TOL or
-    NaN, so applying a gate needs no check.
+    raises ValidationError naming `mat`, as does a max |G G^dagger - I| above
+    UNITARITY_TOL or NaN, so applying a gate needs no unitarity check.
     """
 
     d: int
@@ -41,13 +41,13 @@ class GateMatrix:
         d = check_dim(self.d)
         mat = np.array(self.mat, dtype=np.complex128)
         if mat.shape not in ((d, d), (d * d, d * d)):
-            raise ValueError(f"gate matrix must be {d}x{d} or {d * d}x{d * d}, got shape {mat.shape}")
+            raise ValidationError(f"mat: gate matrix must be {d}x{d} or {d * d}x{d * d}, got shape {mat.shape}")
         arity, side = (1, d) if mat.shape[0] == d else (2, d * d)
         with np.errstate(all="ignore"):  # an inf or NaN entry gives a NaN or inf deviation
             deviation = float(np.max(np.abs(mat @ mat.conj().T - np.eye(side))))
         if not deviation <= UNITARITY_TOL:  # a NaN deviation fails too
-            raise ValueError(
-                f"gate must be unitary: this d={d} arity-{arity} gate has "
+            raise ValidationError(
+                f"mat: gate must be unitary: this d={d} arity-{arity} gate has "
                 f"max |G G^dagger - I| = {deviation:.3e} > {UNITARITY_TOL}"
             )
         mat.flags.writeable = False
@@ -142,14 +142,12 @@ def _apply(g: GateMatrix, state: PureState, positions: tuple[int, ...]) -> np.nd
 
     The gate's axes are moved to the front in slot order, so it is one
     matmul over (d^arity, rest), and moved back. state.amps is never
-    written. The gate must fit: one position per qudit it acts on, and the
-    register's dimension; it is unitary by construction.
+    written. The gate must fit: a GateMatrix with one position per qudit it
+    acts on, and the register's dimension; it is unitary by construction.
     """
-    if g.arity != len(positions) or g.d != state.d:
-        raise ValueError(
-            f"a d={g.d} arity-{g.arity} gate cannot act on {len(positions)} qudit(s) "
-            f"of a d={state.d} register"
-        )
+    if not isinstance(g, GateMatrix) or g.arity != len(positions) or g.d != state.d:
+        got = f"a d={g.d} arity-{g.arity} gate" if isinstance(g, GateMatrix) else repr(g)
+        raise ValidationError(f"g: must act on {len(positions)} qudit(s) of a d={state.d} register, got {got}")
     front = tuple(range(g.arity))
     moved = np.moveaxis(state.tensor(), positions, front)
     out = (g.mat @ moved.reshape(g.mat.shape[0], -1)).reshape(moved.shape)
@@ -160,9 +158,9 @@ def apply_1q(state: PureState, g: GateMatrix, target: int) -> PureState:
     """Apply a one-qudit unitary to the target position, identity elsewhere.
 
     Runs the shared kernel with the target moved to the front; a gate that
-    is not one-qudit or not of the state's d raises ValueError.
+    is not one-qudit or not of the state's d raises ValidationError.
     """
-    target = _check_int("target", target, 0, state.num_qudits)
+    target = _check_int("target", target, 0, _check_state("state", state).num_qudits)
     return PureState._trusted(state.d, state.num_qudits, _apply(g, state, (target,)))
 
 
@@ -171,10 +169,10 @@ def apply_2q(state: PureState, g: GateMatrix, control: int, target: int) -> Pure
 
     Positions may be arbitrary and non-adjacent; control != target. Runs the
     shared kernel with both positions moved to the front; a gate that is not
-    two-qudit or not of the state's d raises ValueError.
+    two-qudit or not of the state's d raises ValidationError.
     """
-    control = _check_int("control", control, 0, state.num_qudits)
+    control = _check_int("control", control, 0, _check_state("state", state).num_qudits)
     target = _check_int("target", target, 0, state.num_qudits)
     if control == target:
-        raise ValueError("control and target must differ")
+        raise ValidationError(f"target: must differ from control, got {target} for both")
     return PureState._trusted(state.d, state.num_qudits, _apply(g, state, (control, target)))

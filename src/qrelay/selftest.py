@@ -18,7 +18,7 @@ import numpy as np
 from . import gates
 from .chain import ChainConfig, NoiseSpec, enumerate_branches, full_register_chain, run_chain
 from .core import flat_index, random_state, root_of_unity
-from .teleport import CorrectionMode, hop_circuit, hop_expansion, prepare_hop, teleport_hop
+from .teleport import CorrectionMode, hop_circuit, hop_expansion, teleport_hop
 
 TOL = 1e-12
 
@@ -71,7 +71,7 @@ def check_circuit_matches_expansion() -> tuple[bool, str]:
     for d in (2, 3, 4, 5):
         for _ in range(20):
             psi = random_state(d, 1, rng)
-            circuit = hop_circuit(prepare_hop(psi)).amps
+            circuit = hop_circuit(psi).amps
             expansion = hop_expansion(psi).amps
             worst = max(worst, float(np.max(np.abs(circuit - expansion))))
     return worst <= TOL, f"max deviation {worst:.3e}"

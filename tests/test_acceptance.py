@@ -21,7 +21,7 @@ from qrelay.chain import (
 )
 from qrelay.cli import build_parser, cmd_run, main, parse_config
 from qrelay.core import flat_index, random_state
-from qrelay.teleport import CorrectionMode, hop_circuit, hop_expansion, prepare_hop, teleport_hop
+from qrelay.teleport import CorrectionMode, hop_circuit, hop_expansion, teleport_hop
 
 TOL = 1e-12
 LOCAL = CorrectionMode.LOCAL_EACH_HOP
@@ -69,7 +69,7 @@ def test_criterion_3_circuit_matches_expansion():
     for d in (2, 3, 4, 5):
         for _ in range(200):
             psi = random_state(d, 1, rng)
-            circuit = hop_circuit(prepare_hop(psi))
+            circuit = hop_circuit(psi)
             worst = max(worst, float(np.max(np.abs(circuit.amps - hop_expansion(psi).amps))))
     assert worst <= TOL, f"max deviation {worst:.3e}"
     print(f"PASS criterion 3: circuit matches expansion, 200 states x d=2..5 (max dev {worst:.2e})")

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qrelay import chain, gates, teleport
+from qrelay import chain, core, gates
 from qrelay.chain import (
     ChainConfig,
     NoiseSpec,
@@ -192,7 +192,7 @@ class TestApplyPhaseNoise:
             apply_phase_noise(uniform_state(2), NoiseSpec.noiseless(2))
 
     def test_noise_of_another_dimension_rejected(self):
-        with pytest.raises(ValueError, match=r"^noise has 3 probabilities but state has d=2$"):
+        with pytest.raises(ValidationError, match=r"^noise\.probs: expected 2 probabilities, got 3$"):
             apply_phase_noise(uniform_state(2), NoiseSpec.noiseless(3), forced=0)
 
     def test_sampling_frequencies(self):
@@ -356,7 +356,7 @@ class TestRunTrajectories:
             draws.append(probs)
             return _draw_dit(probs, u)
 
-        monkeypatch.setattr(teleport, "_draw_dit", recorded)
+        monkeypatch.setattr(core, "_draw_dit", recorded)
         uniform = grid(np.full(d, 1.0 / d))
         rng = np.random.default_rng(100 + d)
         worst = 0

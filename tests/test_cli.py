@@ -35,7 +35,7 @@ from qrelay.cli import (
     render_report,
 )
 from qrelay.core import ValidationError, random_state
-from qrelay.teleport import CorrectionMode
+from qrelay.teleport import CorrectionMode, prepare_hop
 from test_gates import python_product
 
 
@@ -551,9 +551,9 @@ GATE_ONLY_CHECKS = [
 ]
 
 
-def hop_circuit_without_ancilla_fourier(register):
-    d = register.d
-    state = gates.apply_2q(register, gates.cnot(d), 0, 2)
+def hop_circuit_without_ancilla_fourier(psi):
+    d = psi.d
+    state = gates.apply_2q(prepare_hop(psi), gates.cnot(d), 0, 2)
     return gates.apply_1q(state, gates.hadamard_inverse(d), 0)
 
 
@@ -575,7 +575,7 @@ class TestSelftestNegativeControl:
         monkeypatch.setitem(selftest.GATE_CONSTRUCTORS, "hadamard", corrupted_hadamard)
         assert main(["selftest"]) == 3
         captured = capsys.readouterr()
-        assert "\nFAIL gate unitarity and commutation sweep: hadamard(d=2): gate must be unitary" in captured.out
+        assert "\nFAIL gate unitarity and commutation sweep: hadamard(d=2): mat: gate must be unitary" in captured.out
         assert captured.err == "self-test failed: gate unitarity and commutation sweep\n"
 
     def test_the_sweep_takes_every_constructor_from_its_table(self):
@@ -609,7 +609,7 @@ class TestSelftestNegativeControl:
                 [("qrelay.teleport.hop_circuit", hop_circuit_without_ancilla_fourier),
                  ("qrelay.selftest.hop_circuit", hop_circuit_without_ancilla_fourier)],
                 "FAIL corrected hop returns the input exactly: "
-                "ImpossibleOutcomeError: outcome 1 on qudit 1 has probability 0.000e+00",
+                "ImpossibleOutcomeError: forced: outcome 1 on qudit 1 has probability 0.000e+00",
             ),
             (
                 [("qrelay.selftest.full_register_chain", raise_index_error)],

@@ -379,7 +379,7 @@ class TestReducedDensity:
             reduced_density(basis_state(2, (0, 0)), (0, 0))
 
     def test_empty_keep(self):
-        with pytest.raises(ValueError, match=r"^must keep at least one qudit$"):
+        with pytest.raises(ValueError, match=r"^keep: must keep at least one qudit$"):
             reduced_density(basis_state(2, (0, 0)), [])
 
     @pytest.mark.parametrize(
@@ -414,13 +414,13 @@ def reference_density(state, keep):
 
 class TestStateValidation:
     def test_rejects_non_normalized(self):
-        with pytest.raises(ValueError, match="^state norm must be 1 within 1e-12"):
+        with pytest.raises(ValueError, match="^amps: state norm must be 1 within 1e-12"):
             PureState(2, np.array([1.0, 1.0]))
 
     def test_rejects_nan(self):
         # the finiteness rule is make_state's too, with the same message
         for build in (make_state, PureState):
-            with pytest.raises(ValidationError, match="^amplitudes must be finite$"):
+            with pytest.raises(ValidationError, match="^amps: amplitudes must be finite$"):
                 build(2, np.array([np.nan, 0.0]))
 
     def test_num_qudits_is_derived(self):
@@ -438,7 +438,7 @@ class TestStateValidation:
     def test_amplitude_count_rule_has_one_message(self, d, amps):
         """A flat array of d^n amplitudes, n >= 1: make_state and PureState give one message."""
         shape = np.shape(amps)
-        message = f"amplitudes must form a flat array of d^n, n >= 1 (d={d}), got shape {shape}"
+        message = f"amps: amplitudes must form a flat array of d^n, n >= 1 (d={d}), got shape {shape}"
         for build in (make_state, PureState):
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 build(d, amps)

@@ -452,7 +452,7 @@ def test_gate_matrix_shape_validation():
     """The side of the matrix gives the arity; every other shape names the two it may take."""
     assert (gates.GateMatrix(3, np.eye(3)).arity, gates.GateMatrix(3, np.eye(9)).arity) == (1, 2)
     for d, mat in ((2, np.eye(3)), (2, np.eye(8)), (3, np.zeros((3, 9))), (2, np.zeros(4)), (2, np.zeros((2, 2, 2)))):
-        message = f"gate matrix must be {d}x{d} or {d * d}x{d * d}, got shape {mat.shape}"
+        message = f"mat: gate matrix must be {d}x{d} or {d * d}x{d * d}, got shape {mat.shape}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             gates.GateMatrix(d, mat)
     with pytest.raises(TypeError):

@@ -6,6 +6,7 @@ import pytest
 
 from qrelay.core import (
     PureState,
+    ValidationError,
     basis_state,
     fidelity,
     make_state,
@@ -60,7 +61,7 @@ class TestPrepareHop:
 class TestHopCircuit:
     def test_zero_input_gives_flat_magnitudes(self):
         for d in (2, 3, 5):
-            out = hop_circuit(prepare_hop(basis_state(d, (0,))))
+            out = hop_circuit(basis_state(d, (0,)))
             tensor = out.tensor()
             # every branch carries |0> on the receiver with amplitude 1/d
             np.testing.assert_allclose(tensor[:, :, 0], np.full((d, d), 1 / d), atol=1e-12)
@@ -69,7 +70,7 @@ class TestHopCircuit:
     def test_qutrit_branch_phases(self):
         psi = random_state(3, 1, np.random.default_rng(2))
         w = cmath.exp(2j * cmath.pi / 3)
-        tensor = hop_circuit(prepare_hop(psi)).tensor()
+        tensor = hop_circuit(psi).tensor()
         expected = np.array([psi.amps[0], w**2 * psi.amps[1], w * psi.amps[2]]) / 3
         for b in range(3):
             np.testing.assert_allclose(tensor[1, b, :], expected, atol=1e-13)
@@ -79,14 +80,14 @@ class TestHopCircuit:
         rng = np.random.default_rng(3)
         for _ in range(25):
             psi = random_state(d, 1, rng)
-            circuit = hop_circuit(prepare_hop(psi))
+            circuit = hop_circuit(psi)
             np.testing.assert_allclose(circuit.amps, hop_expansion(psi).amps, atol=1e-12)
 
     def test_rejects_malformed_register(self):
-        with pytest.raises(ValueError):
-            hop_circuit(basis_state(3, (0, 1, 0)))
-        with pytest.raises(ValueError):
-            hop_circuit(basis_state(3, (0, 0)))
+        # hop_circuit builds |psi, 0, 0> itself, so any register is refused by name
+        for register in (basis_state(3, (0, 1, 0)), basis_state(3, (0, 0))):
+            with pytest.raises(ValidationError, match=r"^psi: must be a single qudit, got"):
+                hop_circuit(register)
 
 
 class TestHopExpansion:
@@ -118,7 +119,7 @@ class TestMeasureStandard:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_uniform_marginal_on_hop_output(self, d):
-        pre = hop_circuit(prepare_hop(random_state(d, 1, np.random.default_rng(8))))
+        pre = hop_circuit(random_state(d, 1, np.random.default_rng(8)))
         for a in range(d):
             _, prob, _ = measure_standard(pre, 0, forced=a)
             assert prob == pytest.approx(1 / d, abs=1e-12)
@@ -144,7 +145,7 @@ class TestMeasureStandard:
 
     def test_measurement_order_is_irrelevant(self):
         psi = random_state(3, 1, np.random.default_rng(11))
-        pre = hop_circuit(prepare_hop(psi))
+        pre = hop_circuit(psi)
         for a in range(3):
             for b in range(3):
                 _, pa, s01 = measure_standard(pre, 0, forced=a)
@@ -257,9 +258,9 @@ class TestTeleportHop:
 
     def test_entropy_diagnostic(self):
         # the receiver's entanglement with the rest of the register, just before measurement
-        basis_pre = hop_circuit(prepare_hop(basis_state(3, (1,))))
+        basis_pre = hop_circuit(basis_state(3, (1,)))
         assert entanglement_entropy(basis_pre, 2) == pytest.approx(0.0, abs=1e-10)
-        uniform_pre = hop_circuit(prepare_hop(uniform_state(3)))
+        uniform_pre = hop_circuit(uniform_state(3))
         assert entanglement_entropy(uniform_pre, 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_requires_randomness_source(self):
