@@ -19,6 +19,7 @@ from .chain import (
     run_trajectories,
 )
 from .core import (
+    ImpossibleOutcomeError,
     PureState,
     ResourceLimitError,
     ValidationError,
@@ -33,7 +34,6 @@ from .core import (
 from .gates import GateMatrix, apply_1q, apply_2q
 from .teleport import (
     CorrectionMode,
-    ImpossibleOutcomeError,
     hop_expansion,
     measure_standard,
     teleport_hop,

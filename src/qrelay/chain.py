@@ -51,6 +51,7 @@ from .core import (
     ValidationError,
     _check_forced,
     _check_int,
+    _check_possible,
     _check_state,
     _check_type,
     _draw_dit,
@@ -59,7 +60,7 @@ from .core import (
     fidelity,
     root_of_unity,
 )
-from .teleport import CorrectionMode, _check_possible, _entropy, apply_correction, teleport_hop
+from .teleport import CorrectionMode, _entropy, apply_correction, teleport_hop
 
 PROBABILITY_TOL = 1e-12
 DEFAULT_PATH_BUDGET = 4096

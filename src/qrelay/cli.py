@@ -12,7 +12,8 @@ writes `--history` snapshots as Z^e psi0, with `run_chain` as the
 library's oracle, and `enumerate` lists every path's Z^K psi0 directly,
 with `enumerate_branches` as its oracle. Z^K psi0 and F[K] come from
 `chain._phase_pairs` and `chain.fidelity_table`; this module does not
-import `gates`.
+import `gates`. `main` imports `selftest`, the layer above this one, only for
+the `selftest` command, so `run` and `enumerate` never load it.
 Records are rendered column-wise: each field is written once per column
 from a small table of strings, never once per record, and the report is
 put together by one join per block of rows plus one final join.
@@ -33,7 +34,6 @@ from typing import NoReturn
 
 import numpy as np
 
-from . import selftest
 from .chain import (
     ChainConfig,
     NoiseSpec,
@@ -349,10 +349,9 @@ def cmd_enumerate(config: ExperimentConfig) -> str:
     # key order: fidelity, final_state, path, probability
     head = json.dumps({"fidelity": fid, "final_state": final}, separators=(",", ":"))[:-1] + ',"path":['
     tail = f'],"probability":{probability!r}}}'
-    digits = [str(j) for j in range(chain.d)]
-    lead = chain.n // 2
-    fronts = [head + "".join(f"{j}," for j in dits) for dits in itertools.product(digits, repeat=lead)]
-    backs = [",".join(dits) + tail + RECORD_SEPARATOR for dits in itertools.product(digits, repeat=chain.n - lead)]
+    table, lead = _dit_table(chain.n, chain.d, tail + RECORD_SEPARATOR).tolist(), chain.n // 2
+    fronts = [head + "".join(dits) for dits in itertools.product(*table[:lead])]
+    backs = ["".join(dits) for dits in itertools.product(*table[lead:])]
     # the path with front f and back b is record f * len(backs) + b
     pieces = [""] * (2 * total)
     pieces[0::2] = [front for front in fronts for _ in backs]
@@ -370,21 +369,6 @@ def cmd_enumerate(config: ExperimentConfig) -> str:
         },
     }
     return render_report(report, "paths", pieces)
-
-
-def cmd_selftest() -> int:
-    """Run the embedded checks, print one line per check; 0 iff all pass, else 3."""
-    results = selftest.run_all()
-    for check in results:
-        if check.passed:
-            print(f"PASS {check.name}")
-        else:
-            print(f"FAIL {check.name}: {check.detail}")
-    failed = [check.name for check in results if not check.passed]
-    if failed:
-        print(f"self-test failed: {', '.join(failed)}", file=sys.stderr)
-        return 3
-    return 0
 
 
 def render_report(report: dict, key: str, body: list[str]) -> str:
@@ -444,7 +428,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         if args.command == "selftest":
-            return cmd_selftest()
+            from . import selftest  # the layer above this module, so run and enumerate never load it
+            return selftest.main()
         config = parse_config(args)
         text = cmd_run(config) if args.command == "run" else cmd_enumerate(config)
         if config.out:

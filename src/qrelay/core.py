@@ -4,8 +4,8 @@ Register convention is big-endian: qudit 0 is the most significant base-d
 digit of the flat amplitude index. All values are immutable once built and
 safe to share between threads; amplitude arrays are marked read-only.
 This module also owns the library's argument rules (`_check_int`,
-`_check_type`, `_check_state`, `_check_forced`, `_forced_or_drawn`): every
-refusal is a ValidationError whose message starts with the parameter's name.
+`_check_type`, `_check_state`, `_check_forced`, `_forced_or_drawn`,
+`_check_possible`): every refusal's message starts with the parameter's name.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ MAX_DIM = 16
 INPUT_NORM_TOL = 1e-9
 # constructed values must satisfy their invariants within this
 INTERNAL_TOL = 1e-12
+# forcing an outcome whose Born probability is below this is a contradiction
+FORCED_OUTCOME_MIN_PROB = 1e-15
 
 
 class ValidationError(ValueError):
@@ -32,6 +34,10 @@ class ValidationError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A run was asked to exceed its stated budget or the memory it can allocate."""
+
+
+class ImpossibleOutcomeError(ValueError):
+    """A forced measurement outcome has (numerically) zero probability."""
 
 
 def _check_int(name: str, value: object, lo: int, hi: int | None = None) -> int:
@@ -86,14 +92,20 @@ def _norm(amps: np.ndarray) -> float:
         return math.inf
 
 
+def _complex_array(name: str, what: str, value: object) -> np.ndarray:
+    """The package's one complex-conversion rule: value as a fresh complex128
+    array; anything numpy cannot convert raises ValidationError naming `name`."""
+    try:
+        return np.array(value, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):  # a string that is no number, a ragged list, a huge int, a dict
+        raise ValidationError(f"{name}: expected complex {what}, got {value!r}") from None
+
+
 def _width(d: int, amps: object) -> tuple[np.ndarray, int]:
     """The package's one amplitude rule: amps converts to a flat array of d^n
     finite complex amplitudes, n >= 1. Returns a fresh complex128 copy and n;
     anything else raises ValidationError naming `amps`."""
-    try:
-        arr = np.array(amps, dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError):  # a string that is no number, a ragged list, a huge int
-        raise ValidationError(f"amps: expected complex amplitudes, got {amps!r}") from None
+    arr = _complex_array("amps", "amplitudes", amps)
     n = round(math.log(arr.size, d)) if arr.ndim == 1 and arr.size >= d else 0
     if n < 1 or d**n != arr.size:
         raise ValidationError(f"amps: amplitudes must form a flat array of d^n, n >= 1 (d={d}), got shape {arr.shape}")
@@ -124,6 +136,12 @@ def _forced_or_drawn(probs: Sequence[float] | np.ndarray, rng: object, forced: o
     if forced is not None:
         return _check_int("forced", forced, 0, len(probs))
     return int(_draw_dit(probs, _check_type("rng", rng, np.random.Generator).random()))
+
+
+def _check_possible(name: str, outcome: int, target: int, prob: float) -> None:
+    """The forced-outcome rule: refuse, as `name`, an outcome less likely than FORCED_OUTCOME_MIN_PROB."""
+    if prob < FORCED_OUTCOME_MIN_PROB:
+        raise ImpossibleOutcomeError(f"{name}: outcome {outcome} on qudit {target} has probability {prob:.3e}")
 
 
 def root_of_unity(d: int, k: int) -> complex:
@@ -222,7 +240,11 @@ def _check_state(name: str, value: object, d: int | None = None, num_qudits: int
 
 def basis_state(d: int, digits: Sequence[int]) -> PureState:
     """Standard-basis state |digits> with big-endian digit order, one qudit per digit."""
-    d, digits = check_dim(d), tuple(digits)
+    d = check_dim(d)
+    try:
+        digits = tuple(digits)
+    except TypeError:  # an int, None or anything else that is not a sequence
+        raise ValidationError(f"digits: expected a sequence of dits, got {digits!r}") from None
     if not digits:
         raise ValidationError("digits: must list at least one digit, got ()")
     index = flat_index(d, digits)

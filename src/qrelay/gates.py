@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import PureState, ValidationError, _check_int, _check_state, check_dim, root_of_unity
+from .core import PureState, ValidationError, _check_int, _check_state, _complex_array, check_dim, root_of_unity
 
 UNITARITY_TOL = 1e-12
 
@@ -39,7 +39,7 @@ class GateMatrix:
 
     def __post_init__(self) -> None:
         d = check_dim(self.d)
-        mat = np.array(self.mat, dtype=np.complex128)
+        mat = _complex_array("mat", "matrix entries", self.mat)
         if mat.shape not in ((d, d), (d * d, d * d)):
             raise ValidationError(f"mat: gate matrix must be {d}x{d} or {d * d}x{d * d}, got shape {mat.shape}")
         arity, side = (1, d) if mat.shape[0] == d else (2, d * d)

@@ -1,15 +1,17 @@
-"""Embedded correctness checks, runnable from the CLI without pytest.
+"""Embedded correctness checks and the `qrelay selftest` command, `main`.
 
 Each check is independent of the code path it validates: the golden
 matrices are hard-coded, the expansion oracle is a formula rather than a
 circuit, permutations are rebuilt from basis arithmetic, the joint
 3n-qudit register is compared with the factorized chain, and the CLI's
 closed-form engines are compared with the state-vector chain.
+It is the top layer: it imports `cli`, and only `cli.main` imports it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -17,6 +19,7 @@ import numpy as np
 
 from . import gates
 from .chain import ChainConfig, NoiseSpec, enumerate_branches, full_register_chain, run_chain
+from .cli import ExperimentConfig, cmd_enumerate, cmd_run
 from .core import flat_index, random_state, root_of_unity
 from .teleport import CorrectionMode, hop_circuit, hop_expansion, teleport_hop
 
@@ -189,8 +192,6 @@ def check_engines_match_oracles() -> tuple[bool, str]:
     against `enumerate_branches` at d=3, n=2, where the fixed channel's
     total exponent K = n*k mod d is not 0. Parsing the report text checks
     the hand-written records, their `null` and their floats, too."""
-    from .cli import ExperimentConfig, cmd_enumerate, cmd_run  # cli imports this module
-
     failures = []
     noisy = ChainConfig(
         d=3, n=3, mode=CorrectionMode.DEFERRED_FINAL, noise=NoiseSpec((0.4, 0.3, 0.3)), seed=19
@@ -257,3 +258,14 @@ def run_all() -> list[CheckResult]:
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(name, bool(passed), "" if passed else detail))
     return results
+
+
+def main() -> int:
+    """`qrelay selftest`: one PASS or FAIL line per check; 0 iff all pass, else 3."""
+    results = run_all()
+    for check in results:
+        print(f"PASS {check.name}" if check.passed else f"FAIL {check.name}: {check.detail}")
+    failed = [check.name for check in results if not check.passed]
+    if failed:
+        print(f"self-test failed: {', '.join(failed)}", file=sys.stderr)
+    return 3 if failed else 0

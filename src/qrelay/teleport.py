@@ -20,9 +20,11 @@ import numpy as np
 
 from . import gates
 from .core import (
+    ImpossibleOutcomeError,  # noqa: F401 - re-exported: the error measure_standard raises
     PureState,
     _check_forced,
     _check_int,
+    _check_possible,
     _check_state,
     _check_type,
     _forced_or_drawn,
@@ -35,12 +37,6 @@ from .core import (
 
 # eigenvalues below this contribute nothing to entropy
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
-# forcing an outcome whose Born probability is below this is a contradiction
-FORCED_OUTCOME_MIN_PROB = 1e-15
-
-
-class ImpossibleOutcomeError(ValueError):
-    """A forced measurement outcome has (numerically) zero probability."""
 
 
 class CorrectionMode(enum.Enum):
@@ -120,9 +116,9 @@ def measure_standard(
 
     The outcome is Born-sampled from one `rng.random()` double through the
     package's dit rule (`core._forced_or_drawn`) unless `forced` pins it. Forcing
-    an outcome with probability below FORCED_OUTCOME_MIN_PROB raises
-    ImpossibleOutcomeError. The collapsed state is renormalized: the other
-    d-1 slices of the (pre, d, post) view are zero and the kept one is scaled.
+    an impossible outcome raises ImpossibleOutcomeError (`core._check_possible`).
+    The collapsed state is renormalized: the other d-1 slices of the
+    (pre, d, post) view are zero and the kept one is scaled.
     """
     d, n = _check_state("state", state).d, state.num_qudits
     target = _check_int("target", target, 0, n)
@@ -137,12 +133,6 @@ def measure_standard(
     collapsed = np.zeros(shape, dtype=np.complex128)
     np.divide(state.amps.reshape(shape)[:, outcome, :], math.sqrt(prob), out=collapsed[:, outcome, :])
     return MeasurementResult(outcome, prob, PureState._trusted(d, n, collapsed.reshape(-1)))
-
-
-def _check_possible(name: str, outcome: int, target: int, prob: float) -> None:
-    """Reject a forced outcome whose Born probability is below FORCED_OUTCOME_MIN_PROB, naming `name`."""
-    if prob < FORCED_OUTCOME_MIN_PROB:
-        raise ImpossibleOutcomeError(f"{name}: outcome {outcome} on qudit {target} has probability {prob:.3e}")
 
 
 def apply_correction(bob: PureState, r: int) -> PureState:

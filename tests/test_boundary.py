@@ -39,6 +39,17 @@ CONFIG = ChainConfig(3, 2, CorrectionMode.DEFERRED_FINAL, NoiseSpec.noiseless(3)
 SMALL = ChainConfig(2, 1, CorrectionMode.DEFERRED_FINAL, NoiseSpec.noiseless(2), 0)
 RNG = np.random.default_rng(0)
 
+REFUSALS = (ValidationError, ImpossibleOutcomeError, ResourceLimitError)
+
+
+def _names_a_parameter(function, message: str) -> bool:
+    """The refusal rule: the message starts with one of the function's parameter
+    names, followed by `:`, `.` or `[`. NoiseSpec names its one field `probs`
+    by the config key the CLI reports, `noise.probs`."""
+    names = ["noise.probs"] if function is NoiseSpec else list(inspect.signature(function).parameters)
+    return re.match(rf"(?:{'|'.join(map(re.escape, names))})[:.\[]", message) is not None
+
+
 # (id, function, positional arguments, keyword arguments)
 MALFORMED_CALLS = [
     # a non-state, non-config or non-generator where one belongs
@@ -85,6 +96,12 @@ MALFORMED_CALLS = [
     ("apply_phase_noise-noise-of-d2", qrelay.apply_phase_noise, (QUTRIT, NoiseSpec.noiseless(2)), {"forced": 0}),
     ("chain_config-noise-of-d2", ChainConfig, (3, 2, CorrectionMode.DEFERRED_FINAL, NoiseSpec.noiseless(2), 0), {}),
     ("basis_state-digit-out-of-range", qrelay.basis_state, (3, (0, 3)), {}),
+    # digits or a gate matrix that is not a sequence of numbers
+    ("basis_state-digits-int", qrelay.basis_state, (3, 5), {}),
+    ("basis_state-digits-none", qrelay.basis_state, (3, None), {}),
+    ("gate_matrix-string", qrelay.GateMatrix, (3, "x"), {}),
+    ("gate_matrix-dict", qrelay.GateMatrix, (5, {}), {}),
+    ("gate_matrix-state", qrelay.GateMatrix, (5, QUTRIT), {}),
     # a misfit gate
     ("gate_matrix-1x1", qrelay.GateMatrix, (3, [[1]]), {}),
     ("apply_1q-two-qudit-gate", qrelay.apply_1q, (PAIR, gates.cnot(3), 0), {}),
@@ -112,10 +129,84 @@ MALFORMED_CALLS = [
     "function, args, kwargs", [row[1:] for row in MALFORMED_CALLS], ids=[row[0] for row in MALFORMED_CALLS]
 )
 def test_a_malformed_call_is_refused_by_parameter_name(function, args, kwargs):
-    with pytest.raises((ValidationError, ImpossibleOutcomeError, ResourceLimitError)) as info:
+    with pytest.raises(REFUSALS) as info:
         function(*args, **kwargs)
-    names = "|".join(inspect.signature(function).parameters)
-    assert re.match(rf"(?:{names})[:.\[]", str(info.value)), str(info.value)
+    assert _names_a_parameter(function, str(info.value)), str(info.value)
+
+
+# one valid call of every callable in qrelay.__all__ but the exception classes and
+# the CorrectionMode enum lookup, by keyword, one entry per parameter
+VALID_CALLS = {
+    qrelay.ChainConfig: dict(d=3, n=2, mode=CorrectionMode.DEFERRED_FINAL, noise=NoiseSpec.noiseless(3), seed=0),
+    qrelay.GateMatrix: dict(d=3, mat=np.eye(3)),
+    qrelay.HistoryEntry: dict(state=QUTRIT, r=0),
+    qrelay.NoiseSpec: dict(probs=(0.5, 0.5)),
+    qrelay.PureState: dict(d=3, amps=[0.6, 0.0, 0.8]),
+    qrelay.apply_1q: dict(state=QUTRIT, g=gates.pauli_z(3), target=0),
+    qrelay.apply_2q: dict(state=PAIR, g=gates.cnot(3), control=0, target=1),
+    qrelay.apply_phase_noise: dict(state=QUTRIT, noise=NoiseSpec((0.5, 0.5, 0.0)), rng=RNG, forced=None),
+    qrelay.basis_state: dict(d=16, digits=(1,)),
+    qrelay.enumerate_branches: dict(config=CONFIG, psi0=QUTRIT),
+    qrelay.expected_fidelity: dict(config=CONFIG, psi0=QUTRIT),
+    qrelay.fidelity: dict(x=QUTRIT, y=QUTRIT),
+    qrelay.full_register_chain: dict(
+        d=3, n=2, psi0=QUTRIT, forced_path=[(0, 1), (2, 0)], mode=CorrectionMode.LOCAL_EACH_HOP
+    ),
+    qrelay.hop_expansion: dict(psi=QUTRIT),
+    qrelay.inner_product: dict(x=QUTRIT, y=QUTRIT),
+    qrelay.make_state: dict(d=3, amps=[0.6, 0.0, 0.8]),
+    qrelay.measure_standard: dict(state=PAIR, target=1, rng=RNG, forced=None),
+    qrelay.random_state: dict(d=16, num_qudits=1, rng=RNG),
+    qrelay.reduced_density: dict(state=PAIR, keep=0),
+    qrelay.run_chain: dict(config=CONFIG, psi0=QUTRIT, forced_outcomes=None, forced_noise=None, trial=0),
+    qrelay.run_trajectories: dict(config=CONFIG, trials=4),
+    qrelay.teleport_hop: dict(psi=QUTRIT, mode=CorrectionMode.DEFERRED_FINAL, rng=RNG, forced=None),
+    qrelay.tensor_product: dict(x=QUTRIT, y=PAIR),
+}
+# what the sweep puts in place of one valid argument: a wrong type, None, a bool, a
+# float, a numpy integer and a negative number
+SWEEP_VALUES = ("x", None, True, 1.5, np.int64(2), -1)
+# per parameter name: a value of the wrong d
+WRONG_D = {"d": 2, "config": SMALL, "g": gates.pauli_z(2), "noise": NoiseSpec.noiseless(2)}
+WRONG_D.update(dict.fromkeys(("state", "psi", "psi0", "x", "y"), QUBIT))
+# per parameter name, the one count numpy refuses before it allocates anything: 16^30
+# amplitudes at the valid d = 16, else 10**30 (trials, hops, positions). No count in
+# between is used, since numpy may accept it and try to allocate terabytes
+HUGE_COUNT = {"num_qudits": 30, "digits": (0,) * 30}
+
+
+def _sweep_calls(function):
+    """The valid call, then each parameter in turn replaced by every sweep value,
+    the wrong d and the huge count; one argument at a time, so a huge count
+    only ever meets the valid d."""
+    valid = VALID_CALLS[function]
+    yield "valid", valid
+    for name in valid:
+        values = [*SWEEP_VALUES, *([WRONG_D[name]] if name in WRONG_D else []), HUGE_COUNT.get(name, 10**30)]
+        for value in values:
+            yield f"{name}={value!r:.40}", {**valid, name: value}
+
+
+def test_the_sweep_covers_every_public_callable():
+    public = {getattr(qrelay, name) for name in qrelay.__all__}
+    exceptions = {item for item in public if isinstance(item, type) and issubclass(item, Exception)}
+    assert set(VALID_CALLS) == {item for item in public if callable(item)} - exceptions - {CorrectionMode}
+    for function, valid in VALID_CALLS.items():
+        assert list(valid) == list(inspect.signature(function).parameters), function
+
+
+@pytest.mark.parametrize("function", list(VALID_CALLS), ids=[function.__name__ for function in VALID_CALLS])
+def test_every_public_call_returns_or_is_refused_by_parameter_name(function):
+    """A derandomized sweep: every call returns, or raises one of the three
+    refusals with a message that names a parameter. Any other exception fails."""
+    for label, kwargs in _sweep_calls(function):
+        try:
+            function(**kwargs)
+        except REFUSALS as exc:
+            assert label != "valid", f"the valid call was refused: {exc}"
+            assert _names_a_parameter(function, str(exc)), f"{label}: {exc}"
+        except Exception as exc:  # anything but a refusal fails the sweep, named by the call
+            pytest.fail(f"{function.__name__}({label}) raised {type(exc).__name__}: {exc}")
 
 
 def test_a_huge_register_names_its_count():

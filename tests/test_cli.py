@@ -651,14 +651,14 @@ class TestSelftestNegativeControl:
         ],
     )
     def test_a_dropped_record_fails_the_oracle_check(self, monkeypatch, command, key, detail):
-        render = getattr(qrelay.cli, command)
+        render = getattr(qrelay.selftest, command)
 
         def drop_last_record(config):
             report = json.loads(render(config))
             report[key].pop()
             return json.dumps(report)
 
-        monkeypatch.setattr(qrelay.cli, command, drop_last_record)
+        monkeypatch.setattr(qrelay.selftest, command, drop_last_record)
         assert selftest.check_engines_match_oracles() == (False, detail)
 
     def test_wrong_joint_register_fails_its_check(self, monkeypatch):

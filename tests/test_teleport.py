@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qrelay.core import (
+    FORCED_OUTCOME_MIN_PROB,
     PureState,
     ValidationError,
     basis_state,
@@ -16,7 +17,6 @@ from qrelay.core import (
 )
 from qrelay.gates import apply_1q, apply_2q, cnot, hadamard
 from qrelay.teleport import (
-    FORCED_OUTCOME_MIN_PROB,
     CorrectionMode,
     ImpossibleOutcomeError,
     apply_correction,
