@@ -25,14 +25,14 @@ preconditions (`_enumeration_exponent`). The CLI runs no state-vector
 code: `run_chain` and `enumerate_branches` are library oracles only.
 This module owns the bits of what the CLI reports about Z^K psi0:
 `fidelity_table` gives F[K] by math.fsum and `_phase_pairs` gives the
-amplitudes by Python's complex product, so no reported byte comes from a
-BLAS call.
+amplitudes by Python's complex product, both from the w^k of `core._roots`,
+so no reported byte comes from a BLAS call.
 
 `full_register_chain` runs the whole chain on one joint 3n-qudit register
 as a cross-check of the factorized hops. It holds one digit per constant
 qudit and a dense block over the live ones (at most three at a time), and
 its gate, measurement and entropy routines share no code with the dense
-gate kernel.
+gate kernel; its block entropy applies the one rule, `core._entropy`.
 """
 
 from __future__ import annotations
@@ -55,12 +55,13 @@ from .core import (
     _check_state,
     _check_type,
     _draw_dit,
+    _entropy,
     _forced_or_drawn,
+    _roots,
     check_dim,
     fidelity,
-    root_of_unity,
 )
-from .teleport import CorrectionMode, _entropy, apply_correction, teleport_hop
+from .teleport import CorrectionMode, apply_correction, teleport_hop
 
 PROBABILITY_TOL = 1e-12
 DEFAULT_PATH_BUDGET = 4096
@@ -276,11 +277,6 @@ class TrajectoryBatch:
     deferred_exponents: np.ndarray | None
 
 
-def _roots(d: int) -> list[complex]:
-    """w^r = root_of_unity(d, r) for r = 0..d-1."""
-    return [root_of_unity(d, r) for r in range(d)]
-
-
 def fidelity_table(psi0: PureState) -> np.ndarray:
     """F[K] = fidelity(psi0, Z^K psi0) = |sum_j |alpha_j|^2 w^(jK)|^2 for K = 0..d-1,
     clipped at 1.0 as `core.fidelity` is: the real and imaginary parts are each
@@ -343,16 +339,29 @@ def run_trajectories(config: ChainConfig, trials: int) -> TrajectoryBatch:
     )
 
 
+def _cyclic_convolution(x: Sequence[float], y: Sequence[float]) -> list[float]:
+    """(x * y)[k] = sum_i x[i] y[(k - i) mod d], each entry summed by math.fsum;
+    y[k - i] wraps a negative index to (k - i) mod d."""
+    return [math.fsum(x[i] * y[k - i] for i in range(len(x))) for k in range(len(x))]
+
+
 def expected_fidelity(config: ChainConfig, psi0: PureState) -> float:
-    """Exact mean of run_chain's fidelity over the noise channel.
+    """Mean of run_chain's fidelity over the noise channel, in [0, 1].
 
     K is the sum of n independent exponents drawn from noise.probs, so
-    P(K) is their n-fold cyclic convolution (the inverse DFT of the
-    probabilities' DFT to the n-th power) and E[F] = sum_K P(K) F[K].
+    P(K) is their n-fold cyclic convolution, taken by square-and-multiply
+    over the bits of n. Every term is a product of non-negative
+    probabilities, so no P(K) rounds below zero, and a fixed channel Z^k
+    gives exactly F[n*k mod d]. E[F] = sum_K P(K) F[K] is summed by
+    math.fsum and clipped at 1.0, as `core.fidelity` is.
     """
     _check_state("psi0", psi0, _check_type("config", config, ChainConfig).d, 1)
-    p_k = np.fft.ifft(np.fft.fft(config.noise.probs) ** config.n).real
-    return float(p_k @ fidelity_table(psi0))
+    p_k = [1.0] + [0.0] * (config.d - 1)  # K = 0 before the first hop
+    for bit in f"{config.n:b}":
+        p_k = _cyclic_convolution(p_k, p_k)
+        if bit == "1":
+            p_k = _cyclic_convolution(p_k, config.noise.probs)
+    return min(math.fsum(p * f for p, f in zip(p_k, fidelity_table(psi0).tolist())), 1.0)
 
 
 def _enumeration_exponent(config: ChainConfig) -> int:

@@ -1,8 +1,10 @@
-"""Core qudit numerics: roots of unity, basis encoding, pure states.
+"""Core qudit numerics: roots of unity, basis encoding, pure states, entropy.
 
 Register convention is big-endian: qudit 0 is the most significant base-d
 digit of the flat amplitude index. All values are immutable once built and
 safe to share between threads; amplitude arrays are marked read-only.
+Every Fourier gate, Z power and hop phase reads w^k from one table per d,
+`_roots(d)`, and `_entropy` is the one entropy rule for every register.
 This module also owns the library's argument rules (`_check_int`,
 `_check_type`, `_check_state`, `_check_forced`, `_forced_or_drawn`,
 `_check_possible`): every refusal's message starts with the parameter's name.
@@ -11,7 +13,9 @@ This module also owns the library's argument rules (`_check_int`,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Sequence
 
 import numpy as np
@@ -25,6 +29,8 @@ INPUT_NORM_TOL = 1e-9
 INTERNAL_TOL = 1e-12
 # forcing an outcome whose Born probability is below this is a contradiction
 FORCED_OUTCOME_MIN_PROB = 1e-15
+# eigenvalues below this contribute nothing to entropy
+ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
 
 class ValidationError(ValueError):
@@ -144,24 +150,27 @@ def _check_possible(name: str, outcome: int, target: int, prob: float) -> None:
         raise ImpossibleOutcomeError(f"{name}: outcome {outcome} on qudit {target} has probability {prob:.3e}")
 
 
-def root_of_unity(d: int, k: int) -> complex:
-    """k-th power of the primitive d-th root of unity, exp(2*pi*i*k/d).
+@lru_cache(maxsize=None)
+def _roots(d: int) -> tuple[complex, ...]:
+    """w^k = exp(2*pi*i*k/d) for k = 0..d-1, the package's one table of roots of
+    unity, built once per d. Entry d - k is exactly the conjugate of entry k."""
+    # keyed by 4k: the quadrant angles k = 0, d/4, d/2 come out exact instead of carrying sin/cos rounding
+    quadrants = {0: complex(1.0, 0.0), d: complex(0.0, 1.0), 2 * d: complex(-1.0, 0.0)}
+    roots: list[complex] = []
+    for k in range(d):
+        if 4 * k in quadrants:
+            roots.append(quadrants[4 * k])
+        elif 2 * k > d:
+            roots.append(roots[d - k].conjugate())
+        else:
+            roots.append(complex(math.cos(2.0 * math.pi * k / d), math.sin(2.0 * math.pi * k / d)))
+    return tuple(roots)
 
-    root_of_unity(d, d - k) is exactly the conjugate of root_of_unity(d, k).
-    """
+
+def root_of_unity(d: int, k: int) -> complex:
+    """k-th power of the primitive d-th root of unity, exp(2*pi*i*k/d), from `_roots`."""
     d = check_dim(d)
-    k = _check_int("k", k, 0, d)
-    if 2 * k > d:
-        return root_of_unity(d, d - k).conjugate()
-    # quadrant angles come out exact instead of carrying sin/cos rounding
-    if k == 0:
-        return complex(1.0, 0.0)
-    if 2 * k == d:
-        return complex(-1.0, 0.0)
-    if 4 * k == d:
-        return complex(0.0, 1.0)
-    angle = 2.0 * math.pi * k / d
-    return complex(math.cos(angle), math.sin(angle))
+    return _roots(d)[_check_int("k", k, 0, d)]
 
 
 def phase_exponent(a: int, b: int, d: int) -> int:
@@ -238,6 +247,15 @@ def _check_state(name: str, value: object, d: int | None = None, num_qudits: int
     return value
 
 
+def _amplitude_count(name: str, d: int, n: int) -> int:
+    """d^n, the amplitude count of n qudits, refused as ResourceLimitError naming
+    `name` past the platform's index range (sys.maxsize). d >= 2, so n of
+    sys.maxsize.bit_length() or more is refused before d^n is ever built."""
+    if n < sys.maxsize.bit_length() and d**n <= sys.maxsize:
+        return d**n
+    raise ResourceLimitError(f"{name}: {d}^{n} amplitudes are more than can be allocated")
+
+
 def basis_state(d: int, digits: Sequence[int]) -> PureState:
     """Standard-basis state |digits> with big-endian digit order, one qudit per digit."""
     d = check_dim(d)
@@ -247,9 +265,10 @@ def basis_state(d: int, digits: Sequence[int]) -> PureState:
         raise ValidationError(f"digits: expected a sequence of dits, got {digits!r}") from None
     if not digits:
         raise ValidationError("digits: must list at least one digit, got ()")
+    size = _amplitude_count("digits", d, len(digits))
     index = flat_index(d, digits)
     try:
-        amps = np.zeros(d ** len(digits), dtype=np.complex128)
+        amps = np.zeros(size, dtype=np.complex128)
     except (MemoryError, ValueError):  # numpy raises ValueError for a size past the address range
         raise ResourceLimitError(f"digits: {d}^{len(digits)} amplitudes are more than can be allocated") from None
     amps[index] = 1.0
@@ -275,7 +294,7 @@ def random_state(d: int, num_qudits: int, rng: np.random.Generator) -> PureState
     """Haar-like random pure state from complex normal amplitudes."""
     d, num_qudits = check_dim(d), _check_int("num_qudits", num_qudits, 1)
     rng = _check_type("rng", rng, np.random.Generator)
-    size = d**num_qudits
+    size = _amplitude_count("num_qudits", d, num_qudits)
     try:
         amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     except (MemoryError, ValueError):  # numpy raises ValueError for a size past the address range
@@ -325,3 +344,16 @@ def reduced_density(state: PureState, keep: int | Sequence[int]) -> np.ndarray:
     rho = block @ block.conj().T
     rho.flags.writeable = False
     return rho
+
+
+def _entropy(eigenvalues: np.ndarray, d: int) -> float:
+    """-sum p log_d p over the eigenvalues above ENTROPY_EIGENVALUE_FLOOR, at least +0.0.
+
+    A largest eigenvalue that rounds just above 1 adds a term just below
+    zero; a product state's entropy is then +0.0, never negative or -0.0.
+    """
+    total = 0.0
+    for value in eigenvalues:
+        if value > ENTROPY_EIGENVALUE_FLOOR:
+            total -= float(value) * math.log(float(value))
+    return total / math.log(d) if total > 0.0 else 0.0

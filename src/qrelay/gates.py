@@ -1,8 +1,8 @@
 """Generalized phase-flip, shift, Fourier and CNOT gates for qudits.
 
-Constructors return small dense unitaries; `GateMatrix(d, mat)` takes its
-arity from the side of mat (d or d^2) and refuses a matrix that is not
-unitary within UNITARITY_TOL.
+Constructors return small dense unitaries (Fourier gates and Z powers read
+w^k from `core._roots`); `GateMatrix(d, mat)` takes its arity from the side
+of mat (d or d^2) and refuses a matrix that is not unitary within UNITARITY_TOL.
 One kernel, `_apply`, serves `apply_1q` and `apply_2q` with one path for
 every gate: the gate's axes move to the front, one matmul runs over
 (d^arity, rest), and the axes move back. The full d^n x d^n operator is
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import PureState, ValidationError, _check_int, _check_state, _complex_array, check_dim, root_of_unity
+from .core import PureState, ValidationError, _check_int, _check_state, _complex_array, _roots, check_dim
 
 UNITARITY_TOL = 1e-12
 
@@ -84,7 +84,8 @@ def pauli_z_power(d: int, r: int) -> GateMatrix:
 
 @lru_cache(maxsize=None)
 def _z_power(d: int, r: int) -> GateMatrix:
-    return GateMatrix(d, np.diag([root_of_unity(d, (r * j) % d) for j in range(d)]))
+    roots = _roots(d)
+    return GateMatrix(d, np.diag([roots[r * j % d] for j in range(d)]))
 
 
 def gate_power(g: GateMatrix, r: int) -> GateMatrix:
@@ -99,11 +100,9 @@ def hadamard(d: int) -> GateMatrix:
     The 1/sqrt(d) factor is required for unitarity and for the uniform
     measurement statistics of the hop circuit.
     """
-    check_dim(d)
-    mat = np.empty((d, d), dtype=np.complex128)
-    for k in range(d):
-        for j in range(d):
-            mat[k, j] = root_of_unity(d, (j * k) % d)
+    d = check_dim(d)
+    roots = _roots(d)
+    mat = np.array([[roots[j * k % d] for j in range(d)] for k in range(d)])
     return GateMatrix(d, mat / math.sqrt(d))
 
 

@@ -6,7 +6,8 @@ register as |psi, 0, 0> and runs the entangling circuit; then both the
 carrier and A are measured in the standard basis. The carrier outcome `a`
 is the single classical dit a hop emits, and Z^a on B restores |psi>
 exactly. The ancilla outcome `b` is recorded but never used, which the
-closed-form expansion below makes provable rather than assumed.
+closed-form expansion below makes provable rather than assumed. Its phases
+come from `core._roots`, and `entanglement_entropy` applies `core._entropy`.
 """
 
 from __future__ import annotations
@@ -27,16 +28,14 @@ from .core import (
     _check_possible,
     _check_state,
     _check_type,
+    _entropy,
     _forced_or_drawn,
+    _roots,
     basis_state,
     phase_exponent,
     reduced_density,
-    root_of_unity,
     tensor_product,
 )
-
-# eigenvalues below this contribute nothing to entropy
-ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
 
 class CorrectionMode(enum.Enum):
@@ -96,14 +95,9 @@ def hop_expansion(psi: PureState) -> PureState:
     (1/d) * w^((d - a*j) mod d) * alpha_j for every a, b, j.
     """
     d = _check_state("psi", psi, num_qudits=1).d
-    amps = np.zeros(d**3, dtype=np.complex128)
-    for a in range(d):
-        for b in range(d):
-            base = (a * d + b) * d
-            for j in range(d):
-                phase = root_of_unity(d, phase_exponent(a, j, d))
-                amps[base + j] = phase * psi.amps[j] / d
-    return PureState(d, amps)
+    roots = _roots(d)
+    rows = [[roots[phase_exponent(a, j, d)] * psi.amps[j] / d for j in range(d)] for a in range(d)]
+    return PureState(d, np.repeat(rows, d, axis=0).reshape(-1))  # carrier outcome a's row serves every b
 
 
 def measure_standard(
@@ -172,20 +166,7 @@ def entanglement_entropy(state: PureState, target: int | tuple[int, ...]) -> flo
     """Von Neumann entropy of the kept qudit(s), in base-d units.
 
     Returns 0 for product states and 1.0 for a maximally entangled pair,
-    independent of d. Eigenvalues below ENTROPY_EIGENVALUE_FLOOR are
-    treated as exact zeros.
+    independent of d. Eigenvalues below `core.ENTROPY_EIGENVALUE_FLOOR` are
+    treated as exact zeros (`core._entropy`).
     """
     return _entropy(np.linalg.eigvalsh(reduced_density(state, target)), state.d)
-
-
-def _entropy(eigenvalues: np.ndarray, d: int) -> float:
-    """-sum p log_d p over the eigenvalues above ENTROPY_EIGENVALUE_FLOOR, at least +0.0.
-
-    A largest eigenvalue that rounds just above 1 adds a term just below
-    zero; a product state's entropy is then +0.0, never negative or -0.0.
-    """
-    total = 0.0
-    for value in eigenvalues:
-        if value > ENTROPY_EIGENVALUE_FLOOR:
-            total -= float(value) * math.log(float(value))
-    return total / math.log(d) if total > 0.0 else 0.0

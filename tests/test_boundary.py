@@ -10,6 +10,7 @@ exception, or a message that names no parameter, fails the row.
 import ast
 import inspect
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -169,10 +170,11 @@ SWEEP_VALUES = ("x", None, True, 1.5, np.int64(2), -1)
 # per parameter name: a value of the wrong d
 WRONG_D = {"d": 2, "config": SMALL, "g": gates.pauli_z(2), "noise": NoiseSpec.noiseless(2)}
 WRONG_D.update(dict.fromkeys(("state", "psi", "psi0", "x", "y"), QUBIT))
-# per parameter name, the one count numpy refuses before it allocates anything: 16^30
-# amplitudes at the valid d = 16, else 10**30 (trials, hops, positions). No count in
-# between is used, since numpy may accept it and try to allocate terabytes
-HUGE_COUNT = {"num_qudits": 30, "digits": (0,) * 30}
+# per parameter name, one count refused before anything is allocated: 10**30 (qudits,
+# trials, hops, positions), or for `digits`, which takes a list, 30 digits at the valid
+# d = 16 (16^30 amplitudes). No count in between is used, since numpy may accept it and
+# try to allocate terabytes
+HUGE_COUNT = {"digits": (0,) * 30}
 
 
 def _sweep_calls(function):
@@ -214,6 +216,21 @@ def test_a_huge_register_names_its_count():
         basis_state(16, (0,) * 30)
     with pytest.raises(ResourceLimitError, match=r"^num_qudits: 16\^30 amplitudes"):
         qrelay.random_state(16, 30, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("num_qudits", lambda: qrelay.random_state(16, 10**30, np.random.default_rng(0))),
+        ("digits", lambda: basis_state(2, (1,) * 200_000)),
+    ],
+)
+def test_a_count_past_the_index_range_is_refused_before_any_big_integer_work(name, call):
+    """16^(10^30) is never built as a Python int, nor a 200,000-digit index folded."""
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=rf"^{name}: \d+\^\d+ amplitudes are more than can be allocated$"):
+        call()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_phase_noise_refuses_a_register():

@@ -433,7 +433,7 @@ class TestRunTrajectories:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_expected_fidelity_matches_exact_noise_law(self, d):
-        """P(K) summed exactly over all d^n noise sequences, against the FFT convolution."""
+        """P(K) summed exactly over all d^n noise sequences, against the square-and-multiply convolution."""
         rng = np.random.default_rng(50 + d)
         psi = random_state(d, 1, rng)
         table = [Fraction(f) for f in fidelity_table(psi)]
@@ -451,6 +451,30 @@ class TestRunTrajectories:
             )
             chain = config(d=d, n=n, noise=noise)
             assert abs(expected_fidelity(chain, psi) - float(exact)) <= 1e-12, (noise, n)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_expected_fidelity_is_exact_on_a_fixed_channel(self, d):
+        """Z^k on every hop delivers Z^(n*k mod d) psi: the mean is that one table entry, bit for bit."""
+        rng = np.random.default_rng(90 + d)
+        for psi in (uniform_state(d), random_state(d, 1, rng), basis_state(d, (d - 1,))):
+            table = fidelity_table(psi).tolist()
+            for k, n in itertools.product(range(d), (1, 2, 5, 50)):
+                noise = NoiseSpec(tuple(float(i == k) for i in range(d)))
+                assert expected_fidelity(config(d=d, n=n, noise=noise), psi) == table[n * k % d], (k, n)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_expected_fidelity_stays_in_the_unit_interval(self, d):
+        """A fixed channel onto F[K] = 0, sparse random channels, and probabilities that sum to
+        1 + 9e-13 (inside PROBABILITY_TOL) raised to the 1000th hop all stay in [0, 1]."""
+        rng = np.random.default_rng(95 + d)
+        weights = rng.random(d) * (rng.random(d) < 0.5)
+        weights[0] += 0.01
+        sparse = weights / weights.sum()
+        heavy = (0.5 + 9e-13,) + (0.5 / (d - 1),) * (d - 1)
+        noises = (NoiseSpec(tuple(float(i == 1) for i in range(d))), NoiseSpec(tuple(sparse)), NoiseSpec(heavy))
+        states = (uniform_state(d), basis_state(d, (d - 1,)), random_state(d, 1, rng))
+        for noise, psi, n in itertools.product(noises, states, (1, 7, 1000)):
+            assert 0.0 <= expected_fidelity(config(d=d, n=n, noise=noise), psi) <= 1.0, (noise, n)
 
 
 class TestNumpyIntegers:

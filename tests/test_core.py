@@ -73,6 +73,55 @@ class TestRootOfUnity:
             root_of_unity(17, 0)
 
 
+def reference_root(d, k):
+    """The bit-for-bit reference for `core._roots`, one root at a time: conjugates
+    above d/2, exact quadrant angles, libm's cos and sin elsewhere."""
+    if 2 * k > d:
+        return reference_root(d, d - k).conjugate()
+    if k == 0:
+        return complex(1.0, 0.0)
+    if 2 * k == d:
+        return complex(-1.0, 0.0)
+    if 4 * k == d:
+        return complex(0.0, 1.0)
+    angle = 2.0 * math.pi * k / d
+    return complex(math.cos(angle), math.sin(angle))
+
+
+class TestRootTable:
+    """Every w^k comes from one table per d, `core._roots`, with the bits of the reference formula."""
+
+    @pytest.mark.parametrize("d", ALL_DIMS)
+    def test_roots_match_the_reference_bit_for_bit(self, d):
+        expected = [repr(reference_root(d, k)) for k in range(d)]
+        assert [repr(root_of_unity(d, k)) for k in range(d)] == expected
+        assert [repr(z) for z in core._roots(d)] == expected
+
+    def test_the_table_is_built_once_per_d(self):
+        assert core._roots(7) is core._roots(7)
+
+    @pytest.mark.parametrize("d", ALL_DIMS)
+    def test_fourier_and_z_gates_match_the_reference_bit_for_bit(self, d):
+        fourier = np.empty((d, d), dtype=np.complex128)
+        for k in range(d):
+            for j in range(d):
+                fourier[k, j] = reference_root(d, j * k % d)
+        assert gates.hadamard(d).mat.tobytes() == (fourier / math.sqrt(d)).tobytes()
+        for r in range(2 * d):
+            z_power = np.diag([reference_root(d, r * j % d) for j in range(d)])
+            assert gates.pauli_z_power(d, r).mat.tobytes() == z_power.tobytes(), r
+
+    @pytest.mark.parametrize("d", ALL_DIMS)
+    def test_hop_expansion_matches_the_reference_loop_bit_for_bit(self, d):
+        psi = random_state(d, 1, np.random.default_rng(300 + d))
+        amps = np.zeros(d**3, dtype=np.complex128)
+        for a in range(d):
+            for b in range(d):
+                for j in range(d):
+                    amps[(a * d + b) * d + j] = reference_root(d, phase_exponent(a, j, d)) * psi.amps[j] / d
+        assert teleport.hop_expansion(psi).amps.tobytes() == amps.tobytes()
+
+
 class TestModAdd:
     """Dit addition mod d, as deferred_exponent sums the carrier results."""
 

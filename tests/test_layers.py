@@ -2,8 +2,9 @@
 
 `selftest` is the top layer: it imports `cli`, whose reports it checks, and
 `cli.main` loads it only for the `selftest` command. `core` owns the
-forced-outcome rule that both state-vector oracles apply, so `chain` takes
-no argument rule from `teleport`.
+forced-outcome rule that both state-vector oracles apply, the entropy rule
+and the one table of roots of unity, so `chain` takes no private name from
+`teleport`.
 """
 
 import ast
@@ -87,7 +88,13 @@ def test_core_owns_the_forced_outcome_rule():
     assert qrelay.ImpossibleOutcomeError is qrelay.teleport.ImpossibleOutcomeError is qrelay.core.ImpossibleOutcomeError
 
 
-def test_chain_takes_only_entropy_privately_from_teleport():
+def test_core_owns_the_entropy_rule():
+    defined = {name: _definitions(tree) for name, tree in MODULES.items()}
+    for rule in ("_entropy", "ENTROPY_EIGENVALUE_FLOOR"):
+        assert [name for name, names in defined.items() if rule in names] == ["core"], rule
+
+
+def test_chain_takes_no_private_name_from_teleport():
     private = [
         alias.name
         for node in MODULES["chain"].body
@@ -95,4 +102,61 @@ def test_chain_takes_only_entropy_privately_from_teleport():
         for alias in node.names
         if alias.name.startswith("_")
     ]
-    assert private == ["_entropy"]
+    assert private == []
+
+
+# the calls that can make a root of unity; cmath is matched as a whole module
+ROOT_MAKERS = {"math.cos", "math.sin", "np.exp", "numpy.exp"}
+
+
+def _root_making_calls(tree: ast.Module) -> list[tuple[str, str]]:
+    """(enclosing function, callee) for every call that can make a root of unity,
+    and (function, module) for every import that would hide one behind a bare name."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = ast.unparse(child.func)
+                if callee in ROOT_MAKERS or callee.startswith("cmath."):
+                    found.append((where, callee))
+            elif isinstance(child, ast.Import) and any(alias.name == "cmath" for alias in child.names):
+                found.append((where, "cmath"))
+            elif isinstance(child, ast.ImportFrom) and (
+                child.module == "cmath" or any(alias.name in ("cos", "sin", "exp") for alias in child.names)
+            ):
+                found.append((where, child.module))
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_core_roots_is_the_only_code_that_makes_a_root_of_unity():
+    defined = {name: _definitions(tree) for name, tree in MODULES.items()}
+    assert [name for name, names in defined.items() if "_roots" in names] == ["core"]
+    found = {name: _root_making_calls(tree) for name, tree in MODULES.items()}
+    assert {name: calls for name, calls in found.items() if calls} == {
+        "core": [("_roots", "math.cos"), ("_roots", "math.sin")]
+    }
+
+
+def test_the_root_scan_sees_every_spelling():
+    source = (
+        "import cmath\n"
+        "from math import cos\n"
+        "from math import sqrt\n"
+        "def f(k):\n"
+        "    return np.exp(k), math.sin(k), cmath.exp(k)\n"
+        "def g(k):\n"
+        "    def h():\n"
+        "        return numpy.exp(k) * math.cos(k)\n"
+    )
+    assert sorted(_root_making_calls(ast.parse(source))) == [
+        ("<module>", "cmath"), ("<module>", "math"),
+        ("f", "cmath.exp"), ("f", "math.sin"), ("f", "np.exp"),
+        ("h", "math.cos"), ("h", "numpy.exp"),
+    ]
