@@ -96,6 +96,7 @@ def hop_expansion(psi: PureState) -> PureState:
     """
     d = _check_state("psi", psi, num_qudits=1).d
     roots = _roots(d)
+    # numpy scalar products: an array product may use fused multiply-adds and round differently
     rows = [[roots[phase_exponent(a, j, d)] * psi.amps[j] / d for j in range(d)] for a in range(d)]
     return PureState(d, np.repeat(rows, d, axis=0).reshape(-1))  # carrier outcome a's row serves every b
 
