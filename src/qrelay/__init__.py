@@ -19,6 +19,7 @@ from .chain import (
     run_trajectories,
 )
 from .core import (
+    CorrectionMode,
     ImpossibleOutcomeError,
     PureState,
     ResourceLimitError,
@@ -32,12 +33,7 @@ from .core import (
     tensor_product,
 )
 from .gates import GateMatrix, apply_1q, apply_2q
-from .teleport import (
-    CorrectionMode,
-    hop_expansion,
-    measure_standard,
-    teleport_hop,
-)
+from .teleport import hop_expansion, measure_standard, teleport_hop
 
 __version__ = "0.1.0"
 

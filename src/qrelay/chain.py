@@ -28,6 +28,16 @@ This module owns the bits of what the CLI reports about Z^K psi0:
 amplitudes by Python's complex product, both from the w^k of `core._roots`,
 so no reported byte comes from a BLAS call.
 
+The module has two halves. The closed-form engine, which the CLI imports,
+is `PROBABILITY_TOL`, `DEFAULT_PATH_BUDGET`, `NoiseSpec`, `_check_noise`,
+`ChainConfig`, `TrajectoryBatch`, `_trial_stream`, `fidelity_table`,
+`_phase_pairs`, `run_trajectories`, `_cyclic_convolution`,
+`expected_fidelity` and `_enumeration_exponent`; every other definition
+is the state-vector oracle. The oracle may use the engine (the configs
+and `_trial_stream` are the shared draw contract), never the reverse: no
+engine definition uses a name taken from `gates` or `teleport`, or any
+oracle definition, and `tests/test_layers.py` checks it.
+
 `full_register_chain` runs the whole chain on one joint 3n-qudit register
 as a cross-check of the factorized hops. It holds one digit per constant
 qudit and a dense block over the live ones (at most three at a time), and
@@ -46,6 +56,7 @@ import numpy as np
 
 from . import gates
 from .core import (
+    CorrectionMode,
     PureState,
     ResourceLimitError,
     ValidationError,
@@ -61,7 +72,7 @@ from .core import (
     check_dim,
     fidelity,
 )
-from .teleport import CorrectionMode, apply_correction, teleport_hop
+from .teleport import apply_correction, teleport_hop
 
 PROBABILITY_TOL = 1e-12
 DEFAULT_PATH_BUDGET = 4096
@@ -352,8 +363,11 @@ def expected_fidelity(config: ChainConfig, psi0: PureState) -> float:
     P(K) is their n-fold cyclic convolution, taken by square-and-multiply
     over the bits of n. Every term is a product of non-negative
     probabilities, so no P(K) rounds below zero, and a fixed channel Z^k
-    gives exactly F[n*k mod d]. E[F] = sum_K P(K) F[K] is summed by
-    math.fsum and clipped at 1.0, as `core.fidelity` is.
+    gives exactly F[n*k mod d]. E[F] = sum_K P(K) F[K] / sum_K P(K), each
+    sum by math.fsum, and clipped at 1.0, as `core.fidelity` is: dividing by
+    the law's mass makes it the mean over the normalized channel the sampler
+    (`core._draw_dit`) draws from, whose probabilities may sum to 1 only
+    within PROBABILITY_TOL.
     """
     _check_state("psi0", psi0, _check_type("config", config, ChainConfig).d, 1)
     p_k = [1.0] + [0.0] * (config.d - 1)  # K = 0 before the first hop
@@ -361,7 +375,8 @@ def expected_fidelity(config: ChainConfig, psi0: PureState) -> float:
         p_k = _cyclic_convolution(p_k, p_k)
         if bit == "1":
             p_k = _cyclic_convolution(p_k, config.noise.probs)
-    return min(math.fsum(p * f for p, f in zip(p_k, fidelity_table(psi0).tolist())), 1.0)
+    mean = math.fsum(p * f for p, f in zip(p_k, fidelity_table(psi0).tolist())) / math.fsum(p_k)
+    return min(mean, 1.0)
 
 
 def _enumeration_exponent(config: ChainConfig) -> int:

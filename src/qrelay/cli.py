@@ -11,9 +11,11 @@ byte depends on the BLAS kernel: `run` uses the trajectory engine and
 writes `--history` snapshots as Z^e psi0, with `run_chain` as the
 library's oracle, and `enumerate` lists every path's Z^K psi0 directly,
 with `enumerate_branches` as its oracle. Z^K psi0 and F[K] come from
-`chain._phase_pairs` and `chain.fidelity_table`; this module does not
-import `gates`. `main` imports `selftest`, the layer above this one, only for
-the `selftest` command, so `run` and `enumerate` never load it.
+`chain._phase_pairs` and `chain.fidelity_table`. This module imports only
+`core` and the engine names of `chain` (`tests/test_layers.py` checks it),
+and takes the `--mode` spellings from `core.CorrectionMode`. `main` imports
+`selftest`, the layer above this one, only for the `selftest` command, so
+`run` and `enumerate` never load it.
 Records are rendered column-wise: each field is written once per column
 from a small table of strings, never once per record, and the report is
 put together by one join per block of rows plus one final join.
@@ -37,7 +39,6 @@ import numpy as np
 from .chain import (
     ChainConfig,
     NoiseSpec,
-    ResourceLimitError,
     TrajectoryBatch,
     _enumeration_exponent,
     _phase_pairs,
@@ -45,7 +46,9 @@ from .chain import (
     run_trajectories,
 )
 from .core import (
+    CorrectionMode,
     PureState,
+    ResourceLimitError,
     ValidationError,
     _check_int,
     basis_state,
@@ -53,11 +56,10 @@ from .core import (
     make_state,
     random_state,
 )
-from .teleport import CorrectionMode
 
 DEFAULT_D = 3
 DEFAULT_N = 3
-DEFAULT_MODE = CorrectionMode.DEFERRED_FINAL
+DEFAULT_MODE = CorrectionMode.DEFERRED_FINAL.value
 DEFAULT_SEED = 0
 DEFAULT_TRIALS = 1
 DEFAULT_STATE = "uniform"
@@ -120,7 +122,8 @@ def _parse_mode(value: object) -> CorrectionMode:
     try:
         return CorrectionMode(value)
     except ValueError:
-        raise ValidationError(f"mode: expected 'local' or 'deferred', got {value!r}") from None
+        expected = " or ".join(repr(mode.value) for mode in CorrectionMode)
+        raise ValidationError(f"mode: expected {expected}, got {value!r}") from None
 
 
 def _parse_noise(value: object) -> NoiseSpec:
@@ -205,14 +208,11 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
 
     # d first: the noiseless default depends on it
     d = check_dim(raw.get("d", DEFAULT_D))
-    mode = raw.get("mode", DEFAULT_MODE)
-    if not isinstance(mode, CorrectionMode):
-        mode = _parse_mode(mode)
     noise = raw.get("noise")
     chain = ChainConfig(
         d=d,
         n=raw.get("n", DEFAULT_N),
-        mode=mode,
+        mode=_parse_mode(raw.get("mode", DEFAULT_MODE)),
         noise=NoiseSpec.noiseless(d) if noise is None else _parse_noise(noise),
         seed=raw.get("seed", DEFAULT_SEED),
     )
@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help="JSON config file; flags override its values")
     shared.add_argument("--d", type=int, help="qudit dimension (2..16, default 3)")
     shared.add_argument("--n", type=int, help="number of hops (default 3)")
-    shared.add_argument("--mode", choices=["local", "deferred"], help="correction strategy")
+    shared.add_argument("--mode", choices=[mode.value for mode in CorrectionMode], help="correction strategy")
     shared.add_argument("--noise", help="comma-separated p0,p1,... for the Z^k channel")
     shared.add_argument("--seed", type=int, help="master seed (default 0)")
     shared.add_argument(

@@ -8,10 +8,13 @@ Every Fourier gate, Z power and hop phase reads w^k from one table per d,
 This module also owns the library's argument rules (`_check_int`,
 `_check_type`, `_check_state`, `_check_forced`, `_forced_or_drawn`,
 `_check_possible`): every refusal's message starts with the parameter's name.
+`CorrectionMode` is defined here, and its values are the modes' one
+spelling, so the closed-form engine and the CLI need not import `teleport`.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 import sys
 from dataclasses import dataclass, field
@@ -31,6 +34,14 @@ INTERNAL_TOL = 1e-12
 FORCED_OUTCOME_MIN_PROB = 1e-15
 # eigenvalues below this contribute nothing to entropy
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
+
+
+class CorrectionMode(enum.Enum):
+    """When the accumulated Z corrections are applied. The values are the
+    modes' one spelling, in configuration files, flags and reports."""
+
+    LOCAL_EACH_HOP = "local"
+    DEFERRED_FINAL = "deferred"
 
 
 class ValidationError(ValueError):
@@ -315,9 +326,12 @@ def fidelity(x: PureState, y: PureState) -> float:
 
 
 def tensor_product(x: PureState, y: PureState) -> PureState:
-    """Kronecker product x (x) y; x supplies the most significant digits."""
+    """Kronecker product x (x) y; x supplies the most significant digits. A
+    product past the platform's index range is refused before np.kron runs,
+    as ResourceLimitError naming `y`, the operand appended to x."""
     _check_state("x", x)
     _check_state("y", y, x.d)
+    _amplitude_count("y", x.d, x.num_qudits + y.num_qudits)
     return PureState._trusted(x.d, x.num_qudits + y.num_qudits, np.kron(x.amps, y.amps))
 
 

@@ -7,12 +7,12 @@ carrier and A are measured in the standard basis. The carrier outcome `a`
 is the single classical dit a hop emits, and Z^a on B restores |psi>
 exactly. The ancilla outcome `b` is recorded but never used, which the
 closed-form expansion below makes provable rather than assumed. Its phases
-come from `core._roots`, and `entanglement_entropy` applies `core._entropy`.
+come from `core._roots`, `entanglement_entropy` applies `core._entropy`, and
+`CorrectionMode` is `core`'s, re-exported here.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,6 +21,7 @@ import numpy as np
 
 from . import gates
 from .core import (
+    CorrectionMode,
     ImpossibleOutcomeError,  # noqa: F401 - re-exported: the error measure_standard raises
     PureState,
     _check_forced,
@@ -36,13 +37,6 @@ from .core import (
     reduced_density,
     tensor_product,
 )
-
-
-class CorrectionMode(enum.Enum):
-    """When the accumulated Z corrections are applied."""
-
-    LOCAL_EACH_HOP = "local"
-    DEFERRED_FINAL = "deferred"
 
 
 class MeasurementResult(NamedTuple):

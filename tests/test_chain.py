@@ -84,6 +84,12 @@ class TestNoiseSpec:
         with pytest.raises(ValidationError, match="noise.probs"):
             NoiseSpec((math.nan, 1.0))
 
+    def test_sum_tolerance_on_both_sides(self):
+        """PROBABILITY_TOL is 1e-12: a sum off by 4e-13 is accepted as given, one off by 1e-9 is refused."""
+        assert NoiseSpec((0.5 + 4e-13, 0.5)).probs == (0.5 + 4e-13, 0.5)
+        with pytest.raises(ValidationError, match=r"^noise.probs: must sum to 1, got sum 1.000000001"):
+            NoiseSpec((0.5 + 1e-9, 0.5))
+
     def test_rejects_single_entry(self):
         with pytest.raises(ValidationError):
             NoiseSpec((1.0,))
@@ -461,6 +467,17 @@ class TestRunTrajectories:
             for k, n in itertools.product(range(d), (1, 2, 5, 50)):
                 noise = NoiseSpec(tuple(float(i == k) for i in range(d)))
                 assert expected_fidelity(config(d=d, n=n, noise=noise), psi) == table[n * k % d], (k, n)
+
+    def test_expected_fidelity_describes_the_sampled_channel(self):
+        """The sampler draws from the channel divided by its sum; a sum of 1 + 9e-13 must
+        not grow with n. The exact mean over the normalized channel is 0.5392 at every n,
+        and exactly (0.5392 + 0.0784 * 9e-13) / (1 + 9e-13) at n = 1."""
+        psi, noise = make_state(2, [0.6, 0.8]), NoiseSpec((0.5 + 9e-13, 0.5))
+        p0, p1 = (Fraction(p) for p in noise.probs)
+        table = [Fraction(f) for f in fidelity_table(psi).tolist()]
+        exact = (p0 * table[0] + p1 * table[1]) / (p0 + p1)
+        assert expected_fidelity(config(d=2, n=1, noise=noise), psi) == float(exact) == 0.5392000000004147
+        assert expected_fidelity(config(d=2, n=1000, noise=noise), psi) == 0.5392
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_expected_fidelity_stays_in_the_unit_interval(self, d):

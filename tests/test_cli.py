@@ -240,6 +240,15 @@ class TestCmdRun:
         # a deterministic channel gives every trial the same fidelity, so sigma is 0
         assert abs(np.mean(fidelities) - exact) <= 5 * sigma + 1e-12
 
+    def test_fidelity_min_is_the_minimum_over_every_record(self):
+        # trial 0 holds the run's unique minimum, F[1] = 0.0784 of (0.6, 0.8); the 19 others read 1.0
+        argv = ["run", "--d", "2", "--n", "1", "--noise", "0.99,0.01", "--trials", "20", "--seed", "190",
+                "--state", "0.6,0,0.8,0"]
+        report = json.loads(cmd_run(parse(argv)))
+        fidelities = [record["fidelity"] for record in report["trials"]]
+        assert fidelities.index(min(fidelities)) == 0 and fidelities.count(min(fidelities)) == 1
+        assert report["aggregate"]["fidelity_min"] == min(fidelities) == 0.07840000000000008
+
     def test_monte_carlo_matches_enumeration(self):
         # sampled outcome frequencies against the exact uniform path law
         trials = 10_000
@@ -672,6 +681,23 @@ class TestSelftestNegativeControl:
         passed, detail = selftest.check_joint_register()
         assert not passed
         assert "d=2 local" in detail
+
+    def test_an_error_of_1e9_fails_the_joint_register_check(self, monkeypatch):
+        # the self-test's bound is 1e-12; a final state off by 1e-9 in one amplitude must not pass
+        joint = qrelay.selftest.full_register_chain
+
+        def off_by_1e9(d, n, psi, path, mode):
+            result = joint(d, n, psi, path, mode)
+            amps = result.final.amps.copy()
+            amps[0] += 1e-9
+            return replace(result, final=qrelay.core.PureState._trusted(d, 1, amps))
+
+        monkeypatch.setattr(qrelay.selftest, "full_register_chain", off_by_1e9)
+        passed, detail = selftest.check_joint_register()
+        assert not passed
+        assert [failure.split(" path ")[0] for failure in detail.split("; ")] == [
+            f"d={d} {mode}" for d in (2, 3, 4, 5, 16, 16) for mode in ("local", "deferred")
+        ]
 
     def test_joint_register_check_reaches_the_paper_chain(self, monkeypatch):
         # a register that goes wrong only past 2 hops at d = 16 is caught by the n = 100 run

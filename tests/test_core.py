@@ -357,6 +357,15 @@ class TestOverlap:
             inner_product(basis_state(2, (0,)), basis_state(2, (0, 0)))
 
 
+class TestForcedOutcomeFloor:
+    def test_an_outcome_at_the_floor_is_possible_and_one_below_it_is_not(self):
+        floor = core.FORCED_OUTCOME_MIN_PROB
+        assert core._check_possible("forced", 1, 0, floor) is None
+        below = r"^forced: outcome 1 on qudit 0 has probability 1.000e-15$"
+        with pytest.raises(core.ImpossibleOutcomeError, match=below):
+            core._check_possible("forced", 1, 0, math.nextafter(floor, 0.0))
+
+
 class TestTensorProduct:
     def test_basis_concatenation(self):
         product = tensor_product(basis_state(2, (1,)), basis_state(2, (0,)))
@@ -378,6 +387,18 @@ class TestTensorProduct:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             tensor_product(basis_state(2, (0,)), basis_state(3, (0,)))
+
+    def test_a_product_past_the_index_range_is_refused_before_kron(self, monkeypatch):
+        """Two 16^8-amplitude operands make 16^16 > sys.maxsize amplitudes. The operands are
+        read-only zero-stride views, so the test allocates nothing, and np.kron never runs."""
+        big = PureState._trusted(16, 8, np.broadcast_to(np.complex128(0), (16**8,)))
+
+        def no_kron(*args):
+            raise AssertionError("np.kron ran")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        with pytest.raises(core.ResourceLimitError, match=r"^y: 16\^16 amplitudes are more than can be allocated$"):
+            tensor_product(big, big)
 
 
 class TestReducedDensity:

@@ -2,9 +2,12 @@
 
 `selftest` is the top layer: it imports `cli`, whose reports it checks, and
 `cli.main` loads it only for the `selftest` command. `core` owns the
-forced-outcome rule that both state-vector oracles apply, the entropy rule
-and the one table of roots of unity, so `chain` takes no private name from
-`teleport`.
+forced-outcome rule that both state-vector oracles apply, the entropy rule,
+the one table of roots of unity and `CorrectionMode`, so `chain` takes no
+private name from `teleport`. `chain` holds two halves: the closed-form
+engine (`ENGINE`) that `run` and `enumerate` report from, and the
+state-vector oracle that checks it. The engine uses nothing of the oracle's,
+and `cli` imports only `core` and the engine.
 """
 
 import ast
@@ -32,13 +35,39 @@ def _function_level_imports(tree: ast.Module) -> list[str]:
     )
 
 
+def _package_source(node: ast.ImportFrom) -> str | None:
+    """The package module a `from ... import` reads from: `x` for `from .x` and
+    `from qrelay.x`, "" for `from .` and `from qrelay`, None outside the package."""
+    if node.level == 1 or (node.module or "").split(".")[0] == "qrelay":
+        return (node.module or "").removeprefix("qrelay").removeprefix(".")
+    return None
+
+
 def _module_level_imports(tree: ast.Module) -> set[str]:
-    """The package modules a module imports when it loads (`from . import x` or `from .x import ...`)."""
+    """The package modules a module imports when it loads: `from . import x`,
+    `from .x import ...`, `import qrelay.x`, `from qrelay import x` and
+    `from qrelay.x import ...`."""
     found = set()
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            found.update([node.module] if node.module else [alias.name for alias in node.names])
+        if isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("qrelay.") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (source := _package_source(node)) is not None:
+            found.update([source] if source else [alias.name for alias in node.names])
     return found & set(MODULES)
+
+
+def _names_taken(tree: ast.Module, module: str) -> set[str]:
+    """The names a module binds from package module `module` when it loads:
+    `from .module import a, b` gives a and b, `from . import module` gives module."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (source := _package_source(node)) is not None:
+            found.update(
+                alias.asname or alias.name
+                for alias in node.names
+                if source == module or (not source and alias.name == module)
+            )
+    return found
 
 
 def test_run_and_enumerate_do_not_load_the_selftest():
@@ -92,6 +121,97 @@ def test_core_owns_the_entropy_rule():
     defined = {name: _definitions(tree) for name, tree in MODULES.items()}
     for rule in ("_entropy", "ENTROPY_EIGENVALUE_FLOOR"):
         assert [name for name, names in defined.items() if rule in names] == ["core"], rule
+
+
+# chain's closed-form engine: what `run` and `enumerate` report from. Every
+# other definition in chain belongs to the state-vector oracle, which may use
+# these (`_trial_stream` and the configs are the shared draw contract)
+ENGINE = {
+    "PROBABILITY_TOL",
+    "DEFAULT_PATH_BUDGET",
+    "NoiseSpec",
+    "_check_noise",
+    "ChainConfig",
+    "TrajectoryBatch",
+    "_trial_stream",
+    "fidelity_table",
+    "_phase_pairs",
+    "run_trajectories",
+    "_cyclic_convolution",
+    "expected_fidelity",
+    "_enumeration_exponent",
+}
+
+
+def _top_level_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Each function, class and assigned name of a module's body, by name."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                found.update((name.id, node) for name in ast.walk(target) if isinstance(name, ast.Name))
+    return found
+
+
+def test_cli_imports_only_core_and_the_engine():
+    cli = MODULES["cli"]
+    assert _module_level_imports(cli) == {"core", "chain"}
+    assert _names_taken(cli, "chain") <= ENGINE, sorted(_names_taken(cli, "chain") - ENGINE)
+
+
+def test_the_engine_uses_nothing_of_the_oracle():
+    chain = MODULES["chain"]
+    definitions = _top_level_definitions(chain)
+    assert ENGINE <= set(definitions), sorted(ENGINE - set(definitions))
+    oracle = (set(definitions) - ENGINE) | _names_taken(chain, "gates") | _names_taken(chain, "teleport")
+    loaded = {
+        (name, node.id)
+        for name in sorted(ENGINE)
+        for node in ast.walk(definitions[name])
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in oracle
+    }
+    assert loaded == set()
+
+
+def test_the_scope_scans_see_every_import_spelling():
+    tree = ast.parse(
+        "import qrelay.gates\n"
+        "from qrelay import teleport\n"
+        "from qrelay.chain import run_chain as oracle\n"
+        "from . import selftest\n"
+        "from .core import fidelity\n"
+    )
+    assert _module_level_imports(tree) == {"gates", "teleport", "chain", "selftest", "core"}
+    assert _names_taken(tree, "chain") == {"oracle"}
+    assert _names_taken(tree, "teleport") == {"teleport"}
+    assert set(_top_level_definitions(ast.parse("A = B = 1\nE: int = 1\nC, D = 1, 2\ndef f(): pass"))) == {
+        "A", "B", "C", "D", "E", "f"
+    }
+
+
+def test_core_owns_the_correction_mode_and_its_spellings():
+    defined = {name: _definitions(tree) for name, tree in MODULES.items()}
+    assert [name for name, names in defined.items() if "CorrectionMode" in names] == ["core"]
+    assert qrelay.CorrectionMode is qrelay.core.CorrectionMode is qrelay.teleport.CorrectionMode
+    spellings = {mode.value for mode in qrelay.CorrectionMode}
+    assert spellings == {"local", "deferred"}
+    found = []
+    for name, tree in MODULES.items():
+        values = {
+            id(statement.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "CorrectionMode"
+            for statement in node.body
+            if isinstance(statement, ast.Assign)
+        }
+        found += [
+            (name, id(node) in values)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in spellings
+        ]
+    assert found == [("core", True), ("core", True)]
 
 
 def test_chain_takes_no_private_name_from_teleport():

@@ -289,6 +289,21 @@ class TestEntanglementEntropy:
         assert entanglement_entropy(state, 0) == pytest.approx(1.0, abs=1e-12)
         assert entanglement_entropy(state, 1) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("keep", [0, 1])
+    def test_the_eigenvalue_floor_on_both_sides(self, keep):
+        """sqrt(1 - eps)|00> + sqrt(eps)|11> has the binary entropy of eps. At eps = 1e-6 the
+        small eigenvalue is far above ENTROPY_EIGENVALUE_FLOOR (1e-14) and counts; at
+        eps = 1e-20 it is below it, the large one rounds to 1.0, and the entropy is exactly +0.0."""
+
+        def pair(eps):
+            return PureState(2, np.array([math.sqrt(1 - eps), 0, 0, math.sqrt(eps)]))
+
+        eps = 1e-6
+        binary = -(eps * math.log(eps) + (1 - eps) * math.log1p(-eps)) / math.log(2)
+        assert abs(entanglement_entropy(pair(eps), keep) - binary) <= 1e-12
+        tiny = entanglement_entropy(pair(1e-20), keep)
+        assert tiny == 0.0 and math.copysign(1.0, tiny) == 1.0
+
     def test_entangling_gate_creates_one_dit(self):
         entangled = apply_2q(plus_zero_zero_register(), cnot(2), 0, 2)
         assert entanglement_entropy(entangled, 2) == pytest.approx(1.0, abs=1e-12)
