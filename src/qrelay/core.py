@@ -8,6 +8,7 @@ Every Fourier gate, Z power and hop phase reads w^k from one table per d,
 This module also owns the library's argument rules (`_check_int`,
 `_check_type`, `_check_state`, `_check_forced`, `_forced_or_drawn`,
 `_check_possible`): every refusal's message starts with the parameter's name.
+`_allocate` is the one allocation rule for every register the library builds.
 `CorrectionMode` is defined here, and its values are the modes' one
 spelling, so the closed-form engine and the CLI need not import `teleport`.
 """
@@ -19,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -258,12 +259,18 @@ def _check_state(name: str, value: object, d: int | None = None, num_qudits: int
     return value
 
 
-def _amplitude_count(name: str, d: int, n: int) -> int:
-    """d^n, the amplitude count of n qudits, refused as ResourceLimitError naming
-    `name` past the platform's index range (sys.maxsize). d >= 2, so n of
-    sys.maxsize.bit_length() or more is refused before d^n is ever built."""
-    if n < sys.maxsize.bit_length() and d**n <= sys.maxsize:
-        return d**n
+def _allocate(name: str, d: int, n: int, build: Callable[[int], np.ndarray]) -> np.ndarray:
+    """build(d^n), the d^n amplitudes of n qudits: the library's one allocation
+    rule. A count whose complex128 array (16 bytes an amplitude) would pass the
+    platform's index range (sys.maxsize bytes), or that the host cannot
+    allocate (MemoryError), is refused as ResourceLimitError naming `name`.
+    d >= 2, so n of sys.maxsize.bit_length() or more is refused before d^n is
+    ever built, and numpy is never asked for a size it refuses with ValueError."""
+    if n < sys.maxsize.bit_length() and 16 * d**n <= sys.maxsize:
+        try:
+            return build(d**n)
+        except MemoryError:
+            pass
     raise ResourceLimitError(f"{name}: {d}^{n} amplitudes are more than can be allocated")
 
 
@@ -276,14 +283,14 @@ def basis_state(d: int, digits: Sequence[int]) -> PureState:
         raise ValidationError(f"digits: expected a sequence of dits, got {digits!r}") from None
     if not digits:
         raise ValidationError("digits: must list at least one digit, got ()")
-    size = _amplitude_count("digits", d, len(digits))
-    index = flat_index(d, digits)
-    try:
+
+    def one_hot(size: int) -> np.ndarray:
+        index = flat_index(d, digits)  # the digits are checked before anything is allocated
         amps = np.zeros(size, dtype=np.complex128)
-    except (MemoryError, ValueError):  # numpy raises ValueError for a size past the address range
-        raise ResourceLimitError(f"digits: {d}^{len(digits)} amplitudes are more than can be allocated") from None
-    amps[index] = 1.0
-    return PureState._trusted(d, len(digits), amps)
+        amps[index] = 1.0
+        return amps
+
+    return PureState._trusted(d, len(digits), _allocate("digits", d, len(digits), one_hot))
 
 
 def make_state(d: int, amps: Sequence[complex]) -> PureState:
@@ -305,12 +312,12 @@ def random_state(d: int, num_qudits: int, rng: np.random.Generator) -> PureState
     """Haar-like random pure state from complex normal amplitudes."""
     d, num_qudits = check_dim(d), _check_int("num_qudits", num_qudits, 1)
     rng = _check_type("rng", rng, np.random.Generator)
-    size = _amplitude_count("num_qudits", d, num_qudits)
-    try:
+
+    def draw(size: int) -> np.ndarray:
         amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    except (MemoryError, ValueError):  # numpy raises ValueError for a size past the address range
-        raise ResourceLimitError(f"num_qudits: {d}^{num_qudits} amplitudes are more than can be allocated") from None
-    return PureState._trusted(d, num_qudits, amps / _norm(amps))
+        return amps / _norm(amps)
+
+    return PureState._trusted(d, num_qudits, _allocate("num_qudits", d, num_qudits, draw))
 
 
 def inner_product(x: PureState, y: PureState) -> complex:
@@ -327,12 +334,13 @@ def fidelity(x: PureState, y: PureState) -> float:
 
 def tensor_product(x: PureState, y: PureState) -> PureState:
     """Kronecker product x (x) y; x supplies the most significant digits. A
-    product past the platform's index range is refused before np.kron runs,
-    as ResourceLimitError naming `y`, the operand appended to x."""
+    product `_allocate` refuses (past the platform's index range, before
+    np.kron runs, or one the host cannot allocate) is a ResourceLimitError
+    naming `y`, the operand appended to x."""
     _check_state("x", x)
     _check_state("y", y, x.d)
-    _amplitude_count("y", x.d, x.num_qudits + y.num_qudits)
-    return PureState._trusted(x.d, x.num_qudits + y.num_qudits, np.kron(x.amps, y.amps))
+    n = x.num_qudits + y.num_qudits
+    return PureState._trusted(x.d, n, _allocate("y", x.d, n, lambda size: np.kron(x.amps, y.amps)))
 
 
 def reduced_density(state: PureState, keep: int | Sequence[int]) -> np.ndarray:

@@ -16,6 +16,7 @@ from qrelay.chain import (
     ChainConfig,
     NoiseSpec,
     enumerate_branches,
+    expected_fidelity,
     full_register_chain,
     run_chain,
 )
@@ -164,10 +165,17 @@ def test_criterion_8_noise_sanity():
         assert min(branch.fidelity for branch in branches) >= 1 - TOL
     argv = ["run", "--d", "2", "--n", "1", "--noise", "0.5,0.5",
             "--trials", "10000", "--seed", "8", "--state", "uniform"]
-    report = json.loads(cmd_run(parse_config(build_parser().parse_args(argv))))
+    config = parse_config(build_parser().parse_args(argv))
+    report = json.loads(cmd_run(config))
     mean = report["aggregate"]["fidelity_mean"]
     assert abs(mean - 0.5) <= 0.02, f"mean fidelity {mean}"
-    print(f"PASS criterion 8: noiseless paths at fidelity 1; dephased mean {mean:.4f} in 0.50+-0.02")
+    # the exact companion: a uniform Z channel leaves the uniform state's fidelity at exactly 1/d
+    assert expected_fidelity(config.chain, config.psi0) == 0.5
+    for d, n in ((2, 3), (4, 2)):
+        argv = ["run", "--d", str(d), "--n", str(n), "--noise", ",".join([str(1 / d)] * d), "--state", "uniform"]
+        uniform = parse_config(build_parser().parse_args(argv))
+        assert expected_fidelity(uniform.chain, uniform.psi0) == 1 / d, (d, n)
+    print(f"PASS criterion 8: noiseless paths at fidelity 1; dephased mean {mean:.4f} in 0.50+-0.02, exactly 0.5 in law")
 
 
 def test_criterion_9_byte_identical_reports(tmp_path):

@@ -216,6 +216,11 @@ def test_a_huge_register_names_its_count():
         basis_state(16, (0,) * 30)
     with pytest.raises(ResourceLimitError, match=r"^num_qudits: 16\^30 amplitudes"):
         qrelay.random_state(16, 30, np.random.default_rng(0))
+    # 16^14 amplitudes (1 EiB) are inside the index range: the host's MemoryError is refused the same way
+    with pytest.raises(ResourceLimitError, match=r"^digits: 16\^14 amplitudes are more than can be allocated$"):
+        basis_state(16, (0,) * 14)
+    with pytest.raises(ResourceLimitError, match=r"^num_qudits: 16\^14 amplitudes are more than can be allocated$"):
+        qrelay.random_state(16, 14, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(

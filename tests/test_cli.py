@@ -533,7 +533,7 @@ class TestMain:
         assert main(["selftest"]) == 0
         assert time.monotonic() - start < 60.0
         out = capsys.readouterr().out
-        assert out.count("PASS") == len(selftest.run_all())
+        assert out.count("PASS") == len(selftest.CHECKS)
         assert "FAIL" not in out
 
 
@@ -743,16 +743,27 @@ REPORT_VALUES = {
     "run --d 5 --n 6 --mode local --noise 0.6,0.1,0.1,0.1,0.1 --trials 50 --seed 3 --state random":
         "c304a50c51b602bd",
     "enumerate --d 8 --n 4 --mode local --seed 1 --state random": "61ee1bf1242794f2",
+    # an odd d with no quadrant roots: F[K] and F[d-K] must come out equal on every host
+    "run --d 5 --n 3 --noise 0.8,0.05,0.05,0.05,0.05 --trials 200 --seed 3 --state random": "aa8a1b1ee250e5d6",
+    "enumerate --d 8 --n 4": "38c80da98b6782f9",
+    # two-character digits and an odd n: the records are split into fronts and backs unevenly
+    "enumerate --d 16 --n 3": "8a4b9bb8af8e86a7",
 }
 # the sha256 prefix of the same commands' exact stdout bytes
 REPORT_BYTES = dict(zip(REPORT_VALUES, [
     "f9f93d9ee8e1d887", "e53198e428544587", "ebb3837a59e0df11", "9c420f8eeaf537bc", "b9e30f45cd72a878",
+    "a23e747b86e97893", "e0e85bbf6a041249", "cf7b7048711417dc",
 ]))
 # the sha256 prefix of the trial-0 history CSV each command writes to history.csv
 HISTORY_BYTES = {
     "run --d 2 --n 2 --history history.csv": "6dbbf089d73c0467",
     "run --d 5 --n 6 --mode local --noise 0.6,0.1,0.1,0.1,0.1 --seed 3 --state random --history history.csv":
         "41a4d8b90032aeb3",
+    # the README's run in both modes
+    "run --d 3 --n 4 --mode deferred --noise 0.9,0.05,0.05 --trials 1000 --seed 7 --state uniform --history history.csv":
+        "4207823e94c99b71",
+    "run --d 3 --n 4 --mode local --noise 0.9,0.05,0.05 --trials 1000 --seed 7 --state uniform --history history.csv":
+        "b7a9fa3824a7a3bf",
 }
 
 
@@ -768,6 +779,39 @@ def _not_dynamic_openblas() -> str | None:
 
 
 NOT_DYNAMIC_OPENBLAS = _not_dynamic_openblas()
+
+
+# Run in a child: each command given as an argument through qrelay.cli.main, once to stdout and
+# once with --out, then the self-test. Prints the sha256 prefixes of stdout, of the --out file
+# and of history.csv (null if none was written), and the self-test's exit code and output.
+KERNEL_CHILD = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from qrelay import selftest
+from qrelay.cli import main
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+def run(call):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = call()
+    return code, stdout.getvalue()
+
+digests = {}
+for command in sys.argv[1:]:
+    argv = command.split()
+    code, text = run(lambda: main(argv))
+    out_code, _ = run(lambda: main([*argv, "--out", "out.json"]))
+    assert code == out_code == 0, command
+    history = Path("history.csv")
+    csv_bytes = digest(history.read_bytes()) if history.exists() else None
+    history.unlink(missing_ok=True)
+    digests[command] = [digest(text.encode()), digest(Path("out.json").read_bytes()), csv_bytes]
+code, text = run(selftest.main)
+print(json.dumps({"digests": digests, "selftest": code, "selftest_output": text}))
+"""
 
 
 def canonical(value) -> str:
@@ -828,25 +872,28 @@ def assert_same_text(text: str, expected: str, context: object = "") -> None:
 
 class TestReportRendering:
     @pytest.mark.parametrize("command", REPORT_VALUES, ids=["run-readme", "run-history", "enumerate-readme",
-                                                            "run-local-d5", "enumerate-d8"])
+                                                            "run-local-d5", "enumerate-d8", "run-d5",
+                                                            "enumerate-d8-uniform", "enumerate-d16"])
     def test_value_pinned_and_one_compact_record_per_line(self, capsys, monkeypatch, tmp_path, command):
         monkeypatch.chdir(tmp_path)  # --history history.csv is a relative path
         assert main(command.split()) == 0
         text = capsys.readouterr().out
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == REPORT_BYTES[command]
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == REPORT_BYTES[command], command
         report = json.loads(text)
-        assert hashlib.sha256(canonical(report).encode()).hexdigest()[:16] == REPORT_VALUES[command]
+        assert hashlib.sha256(canonical(report).encode()).hexdigest()[:16] == REPORT_VALUES[command], command
         records = report["trials" if report["command"] == "run" else "paths"]
         lines = [line[4:].removesuffix(",") for line in text.splitlines() if line.startswith("    {")]
         assert len(lines) == len(records)
         for line in lines:
             assert line == canonical(json.loads(line))
 
-    @pytest.mark.parametrize("command", HISTORY_BYTES, ids=["run-history", "run-local-d5"])
+    @pytest.mark.parametrize("command", HISTORY_BYTES, ids=["run-history", "run-local-d5", "run-readme-deferred",
+                                                         "run-readme-local"])
     def test_history_csv_bytes_pinned(self, monkeypatch, tmp_path, command):
         monkeypatch.chdir(tmp_path)
         assert main(command.split()) == 0
-        assert hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest()[:16] == HISTORY_BYTES[command]
+        csv_bytes = hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest()[:16]
+        assert csv_bytes == HISTORY_BYTES[command], command
 
     @pytest.mark.parametrize("command", dict.fromkeys([*REPORT_BYTES, *HISTORY_BYTES]))
     def test_pinned_bytes_need_no_gate_kernel(self, capsys, monkeypatch, tmp_path, command):
@@ -864,28 +911,31 @@ class TestReportRendering:
 
     @pytest.mark.skipif(NOT_DYNAMIC_OPENBLAS is not None, reason=str(NOT_DYNAMIC_OPENBLAS))
     def test_pinned_bytes_do_not_depend_on_the_openblas_kernel(self, tmp_path):
-        """The pinned commands, as `python -m qrelay` under three OpenBLAS kernels.
+        """Every pinned command and the self-test, in one child per OpenBLAS kernel.
 
         OPENBLAS_CORETYPE is set in each child's environment only. Haswell
         and Prescott are what AVX2-only or older hosts select, and SkylakeX
         what AVX-512 hosts select (OpenBLAS falls back where the CPU lacks it).
+        Each child has its own PYTHONHASHSEED and runs with warnings as errors.
         """
-        def digest(data):
-            return None if data is None else hashlib.sha256(data).hexdigest()[:16]
-
-        for index, command in enumerate(dict.fromkeys([*REPORT_BYTES, *HISTORY_BYTES])):
-            digests = {}
-            for kernel in ("Prescott", "Haswell", "SkylakeX"):
-                cwd = tmp_path / f"{index}-{kernel}"
-                cwd.mkdir()
-                child = subprocess.run([sys.executable, "-m", "qrelay", *command.split()], cwd=cwd,
-                                       env={**SRC_ENV, "OPENBLAS_CORETYPE": kernel}, capture_output=True, check=True)
-                history = cwd / "history.csv"
-                digests[kernel] = (digest(child.stdout), digest(history.read_bytes() if history.exists() else None))
-            assert len(set(digests.values())) == 1, (command, digests)
-            stdout, csv_bytes = digests["Prescott"]
-            assert stdout == REPORT_BYTES.get(command, stdout)
-            assert csv_bytes == HISTORY_BYTES.get(command)
+        commands = list(dict.fromkeys([*REPORT_BYTES, *HISTORY_BYTES]))
+        digests = {}
+        for seed, kernel in enumerate(("Prescott", "Haswell", "SkylakeX"), start=1):
+            cwd = tmp_path / kernel
+            cwd.mkdir()
+            env = {**SRC_ENV, "OPENBLAS_CORETYPE": kernel, "PYTHONHASHSEED": str(seed)}
+            child = subprocess.run([sys.executable, "-W", "error", "-c", KERNEL_CHILD, *commands], cwd=cwd, env=env,
+                                   capture_output=True, text=True)
+            assert child.returncode == 0, (kernel, child.stderr)
+            result = json.loads(child.stdout)
+            assert result["selftest"] == 0, (kernel, result["selftest_output"])
+            digests[kernel] = result["digests"]
+        for command in commands:
+            per_kernel = {kernel: tuple(found[command]) for kernel, found in digests.items()}
+            assert len(set(per_kernel.values())) == 1, (command, per_kernel)
+            stdout, out, csv_bytes = per_kernel["Prescott"]
+            assert out == stdout == REPORT_BYTES.get(command, stdout), command
+            assert csv_bytes == HISTORY_BYTES.get(command), command
 
     @pytest.mark.parametrize("d", [2, 3, 10, 11, 16])
     @pytest.mark.parametrize("n", [1, 3])

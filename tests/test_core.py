@@ -400,6 +400,15 @@ class TestTensorProduct:
         with pytest.raises(core.ResourceLimitError, match=r"^y: 16\^16 amplitudes are more than can be allocated$"):
             tensor_product(big, big)
 
+    def test_a_product_the_host_cannot_allocate_is_refused_naming_y(self):
+        """Two 16^7-amplitude operands make 16^14 amplitudes, 1 EiB: inside the index range,
+        so np.kron runs, and numpy's MemoryError becomes the allocation rule's refusal. The
+        operands are read-only zero-stride views, and the 1 EiB request fails, so the test
+        allocates nothing."""
+        big = PureState._trusted(16, 7, np.broadcast_to(np.complex128(1), (16**7,)))
+        with pytest.raises(core.ResourceLimitError, match=r"^y: 16\^14 amplitudes are more than can be allocated$"):
+            tensor_product(big, big)
+
 
 class TestReducedDensity:
     def test_product_state_projector(self):
