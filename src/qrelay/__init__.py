@@ -7,29 +7,23 @@ node or once, deferred to the end of the chain. A Z-type channel models
 dephasing noise between hops.
 """
 
-from .chain import (
-    ChainConfig,
-    HistoryEntry,
-    NoiseSpec,
-    apply_phase_noise,
-    enumerate_branches,
-    expected_fidelity,
-    full_register_chain,
-    run_chain,
-    run_trajectories,
-)
+from .chain import HistoryEntry, apply_phase_noise, enumerate_branches, full_register_chain, run_chain
 from .core import (
+    ChainConfig,
     CorrectionMode,
     ImpossibleOutcomeError,
+    NoiseSpec,
     PureState,
     ResourceLimitError,
     ValidationError,
     basis_state,
+    expected_fidelity,
     fidelity,
     inner_product,
     make_state,
     random_state,
     reduced_density,
+    run_trajectories,
     tensor_product,
 )
 from .gates import GateMatrix, apply_1q, apply_2q

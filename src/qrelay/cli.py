@@ -8,14 +8,14 @@ trial or path record is one compact line. Complex amplitudes travel as
 3 self-test failure.
 Both commands are closed-form and run no state-vector code, so no report
 byte depends on the BLAS kernel: `run` uses the trajectory engine and
-writes `--history` snapshots as Z^e psi0, with `run_chain` as the
+writes `--history` snapshots as Z^e psi0, with `chain.run_chain` as the
 library's oracle, and `enumerate` lists every path's Z^K psi0 directly,
-with `enumerate_branches` as its oracle. Z^K psi0 and F[K] come from
-`chain._phase_pairs` and `chain.fidelity_table`. This module imports only
-`core` and the engine names of `chain` (`tests/test_layers.py` checks it),
-and takes the `--mode` spellings from `core.CorrectionMode`. `main` imports
-`selftest`, the layer above this one, only for the `selftest` command, so
-`run` and `enumerate` never load it.
+with `chain.enumerate_branches` as its oracle. Z^K psi0 and F[K] come from
+`core._phase_pairs` and `core.fidelity_table`. This module imports only
+`core` (`tests/test_layers.py` checks it), and takes the `--mode`
+spellings from `core.CorrectionMode`. `main` imports `selftest`, the layer
+above this one, only for the `selftest` command, so `run` and `enumerate`
+never load it.
 Records are rendered column-wise: each field is written once per column
 from a small table of strings, never once per record, and the report is
 put together by one join per block of rows plus one final join.
@@ -36,25 +36,23 @@ from typing import NoReturn
 
 import numpy as np
 
-from .chain import (
-    ChainConfig,
-    NoiseSpec,
-    TrajectoryBatch,
-    _enumeration_exponent,
-    _phase_pairs,
-    fidelity_table,
-    run_trajectories,
-)
 from .core import (
+    ChainConfig,
     CorrectionMode,
+    NoiseSpec,
     PureState,
     ResourceLimitError,
+    TrajectoryBatch,
     ValidationError,
     _check_int,
+    _enumeration_exponent,
+    _phase_pairs,
     basis_state,
     check_dim,
+    fidelity_table,
     make_state,
     random_state,
+    run_trajectories,
 )
 
 DEFAULT_D = 3
@@ -241,7 +239,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
 def write_history_csv(path: str, psi0: PureState, batch: TrajectoryBatch) -> None:
     """Trial 0's history as run_chain records it: psi0 with r = 0, then hop i's
     post-noise, pre-correction snapshot with r = a_i, in closed form as Z^e psi0
-    (`chain._phase_pairs`), e = sum_{j<=i} k_j - a_i (local) or
+    (`core._phase_pairs`), e = sum_{j<=i} k_j - a_i (local) or
     sum_{j<=i} (k_j - a_j) (deferred) mod d."""
     d, results = psi0.d, batch.results[0]
     spent = results if batch.deferred_exponents is None else np.cumsum(results)

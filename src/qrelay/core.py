@@ -10,7 +10,17 @@ This module also owns the library's argument rules (`_check_int`,
 `_check_possible`): every refusal's message starts with the parameter's name.
 `_allocate` is the one allocation rule for every register the library builds.
 `CorrectionMode` is defined here, and its values are the modes' one
-spelling, so the closed-form engine and the CLI need not import `teleport`.
+spelling, so the CLI need not import `teleport`.
+
+The closed-form engine that `qrelay run` and `qrelay enumerate` report from
+lives here too, since it needs nothing but these numerics: the configs
+(`NoiseSpec`, `ChainConfig`), the draw contract (`_trial_stream`),
+`run_trajectories`, `expected_fidelity` and the enumeration preconditions.
+Every chain delivers Z^K psi0, so `fidelity_table` gives F[K] by math.fsum
+and `_phase_pairs` gives the amplitudes by Python's complex product, both
+from `_roots`, and no reported byte comes from a BLAS call. `chain` holds
+the state-vector oracle that checks this engine; this module imports no
+other module of the package.
 """
 
 from __future__ import annotations
@@ -35,6 +45,10 @@ INTERNAL_TOL = 1e-12
 FORCED_OUTCOME_MIN_PROB = 1e-15
 # eigenvalues below this contribute nothing to entropy
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
+# noise probabilities must sum to 1 within this, and a fixed channel's one exponent has probability 1 within it
+PROBABILITY_TOL = 1e-12
+# the most carrier paths (d^n) an exact enumeration walks
+DEFAULT_PATH_BUDGET = 4096
 
 
 class CorrectionMode(enum.Enum):
@@ -379,3 +393,200 @@ def _entropy(eigenvalues: np.ndarray, d: int) -> float:
         if value > ENTROPY_EIGENVALUE_FLOOR:
             total -= float(value) * math.log(float(value))
     return total / math.log(d) if total > 0.0 else 0.0
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Phase-noise channel: apply Z^k with probability probs[k] between hops."""
+
+    probs: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        try:
+            values = tuple(self.probs)
+            probs = tuple(float(p) for p in values)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"noise.probs: expected reals, got {self.probs!r}") from None
+        if any(isinstance(p, (bool, np.bool_)) for p in values):
+            raise ValidationError(f"noise.probs: booleans are not probabilities, got {values!r}")
+        if len(probs) < 2:
+            raise ValidationError("noise.probs: need one probability per dit value")
+        if not all(math.isfinite(p) for p in probs):
+            raise ValidationError(f"noise.probs: probabilities must be finite, got {probs}")
+        if any(p < 0.0 for p in probs):
+            raise ValidationError(f"noise.probs: probabilities must be >= 0, got {probs}")
+        if abs(sum(probs) - 1.0) > PROBABILITY_TOL:
+            raise ValidationError(f"noise.probs: must sum to 1, got sum {sum(probs)!r}")
+        object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def noiseless(cls, d: int) -> "NoiseSpec":
+        check_dim(d)
+        return cls((1.0,) + (0.0,) * (d - 1))
+
+    def deterministic_exponent(self) -> int | None:
+        """The fixed exponent this channel always applies, or None if random."""
+        for k, p in enumerate(self.probs):
+            if abs(p - 1.0) <= PROBABILITY_TOL:
+                return k
+        return None
+
+
+def _check_noise(noise: object, d: int) -> NoiseSpec:
+    """The noise rule: a NoiseSpec with one probability per dit value of d. Returns it."""
+    if len(_check_type("noise", noise, NoiseSpec).probs) != d:
+        raise ValidationError(f"noise.probs: expected {d} probabilities, got {len(noise.probs)}")
+    return noise
+
+
+@dataclass(frozen=True)
+class ChainConfig:
+    """Static parameters of one transmission chain."""
+
+    d: int
+    n: int
+    mode: CorrectionMode
+    noise: NoiseSpec
+    seed: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d", check_dim(self.d))
+        object.__setattr__(self, "n", _check_int("n", self.n, 1))
+        _check_type("mode", self.mode, CorrectionMode)
+        _check_noise(self.noise, self.d)
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, 2**64))
+
+
+def _trial_stream(seed: int, n: int, trial: int = 0) -> np.random.Generator:
+    """default_rng(seed) from trial `trial`'s start; trial i owns doubles [3n*i, 3n*(i+1))."""
+    bits = np.random.PCG64(seed)
+    bits.advance(3 * n * trial)
+    return np.random.Generator(bits)
+
+
+@dataclass(frozen=True, eq=False)
+class TrajectoryBatch:
+    """Closed-form outcomes of one seeded run; row i is trial i.
+
+    Each row holds run_chain's integers for that trial: `results` and
+    `noise_exponents` are (trials, n), `phase_exponents` is K (the trial
+    delivers Z^K psi0), and `deferred_exponents` is None in local mode.
+    """
+
+    results: np.ndarray
+    noise_exponents: np.ndarray
+    phase_exponents: np.ndarray
+    deferred_exponents: np.ndarray | None
+
+
+def fidelity_table(psi0: PureState) -> np.ndarray:
+    """F[K] = fidelity(psi0, Z^K psi0) = |sum_j |alpha_j|^2 w^(jK)|^2 for K = 0..d-1,
+    clipped at 1.0 as `core.fidelity` is: the real and imaginary parts are each
+    summed by math.fsum, so no state is built and no BLAS call is made."""
+    d = _check_state("psi0", psi0, num_qudits=1).d
+    weights = (np.square(psi0.amps.real) + np.square(psi0.amps.imag)).tolist()
+    roots = _roots(d)
+    table = []
+    for k in range(d):
+        phases = [roots[j * k % d] for j in range(d)]
+        re = math.fsum(w * z.real for w, z in zip(weights, phases))
+        im = math.fsum(w * z.imag for w, z in zip(weights, phases))
+        table.append(min(re * re + im * im, 1.0))
+    return np.array(table)
+
+
+def _phase_pairs(psi0: PureState, k: int) -> list[list[float]]:
+    """Z^k psi0 as [re, im] pairs of Python floats, the amplitudes `qrelay run
+    --history` and `qrelay enumerate` report. Amplitude j times w = w^(jk) is
+    rounded part by part, as xr*wr - xi*wi and xi*wr + xr*wi with no fused
+    multiply-add, and then added to 0.0 so that a zero part is +0. These are
+    the bits of Python's complex product, the same on every host and BLAS
+    kernel, and the tests pin them."""
+    roots = _roots(psi0.d)
+    amps = zip(psi0.amps.real.tolist(), psi0.amps.imag.tolist())
+    pairs = []
+    for j, (xr, xi) in enumerate(amps):
+        w = roots[j * k % psi0.d]
+        pairs.append([xr * w.real - xi * w.imag + 0.0, xi * w.real + xr * w.imag + 0.0])
+    return pairs
+
+
+def run_trajectories(config: ChainConfig, trials: int) -> TrajectoryBatch:
+    """Run `trials` chains in closed form; trial i is block i of the seed's stream.
+
+    One random((trials, n, 3)) call draws every trial's doubles, one per
+    hop for the carrier, ancilla and noise draws in run_chain's order.
+    The carrier and noise doubles become dits by the package's draw rule
+    (`core._draw_dit`); the ancilla double is discarded, since the
+    ancilla outcome never changes the received state. Each trial's K is
+    (sum of noise exponents) mod d; no state is involved.
+    """
+    d, n = _check_type("config", config, ChainConfig).d, config.n
+    trials = _check_int("trials", trials, 1)
+    try:
+        draws = _trial_stream(config.seed, n).random((trials, n, 3))
+    except (MemoryError, ValueError):  # numpy raises ValueError for a size past the address range
+        raise ResourceLimitError(
+            f"trials: {trials} trials of {n} hops need {trials * n * 3 * 8} bytes of draws, "
+            "more than can be allocated"
+        ) from None
+    results = _draw_dit(np.full(d, 1.0 / d), draws[..., 0])
+    noise = _draw_dit(config.noise.probs, draws[..., 2])
+    local = config.mode is CorrectionMode.LOCAL_EACH_HOP
+    return TrajectoryBatch(
+        results=results,
+        noise_exponents=noise,
+        phase_exponents=noise.sum(axis=1) % d,
+        deferred_exponents=None if local else results.sum(axis=1) % d,
+    )
+
+
+def _cyclic_convolution(x: Sequence[float], y: Sequence[float]) -> list[float]:
+    """(x * y)[k] = sum_i x[i] y[(k - i) mod d], each entry summed by math.fsum;
+    y[k - i] wraps a negative index to (k - i) mod d."""
+    return [math.fsum(x[i] * y[k - i] for i in range(len(x))) for k in range(len(x))]
+
+
+def expected_fidelity(config: ChainConfig, psi0: PureState) -> float:
+    """Mean of run_chain's fidelity over the noise channel, in [0, 1].
+
+    K is the sum of n independent exponents drawn from noise.probs, so
+    P(K) is their n-fold cyclic convolution, taken by square-and-multiply
+    over the bits of n. Every term is a product of non-negative
+    probabilities, so no P(K) rounds below zero, and a fixed channel Z^k
+    gives exactly F[n*k mod d]. E[F] = sum_K P(K) F[K] / sum_K P(K), each
+    sum by math.fsum, and clipped at 1.0, as `core.fidelity` is: dividing by
+    the law's mass makes it the mean over the normalized channel the sampler
+    (`core._draw_dit`) draws from, whose probabilities may sum to 1 only
+    within PROBABILITY_TOL.
+    """
+    _check_state("psi0", psi0, _check_type("config", config, ChainConfig).d, 1)
+    p_k = [1.0] + [0.0] * (config.d - 1)  # K = 0 before the first hop
+    for bit in f"{config.n:b}":
+        p_k = _cyclic_convolution(p_k, p_k)
+        if bit == "1":
+            p_k = _cyclic_convolution(p_k, config.noise.probs)
+    mean = math.fsum(p * f for p, f in zip(p_k, fidelity_table(psi0).tolist())) / math.fsum(p_k)
+    return min(mean, 1.0)
+
+
+def _enumeration_exponent(config: ChainConfig) -> int:
+    """The channel's fixed exponent, once the chain is fit for enumeration.
+
+    Stochastic noise has no exact per-path probability and belongs in
+    Monte Carlo runs; more than DEFAULT_PATH_BUDGET paths raise
+    ResourceLimitError.
+    """
+    forced_k = config.noise.deterministic_exponent()
+    if forced_k is None:
+        raise ValidationError(
+            "noise.probs: enumeration requires a deterministic channel; "
+            "use Monte Carlo runs for stochastic noise"
+        )
+    # d >= 2, so a long chain is over budget before d^n is ever built
+    if config.n >= DEFAULT_PATH_BUDGET.bit_length() or config.d**config.n > DEFAULT_PATH_BUDGET:
+        raise ResourceLimitError(
+            f"n: {config.d}^{config.n} paths exceed the budget of {DEFAULT_PATH_BUDGET}; "
+            "use Monte Carlo runs instead"
+        )
+    return forced_k

@@ -18,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from . import gates
-from .chain import ChainConfig, NoiseSpec, enumerate_branches, full_register_chain, run_chain
+from .chain import enumerate_branches, full_register_chain, run_chain
 from .cli import ExperimentConfig, cmd_enumerate, cmd_run
-from .core import CorrectionMode, flat_index, random_state, root_of_unity
+from .core import ChainConfig, CorrectionMode, NoiseSpec, flat_index, random_state, root_of_unity
 from .teleport import hop_circuit, hop_expansion, teleport_hop
 
 TOL = 1e-12

@@ -12,16 +12,9 @@ import math
 import numpy as np
 
 from qrelay import gates
-from qrelay.chain import (
-    ChainConfig,
-    NoiseSpec,
-    enumerate_branches,
-    expected_fidelity,
-    full_register_chain,
-    run_chain,
-)
+from qrelay.chain import enumerate_branches, full_register_chain, run_chain
 from qrelay.cli import build_parser, cmd_run, main, parse_config
-from qrelay.core import flat_index, random_state
+from qrelay.core import ChainConfig, NoiseSpec, expected_fidelity, flat_index, random_state
 from qrelay.teleport import CorrectionMode, hop_circuit, hop_expansion, teleport_hop
 
 TOL = 1e-12

@@ -18,9 +18,8 @@ import pytest
 
 import qrelay
 from qrelay import gates
-from qrelay.chain import ChainConfig, NoiseSpec, fidelity_table
 from qrelay import ResourceLimitError, ValidationError
-from qrelay.core import basis_state, make_state
+from qrelay.core import ChainConfig, NoiseSpec, basis_state, fidelity_table, make_state
 from qrelay.teleport import (
     CorrectionMode,
     ImpossibleOutcomeError,

@@ -10,9 +10,6 @@ import pytest
 
 from qrelay import chain, core, gates
 from qrelay.chain import (
-    ChainConfig,
-    NoiseSpec,
-    ResourceLimitError,
     _JointRegister,
     _register_block_entropy,
     _register_gate,
@@ -20,20 +17,23 @@ from qrelay.chain import (
     apply_phase_noise,
     deferred_exponent,
     enumerate_branches,
-    expected_fidelity,
-    fidelity_table,
     full_register_chain,
     run_chain,
-    run_trajectories,
 )
 from qrelay.core import (
+    ChainConfig,
+    NoiseSpec,
     PureState,
+    ResourceLimitError,
     ValidationError,
     _draw_dit,
     basis_state,
+    expected_fidelity,
     fidelity,
+    fidelity_table,
     make_state,
     random_state,
+    run_trajectories,
     tensor_product,
 )
 from qrelay.gates import apply_1q, apply_2q

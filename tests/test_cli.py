@@ -21,10 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qrelay.chain
 import qrelay.cli
+import qrelay.core
 from qrelay import gates, selftest
-from qrelay.chain import enumerate_branches, expected_fidelity, fidelity_table, run_chain, run_trajectories
+from qrelay.chain import enumerate_branches, run_chain
 from qrelay.cli import (
     ExperimentConfig,
     build_parser,
@@ -34,7 +34,15 @@ from qrelay.cli import (
     parse_config,
     render_report,
 )
-from qrelay.core import ValidationError, random_state
+from qrelay.core import (
+    ChainConfig,
+    NoiseSpec,
+    ValidationError,
+    expected_fidelity,
+    fidelity_table,
+    random_state,
+    run_trajectories,
+)
 from qrelay.teleport import CorrectionMode, prepare_hop
 from test_gates import python_product
 
@@ -487,7 +495,7 @@ class TestMain:
         assert main(["run", "--config", "/nonexistent/config.json"]) == 1
 
     def test_module_entry_point_propagates_exit_code(self):
-        for argv, code in ((["selftest"], 0), (["enumerate", "--d", "3", "--n", "8"], 2)):
+        for argv, code in ((["enumerate", "--d", "2", "--n", "1"], 0), (["enumerate", "--d", "3", "--n", "8"], 2)):
             done = subprocess.run([sys.executable, "-m", "qrelay", *argv], env=SRC_ENV, capture_output=True)
             assert done.returncode == code, done.stderr
 
@@ -716,7 +724,7 @@ class TestSelftestNegativeControl:
 
     def test_wrong_closed_form_fails_oracle_check(self, monkeypatch):
         # run and enumerate both read F[K] from the table cmd_run and cmd_enumerate build
-        table = qrelay.chain.fidelity_table
+        table = qrelay.core.fidelity_table
         monkeypatch.setattr(qrelay.cli, "fidelity_table", lambda psi: table(psi)[::-1])
         passed, detail = selftest.check_engines_match_oracles()
         assert not passed
@@ -724,7 +732,7 @@ class TestSelftestNegativeControl:
         assert "enumerate path" in detail
 
     def test_dropped_deferred_exponent_fails_oracle_check(self, monkeypatch):
-        engine = qrelay.chain.run_trajectories
+        engine = qrelay.core.run_trajectories
         monkeypatch.setattr(
             qrelay.cli, "run_trajectories", lambda *args: replace(engine(*args), deferred_exponents=None)
         )
@@ -841,18 +849,6 @@ def python_z_power_pairs(psi0, k) -> list[list[float]]:
     return [[a.real, a.imag] for a in python_product(gates.pauli_z_power(psi0.d, k), psi0.amps)]
 
 
-def reference_path_records(config) -> list[str]:
-    chain = config.chain
-    psi0 = config.psi0
-    exponent = chain.n * chain.noise.deterministic_exponent() % chain.d
-    fid = float(fidelity_table(psi0)[exponent])
-    final_pairs = python_z_power_pairs(psi0, exponent)
-    head = json.dumps({"fidelity": fid, "final_state": final_pairs}, separators=(",", ":"))[:-1] + ',"path":['
-    tail = f'],"probability":{1.0 / chain.d**chain.n!r}}}'
-    digits = [str(j) for j in range(chain.d)]
-    return [head + ",".join(path) + tail for path in itertools.product(digits, repeat=chain.n)]
-
-
 def reference_report(text: str, key: str, records: list[str]) -> str:
     """`text`'s report with its `key` list rendered record by record."""
     report = json.loads(text)
@@ -870,7 +866,19 @@ def assert_same_text(text: str, expected: str, context: object = "") -> None:
         pytest.fail(f"line {index}: got {got[index : index + 1]}, expected {want[index : index + 1]} {context}")
 
 
+@pytest.fixture
+def no_gate_kernel(monkeypatch):
+    """Fails the test if the state-vector gate kernel runs: run, run --history
+    in both modes and enumerate build Z^K psi0 in closed form."""
+
+    def no_kernel(*args):
+        raise AssertionError("the state-vector gate kernel ran")
+
+    monkeypatch.setattr(qrelay.gates, "_apply", no_kernel)
+
+
 class TestReportRendering:
+    @pytest.mark.usefixtures("no_gate_kernel")
     @pytest.mark.parametrize("command", REPORT_VALUES, ids=["run-readme", "run-history", "enumerate-readme",
                                                             "run-local-d5", "enumerate-d8", "run-d5",
                                                             "enumerate-d8-uniform", "enumerate-d16"])
@@ -887,6 +895,7 @@ class TestReportRendering:
         for line in lines:
             assert line == canonical(json.loads(line))
 
+    @pytest.mark.usefixtures("no_gate_kernel")
     @pytest.mark.parametrize("command", HISTORY_BYTES, ids=["run-history", "run-local-d5", "run-readme-deferred",
                                                          "run-readme-local"])
     def test_history_csv_bytes_pinned(self, monkeypatch, tmp_path, command):
@@ -894,20 +903,6 @@ class TestReportRendering:
         assert main(command.split()) == 0
         csv_bytes = hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest()[:16]
         assert csv_bytes == HISTORY_BYTES[command], command
-
-    @pytest.mark.parametrize("command", dict.fromkeys([*REPORT_BYTES, *HISTORY_BYTES]))
-    def test_pinned_bytes_need_no_gate_kernel(self, capsys, monkeypatch, tmp_path, command):
-        # run, run --history in both modes and enumerate build Z^K psi0 in closed form
-        def no_kernel(*args):
-            raise AssertionError("the state-vector gate kernel ran")
-
-        monkeypatch.setattr(qrelay.gates, "_apply", no_kernel)
-        monkeypatch.chdir(tmp_path)
-        assert main(command.split()) == 0
-        stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
-        assert stdout == REPORT_BYTES.get(command, stdout)
-        if command in HISTORY_BYTES:
-            assert hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest()[:16] == HISTORY_BYTES[command]
 
     @pytest.mark.skipif(NOT_DYNAMIC_OPENBLAS is not None, reason=str(NOT_DYNAMIC_OPENBLAS))
     def test_pinned_bytes_do_not_depend_on_the_openblas_kernel(self, tmp_path):
@@ -954,23 +949,18 @@ class TestReportRendering:
                     text = cmd_run(config)
                 assert_same_text(text, reference_report(text, "trials", records), (trials, block_rows))
 
-    @pytest.mark.parametrize("d,n,k", [(16, 3, 5), (2, 1, 1)])
-    def test_enumerate_matches_reference_renderer(self, d, n, k):
-        noise = ",".join("1" if j == k else "0" for j in range(d))
-        config = parse(["enumerate", "--d", str(d), "--n", str(n), "--noise", noise,
-                        "--state", "random", "--seed", "4"])
-        text = cmd_enumerate(config)
-        assert_same_text(text, reference_report(text, "paths", reference_path_records(config)))
-
     @pytest.mark.parametrize(
-        "d,n", [(2, 1), (2, 3), (2, 12), (3, 1), (3, 5), (3, 7), (10, 1), (10, 3), (16, 1), (16, 3)]
+        "d,n,k",
+        [(2, 1, 1), (2, 3, 1), (2, 12, 1), (3, 1, 2), (3, 5, 2), (3, 7, 2), (10, 1, 9), (10, 3, 9), (16, 1, 15),
+         (16, 3, 15), (16, 3, 5)],
     )
-    def test_enumerate_matches_naive_json_records(self, d, n):
-        # n = 1, an odd n, and the largest n within the 4096-path budget; d = 10 and 16 have two-character digits
-        noise = ",".join("1" if j == d - 1 else "0" for j in range(d))
+    def test_enumerate_matches_naive_json_records(self, d, n, k):
+        # n = 1, an odd n, and the largest n within the 4096-path budget; d = 10 and 16 have two-character digits;
+        # the channel is Z^(d-1) but for one Z^5
+        noise = ",".join("1" if j == k else "0" for j in range(d))
         config = parse(["enumerate", "--d", str(d), "--n", str(n), "--noise", noise, "--state", "random", "--seed", "8"])
         psi0 = config.psi0
-        exponent = n * (d - 1) % d
+        exponent = n * k % d
         shared = {
             "fidelity": float(fidelity_table(psi0)[exponent]),
             "final_state": python_z_power_pairs(psi0, exponent),
@@ -995,8 +985,6 @@ class TestReportRendering:
         assert json.loads(render_report(report, "ab", ['{"x":1}'])) == {**report, "ab": [{"x": 1}]}
 
     def test_numpy_integer_config_gives_the_int_report(self):
-        from qrelay.chain import ChainConfig, NoiseSpec
-
         def experiment(cast, trials):
             noise = NoiseSpec((0.0, 1.0, 0.0))
             mode = CorrectionMode.LOCAL_EACH_HOP
@@ -1010,8 +998,6 @@ class TestReportRendering:
         assert cmd_enumerate(experiment(np.int64, None)) == cmd_enumerate(experiment(int, None))
 
     def test_experiment_config_validates_on_build(self):
-        from qrelay.chain import ChainConfig, NoiseSpec
-
         chain = ChainConfig(d=2, n=1, mode=CorrectionMode.DEFERRED_FINAL, noise=NoiseSpec.noiseless(2), seed=0)
         assert ExperimentConfig(chain=chain, trials=1, state="uniform").chain is chain
         with pytest.raises(ValidationError, match="trials:"):
@@ -1033,8 +1019,6 @@ class TestReportRendering:
              "basis-minus-zero", "basis-arabic-indic-digit", "basis-empty"],
     )
     def test_experiment_config_checks_state_on_build(self, d, state):
-        from qrelay.chain import ChainConfig, NoiseSpec
-
         chain = ChainConfig(d=d, n=1, mode=CorrectionMode.DEFERRED_FINAL, noise=NoiseSpec.noiseless(d), seed=0)
         with pytest.raises(ValidationError, match="^state: "):
             ExperimentConfig(chain=chain, trials=1, state=state)

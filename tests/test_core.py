@@ -10,15 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrelay import core, gates, teleport
-from qrelay.chain import (
+from qrelay.chain import apply_phase_noise, deferred_exponent, full_register_chain, run_chain
+from qrelay.core import (
     ChainConfig,
     NoiseSpec,
-    apply_phase_noise,
-    deferred_exponent,
-    full_register_chain,
-    run_chain,
-)
-from qrelay.core import (
     PureState,
     ValidationError,
     basis_state,

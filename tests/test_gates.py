@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from qrelay import gates
-from qrelay.chain import _phase_pairs
-from qrelay.core import basis_state, flat_index, make_state, random_state, tensor_product
+from qrelay.core import _phase_pairs, basis_state, flat_index, make_state, random_state, tensor_product
 
 ALL_DIMS = range(2, 17)
 

@@ -4,10 +4,10 @@
 `cli.main` loads it only for the `selftest` command. `core` owns the
 forced-outcome rule that both state-vector oracles apply, the entropy rule,
 the one table of roots of unity and `CorrectionMode`, so `chain` takes no
-private name from `teleport`. `chain` holds two halves: the closed-form
-engine (`ENGINE`) that `run` and `enumerate` report from, and the
-state-vector oracle that checks it. The engine uses nothing of the oracle's,
-and `cli` imports only `core` and the engine.
+private name from `teleport`. `core` also owns the closed-form engine that
+`run` and `enumerate` report from, and imports no package module, so the
+engine cannot reach the state-vector oracle in `chain`; `cli` imports only
+`core`.
 """
 
 import ast
@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 import qrelay
+import qrelay.chain
 import qrelay.core
 import qrelay.teleport
 
@@ -54,20 +55,6 @@ def _module_level_imports(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and (source := _package_source(node)) is not None:
             found.update([source] if source else [alias.name for alias in node.names])
     return found & set(MODULES)
-
-
-def _names_taken(tree: ast.Module, module: str) -> set[str]:
-    """The names a module binds from package module `module` when it loads:
-    `from .module import a, b` gives a and b, `from . import module` gives module."""
-    found = set()
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and (source := _package_source(node)) is not None:
-            found.update(
-                alias.asname or alias.name
-                for alias in node.names
-                if source == module or (not source and alias.name == module)
-            )
-    return found
 
 
 def test_run_and_enumerate_do_not_load_the_selftest():
@@ -123,56 +110,24 @@ def test_core_owns_the_entropy_rule():
         assert [name for name, names in defined.items() if rule in names] == ["core"], rule
 
 
-# chain's closed-form engine: what `run` and `enumerate` report from. Every
-# other definition in chain belongs to the state-vector oracle, which may use
-# these (`_trial_stream` and the configs are the shared draw contract)
-ENGINE = {
-    "PROBABILITY_TOL",
-    "DEFAULT_PATH_BUDGET",
-    "NoiseSpec",
-    "_check_noise",
-    "ChainConfig",
-    "TrajectoryBatch",
-    "_trial_stream",
-    "fidelity_table",
-    "_phase_pairs",
-    "run_trajectories",
-    "_cyclic_convolution",
-    "expected_fidelity",
-    "_enumeration_exponent",
-}
+def test_core_owns_the_closed_form_engine():
+    defined = {name: _definitions(tree) for name, tree in MODULES.items()}
+    engine = (
+        "PROBABILITY_TOL", "DEFAULT_PATH_BUDGET", "NoiseSpec", "_check_noise", "ChainConfig", "TrajectoryBatch",
+        "_trial_stream", "fidelity_table", "_phase_pairs", "run_trajectories", "_cyclic_convolution",
+        "expected_fidelity", "_enumeration_exponent",
+    )
+    for rule in engine:
+        assert [name for name, names in defined.items() if rule in names] == ["core"], rule
+    for name in ("NoiseSpec", "ChainConfig", "run_trajectories", "expected_fidelity"):
+        assert getattr(qrelay, name) is getattr(qrelay.core, name), name
+    assert qrelay.chain.NoiseSpec is qrelay.core.NoiseSpec
+    assert qrelay.chain.ChainConfig is qrelay.core.ChainConfig
 
 
-def _top_level_definitions(tree: ast.Module) -> dict[str, ast.AST]:
-    """Each function, class and assigned name of a module's body, by name."""
-    found = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found[node.name] = node
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                found.update((name.id, node) for name in ast.walk(target) if isinstance(name, ast.Name))
-    return found
-
-
-def test_cli_imports_only_core_and_the_engine():
-    cli = MODULES["cli"]
-    assert _module_level_imports(cli) == {"core", "chain"}
-    assert _names_taken(cli, "chain") <= ENGINE, sorted(_names_taken(cli, "chain") - ENGINE)
-
-
-def test_the_engine_uses_nothing_of_the_oracle():
-    chain = MODULES["chain"]
-    definitions = _top_level_definitions(chain)
-    assert ENGINE <= set(definitions), sorted(ENGINE - set(definitions))
-    oracle = (set(definitions) - ENGINE) | _names_taken(chain, "gates") | _names_taken(chain, "teleport")
-    loaded = {
-        (name, node.id)
-        for name in sorted(ENGINE)
-        for node in ast.walk(definitions[name])
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in oracle
-    }
-    assert loaded == set()
+def test_cli_imports_only_core_which_imports_no_package_module():
+    assert _module_level_imports(MODULES["cli"]) == {"core"}
+    assert _module_level_imports(MODULES["core"]) == set()
 
 
 def test_the_scope_scans_see_every_import_spelling():
@@ -184,11 +139,6 @@ def test_the_scope_scans_see_every_import_spelling():
         "from .core import fidelity\n"
     )
     assert _module_level_imports(tree) == {"gates", "teleport", "chain", "selftest", "core"}
-    assert _names_taken(tree, "chain") == {"oracle"}
-    assert _names_taken(tree, "teleport") == {"teleport"}
-    assert set(_top_level_definitions(ast.parse("A = B = 1\nE: int = 1\nC, D = 1, 2\ndef f(): pass"))) == {
-        "A", "B", "C", "D", "E", "f"
-    }
 
 
 def test_core_owns_the_correction_mode_and_its_spellings():
