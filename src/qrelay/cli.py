@@ -7,9 +7,9 @@ trial or path record is one compact line. Complex amplitudes travel as
 0 success, 1 usage, validation or I/O error, 2 resource budget exceeded,
 3 self-test failure.
 Both commands are closed-form and run no state-vector code, so no report
-byte depends on the BLAS kernel: `run` uses the trajectory engine and
-writes `--history` snapshots as Z^e psi0, with `chain.run_chain` as the
-library's oracle, and `enumerate` lists every path's Z^K psi0 directly,
+byte depends on the BLAS kernel: `run` uses the trajectory engine, with
+`chain.run_chain` as the library's oracle, and `main` writes `--history`
+snapshots as Z^e psi0 after the report; `enumerate` lists every path's Z^K psi0,
 with `chain.enumerate_branches` as its oracle. Z^K psi0 and F[K] come from
 `core._phase_pairs` and `core.fidelity_table`. This module imports only
 `core` (`tests/test_layers.py` checks it), and takes the `--mode`
@@ -308,8 +308,6 @@ def _trial_blocks(batch: TrajectoryBatch, table: np.ndarray) -> list[str]:
 def cmd_run(config: ExperimentConfig) -> str:
     """Execute the configured number of seeded chain runs; return the report text."""
     batch = run_trajectories(config.chain, config.trials)
-    if config.history:
-        write_history_csv(config.history, config.psi0, batch)
     table = fidelity_table(config.psi0)
     fidelities = table[batch.phase_exponents]
     report = {
@@ -430,10 +428,18 @@ def main(argv: list[str] | None = None) -> int:
             return selftest.main()
         config = parse_config(args)
         text = cmd_run(config) if args.command == "run" else cmd_enumerate(config)
-        if config.out:
-            Path(config.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        key = "out"
+        try:
+            if config.out:
+                Path(config.out).write_text(text)
+            else:
+                sys.stdout.write(text)
+            if config.history:  # trial 0 is block 0 of the seed's stream, so a one-trial run replays it
+                key = "history"
+                write_history_csv(config.history, config.psi0, run_trajectories(config.chain, 1))
+        except OSError as exc:
+            print(f"error: {key}: {exc}", file=sys.stderr)
+            return 1
         return 0
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -148,8 +148,24 @@ class TestDeferredExponent:
         assert deferred_exponent([1, 2, 2], 3) == 2
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            deferred_exponent([0, 3], 3)
+        for results in ([0, 3], [0, -1]):
+            with pytest.raises(ValueError):
+                deferred_exponent(results, 3)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_group_axioms(self, d):
+        """Two results sum as dits mod d: identity, inverses, closure, associativity."""
+
+        def add(a, b):
+            return deferred_exponent([a, b], d)
+
+        for a in range(d):
+            assert add(a, 0) == add(0, a) == a
+            assert add(a, (d - a) % d) == 0
+            for b in range(d):
+                assert 0 <= add(a, b) < d
+                for c in range(d):
+                    assert add(add(a, b), c) == add(a, add(b, c))
 
     def test_single_correction_equals_sequence(self):
         rng = np.random.default_rng(30)

@@ -193,14 +193,7 @@ class TestCmdRun:
         report = json.loads(cmd_run(parse(["run", "--mode", "local", "--trials", "2"])))
         assert all(record["deferred_exponent"] is None for record in report["trials"])
 
-    def test_determinism_byte_identical(self, tmp_path):
-        out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
-        argv = ["run", "--d", "2", "--n", "2", "--noise", "0.8,0.2", "--trials", "50", "--seed", "3"]
-        assert main(argv + ["--out", str(out_a)]) == 0
-        assert main(argv + ["--out", str(out_b)]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-
-    def test_history_csv(self, tmp_path):
+    def test_history_csv(self, capsys, tmp_path):
         """Every --history row is run_chain's trial-0 snapshot within 1e-12, with equal r.
 
         Over d in {2, 3, 5, 16}, both modes, and noiseless, fixed Z^1 and stochastic noise.
@@ -216,9 +209,10 @@ class TestCmdRun:
             ]
             cases += itertools.product([d], ["local", "deferred"], noises, [0, 5])
         for d, mode, noise, seed in cases:
-            config = parse(["run", "--d", str(d), "--n", str(n), "--mode", mode, "--noise", noise, "--seed",
-                            str(seed), "--state", "random", "--trials", "3", "--history", str(history)])
-            report = json.loads(cmd_run(config))
+            argv = ["run", "--d", str(d), "--n", str(n), "--mode", mode, "--noise", noise, "--seed", str(seed),
+                    "--state", "random", "--trials", "3", "--history", str(history)]
+            assert main(argv) == 0
+            config, report = parse(argv), json.loads(capsys.readouterr().out)
             assert report["history_path"] == str(history)
             with open(history, newline="") as handle:
                 rows = list(csv.reader(handle))
@@ -390,6 +384,8 @@ class TestMain:
             ('{"out": 5}', "out: expected a file path string, got 5"),
             ('{"history": ["x"]}', "history: expected a file path string, got ['x']"),
             ('{"state": 5}', "state: unsupported value 5"),
+            ('{"noise": 5}', "noise.probs: expected a list of reals, got 5"),
+            ('{"state": [[1, 0], 5]}', "state: amplitude 1 must be an [re, im] pair, got 5"),
             ("[1, 2]", "config: {path} must hold a JSON object"),
         ]
         path = tmp_path / "exact.json"
@@ -445,10 +441,25 @@ class TestMain:
             assert captured.out == ""
         assert not (tmp_path / "same.out").exists()
         assert (tmp_path / "linked.csv").read_text() == "kept"
+        with monkeypatch.context() as patch:
+            # root passes every permission check, so the refusal is simulated
+            patch.setattr(os, "access", lambda path, mode: False)
+            assert main(["run", "--d", "2", "--trials", "1000", "--out", "r.json"]) == 1
+        assert capsys.readouterr() == ("", "error: out: r.json is not writable\n")
         # checking a writable path does not create the file
         history = tmp_path / "h.csv"
         assert parse(["run", "--history", str(history)]).history == str(history)
         assert not history.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, whose every write fails")
+    def test_a_failed_write_names_its_field(self, capsys, tmp_path):
+        history = tmp_path / "h.csv"
+        # the report is written first, so a failed report write leaves no CSV behind
+        for key, flags in (("out", ["--out", "/dev/full", "--history", str(history)]),
+                           ("history", ["--history", "/dev/full"])):
+            assert main(["run", "--d", "2", "--n", "2", *flags]) == 1
+            assert capsys.readouterr().err == f"error: {key}: [Errno 28] No space left on device\n"
+            assert not history.exists()
 
     def test_enumerate_rejects_run_only_fields(self, capsys, tmp_path):
         for flag in (["--trials", "50"], ["--history", str(tmp_path / "h.csv")]):

@@ -117,42 +117,6 @@ class TestRootTable:
         assert teleport.hop_expansion(psi).amps.tobytes() == amps.tobytes()
 
 
-class TestModAdd:
-    """Dit addition mod d, as deferred_exponent sums the carrier results."""
-
-    def test_wraps(self):
-        assert deferred_exponent([1, 2], 3) == 0
-
-    def test_identity_element(self):
-        for d in (2, 5, 16):
-            for b in range(d):
-                assert deferred_exponent([0, b], d) == b
-
-    def test_direct(self):
-        assert deferred_exponent([4, 5], 7) == 2
-
-    @pytest.mark.parametrize("d", ALL_DIMS)
-    def test_group_axioms(self, d):
-        def mod_add(a, b, d):
-            return deferred_exponent([a, b], d)
-
-        values = range(d)
-        for a in values:
-            assert mod_add(a, (d - a) % d, d) == 0  # inverse
-            for b in values:
-                assert 0 <= mod_add(a, b, d) < d
-                for c in values:
-                    left = mod_add(mod_add(a, b, d), c, d)
-                    right = mod_add(a, mod_add(b, c, d), d)
-                    assert left == right
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            deferred_exponent([3, 0], 3)
-        with pytest.raises(ValueError):
-            deferred_exponent([0, -1], 3)
-
-
 class TestPhaseExponent:
     def test_zero_row(self):
         for d in (2, 3, 7, 16):

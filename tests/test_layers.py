@@ -99,39 +99,30 @@ def _definitions(tree: ast.Module) -> set[str]:
     return found
 
 
-def test_core_owns_the_forced_outcome_rule():
-    defined = {name: _definitions(tree) for name, tree in MODULES.items()}
-    for rule in ("_check_possible", "FORCED_OUTCOME_MIN_PROB", "ImpossibleOutcomeError"):
-        assert [name for name, names in defined.items() if rule in names] == ["core"], rule
-    assert qrelay.ImpossibleOutcomeError is qrelay.teleport.ImpossibleOutcomeError is qrelay.core.ImpossibleOutcomeError
-
-
-def test_core_owns_the_entropy_rule():
-    defined = {name: _definitions(tree) for name, tree in MODULES.items()}
-    for rule in ("_entropy", "ENTROPY_EIGENVALUE_FLOOR"):
-        assert [name for name, names in defined.items() if rule in names] == ["core"], rule
-
-
-# the closed-form engine that `run` and `enumerate` report from
-ENGINE_NAMES = (
+CORE_NAMES = (
+    # the closed-form engine that `run` and `enumerate` report from
     "PROBABILITY_TOL", "DEFAULT_PATH_BUDGET", "NoiseSpec", "_check_noise", "ChainConfig", "TrajectoryBatch",
     "_trial_stream", "fidelity_table", "_phase_pairs", "run_trajectories", "_cyclic_convolution",
     "expected_fidelity", "_enumeration_exponent",
+    # the forced-outcome rule, the entropy rule, the correction modes and the roots of unity
+    "_check_possible", "FORCED_OUTCOME_MIN_PROB", "ImpossibleOutcomeError", "_entropy",
+    "ENTROPY_EIGENVALUE_FLOOR", "CorrectionMode", "_roots",
 )
 
 
-@pytest.mark.parametrize("rule", ENGINE_NAMES)
-def test_core_owns_the_closed_form_engine(rule):
+@pytest.mark.parametrize("rule", CORE_NAMES)
+def test_core_alone_defines(rule):
     defined = {name: _definitions(tree) for name, tree in MODULES.items()}
     assert [name for name, names in defined.items() if rule in names] == ["core"]
 
 
-def test_the_engine_names_elsewhere_are_cores_objects():
-    for name in ENGINE_NAMES:
+def test_the_core_names_elsewhere_are_cores_objects():
+    for name in CORE_NAMES:
         if name in qrelay.__all__:
             assert getattr(qrelay, name) is getattr(qrelay.core, name), name
     assert qrelay.chain.NoiseSpec is qrelay.core.NoiseSpec
     assert qrelay.chain.ChainConfig is qrelay.core.ChainConfig
+    assert qrelay.ImpossibleOutcomeError is qrelay.teleport.ImpossibleOutcomeError is qrelay.core.ImpossibleOutcomeError
 
 
 def test_cli_imports_only_core_which_imports_no_package_module():
@@ -150,9 +141,7 @@ def test_the_scope_scans_see_every_import_spelling():
     assert _module_level_imports(tree) == {"gates", "teleport", "chain", "selftest", "core"}
 
 
-def test_core_owns_the_correction_mode_and_its_spellings():
-    defined = {name: _definitions(tree) for name, tree in MODULES.items()}
-    assert [name for name, names in defined.items() if "CorrectionMode" in names] == ["core"]
+def test_core_owns_the_correction_mode_spellings():
     assert qrelay.CorrectionMode is qrelay.core.CorrectionMode is qrelay.teleport.CorrectionMode
     spellings = {mode.value for mode in qrelay.CorrectionMode}
     assert spellings == {"local", "deferred"}
@@ -215,8 +204,6 @@ def _root_making_calls(tree: ast.Module) -> list[tuple[str, str]]:
 
 
 def test_core_roots_is_the_only_code_that_makes_a_root_of_unity():
-    defined = {name: _definitions(tree) for name, tree in MODULES.items()}
-    assert [name for name, names in defined.items() if "_roots" in names] == ["core"]
     found = {name: _root_making_calls(tree) for name, tree in MODULES.items()}
     assert {name: calls for name, calls in found.items() if calls} == {
         "core": [("_roots", "math.cos"), ("_roots", "math.sin")]
