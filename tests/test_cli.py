@@ -193,6 +193,13 @@ class TestCmdRun:
         report = json.loads(cmd_run(parse(["run", "--mode", "local", "--trials", "2"])))
         assert all(record["deferred_exponent"] is None for record in report["trials"])
 
+    def test_determinism_byte_identical(self, tmp_path):
+        out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["run", "--d", "2", "--n", "2", "--noise", "0.8,0.2", "--trials", "50", "--seed", "3"]
+        assert main(argv + ["--out", str(out_a)]) == 0
+        assert main(argv + ["--out", str(out_b)]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+
     def test_history_csv(self, capsys, tmp_path):
         """Every --history row is run_chain's trial-0 snapshot within 1e-12, with equal r.
 

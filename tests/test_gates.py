@@ -6,11 +6,27 @@ import numpy as np
 import pytest
 
 from qrelay import gates
-from qrelay.core import _phase_pairs, basis_state, make_state, random_state, tensor_product
+from qrelay.core import _phase_pairs, basis_state, flat_index, make_state, random_state, tensor_product
 
 ALL_DIMS = range(2, 17)
 
-# the qutrit CNOT's Hermitian conjugate, |a,b> -> |a,(b-a) mod 3>, written out by hand
+# qutrit CNOT |a,b> -> |a,(a+b) mod 3>, written out by hand
+QUTRIT_CNOT = np.array(
+    [
+        [1, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 1],
+        [0, 0, 0, 0, 0, 0, 1, 0, 0],
+    ],
+    dtype=complex,
+)
+
+# its Hermitian conjugate, |a,b> -> |a,(b-a) mod 3>, also written out
 QUTRIT_CNOT_DAGGER = np.array(
     [
         [1, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -35,6 +51,11 @@ class TestPauliZ:
         w = cmath.exp(2j * cmath.pi / 3)
         np.testing.assert_allclose(gates.pauli_z(3).mat, np.diag([1, w, w**2]), atol=1e-15)
 
+    @pytest.mark.parametrize("d", ALL_DIMS)
+    def test_dth_power_is_identity(self, d):
+        power = gates.gate_power(gates.pauli_z(d), d)
+        np.testing.assert_allclose(power.mat, np.eye(d), atol=1e-12)
+
 
 class TestPauliX:
     def test_qubit_not(self):
@@ -43,6 +64,11 @@ class TestPauliX:
     def test_wraparound(self):
         state = gates.apply_1q(basis_state(3, (2,)), gates.pauli_x(3), 0)
         np.testing.assert_array_equal(state.amps, basis_state(3, (0,)).amps)
+
+    @pytest.mark.parametrize("d", ALL_DIMS)
+    def test_full_cycle(self, d):
+        power = gates.gate_power(gates.pauli_x(d), d)
+        np.testing.assert_allclose(power.mat, np.eye(d), atol=1e-12)
 
 
 class TestGatePower:
@@ -122,13 +148,29 @@ class TestHadamard:
         assert gates.hadamard_inverse(3).mat[1, 1] == pytest.approx(w.conjugate() / math.sqrt(3))
 
 
+def reference_cnot(d):
+    """Permutation |a,b> -> |a,(a+b) mod d> built from basis arithmetic."""
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            mat[flat_index(d, (a, (a + b) % d)), flat_index(d, (a, b))] = 1.0
+    return mat
+
+
 class TestCnot:
+    def test_qutrit_golden(self):
+        assert np.array_equal(gates.cnot(3).mat, QUTRIT_CNOT)
+
     def test_qutrit_dagger_golden(self):
         assert np.array_equal(gates.cnot_dagger(3).mat, QUTRIT_CNOT_DAGGER)
 
     def test_qubit_standard(self):
         expected = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
         assert np.array_equal(gates.cnot(2).mat, expected)
+
+    @pytest.mark.parametrize("d", ALL_DIMS)
+    def test_direct_sum_equals_permutation(self, d):
+        assert np.array_equal(gates.cnot(d).mat, reference_cnot(d))
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_basis_action(self, d):
@@ -161,12 +203,33 @@ class TestCnot:
 
 class TestAlgebraicLaws:
     @pytest.mark.parametrize("d", ALL_DIMS)
+    def test_weyl_commutation(self, d):
+        z, x = gates.pauli_z(d).mat, gates.pauli_x(d).mat
+        w = cmath.exp(2j * cmath.pi / d)
+        np.testing.assert_allclose(z @ x, w * (x @ z), atol=1e-12)
+
+    @pytest.mark.parametrize("d", ALL_DIMS)
     def test_fourier_conjugation_maps_shift_to_phase(self, d):
         conjugated = gates.hadamard(d).mat @ gates.pauli_x(d).mat @ gates.hadamard_inverse(d).mat
         z = gates.pauli_z(d).mat
         np.testing.assert_allclose(np.abs(conjugated), np.abs(z), atol=1e-12)
         # equality holds exactly under this phase convention, not just in modulus
         np.testing.assert_allclose(conjugated, z, atol=1e-12)
+
+    @pytest.mark.parametrize("d", ALL_DIMS)
+    def test_all_constructors_unitary(self, d):
+        constructors = [
+            gates.pauli_z_power(d, 0),
+            gates.pauli_z(d),
+            gates.pauli_x(d),
+            gates.pauli_z_power(d, d - 1),
+            gates.hadamard(d),
+            gates.hadamard_inverse(d),
+            gates.cnot(d),
+            gates.cnot_dagger(d),
+        ]
+        for g in constructors:
+            assert np.max(np.abs(g.mat @ g.mat.conj().T - np.eye(len(g.mat)))) <= 1e-12
 
 
 class TestApply1q:

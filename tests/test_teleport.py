@@ -9,6 +9,7 @@ from qrelay.core import (
     PureState,
     ValidationError,
     basis_state,
+    fidelity,
     make_state,
     random_state,
     reduced_density,
@@ -73,6 +74,14 @@ class TestHopCircuit:
         expected = np.array([psi.amps[0], w**2 * psi.amps[1], w * psi.amps[2]]) / 3
         for b in range(3):
             np.testing.assert_allclose(tensor[1, b, :], expected, atol=1e-13)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_expansion(self, d):
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            psi = random_state(d, 1, rng)
+            circuit = hop_circuit(psi)
+            np.testing.assert_allclose(circuit.amps, hop_expansion(psi).amps, atol=1e-12)
 
     def test_rejects_malformed_register(self):
         # hop_circuit builds |psi, 0, 0> itself, so any register is refused by name
@@ -199,6 +208,17 @@ class TestApplyCorrection:
 
 
 class TestTeleportHop:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_exact_recovery_everywhere(self, d):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            psi = random_state(d, 1, rng)
+            for a in range(d):
+                for b in range(d):
+                    hop = teleport_hop(psi, CorrectionMode.LOCAL_EACH_HOP, forced=(a, b))
+                    assert np.max(np.abs(hop.bob_post.amps - psi.amps)) < 1e-12
+                    assert fidelity(psi, hop.bob_post) > 1 - 1e-12
+
     def test_zero_outcome_needs_no_correction(self):
         psi = random_state(5, 1, np.random.default_rng(15))
         for b in range(5):
