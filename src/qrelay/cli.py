@@ -18,7 +18,12 @@ above this one, only for the `selftest` command, so `run` and `enumerate`
 never load it.
 Records are rendered column-wise: each field is written once per column
 from a small table of strings, never once per record, and the report is
-put together by one join per block of rows plus one final join.
+put together by one join per block of rows plus one final join. A run of
+up to g hops' dits is one base-d code into a table of d^g strings that
+carry the commas (g is the largest width with d^g <= GROUP_TABLE_SIZE);
+`enumerate` builds its path fronts and backs from the same tables. A
+trial's index is two pieces, its high digits and its low digits, each
+from a table whose size is on the order of sqrt(trials).
 """
 
 from __future__ import annotations
@@ -66,6 +71,9 @@ DEFAULT_STATE = "uniform"
 RECORD_BLOCK_ROWS = 4096
 # between two records of a report's list: one record per line
 RECORD_SEPARATOR = ",\n    "
+# the most strings in one table of grouped dits: a run of g hops' dits is
+# written by one table of d^g strings, so g is the largest width that fits
+GROUP_TABLE_SIZE = 256
 
 
 def _check_output_path(key: str, path: object) -> None:
@@ -252,28 +260,55 @@ def write_history_csv(path: str, psi0: PureState, batch: TrajectoryBatch) -> Non
                 writer.writerow([hop, r, index, repr(re), repr(im)])
 
 
-def _dit_table(n: int, d: int, closing: str) -> np.ndarray:
-    """(n, d) strings: entry [k, j] writes dit j at position k of an n-dit list.
+def _code_table(width: int, d: int, closing: str) -> list[str]:
+    """The d^width strings that write `width` consecutive dits of a list.
 
-    Every position but the last carries the list's comma, the last carries
-    `closing`, the text up to the record's next value.
+    Entry c writes c's base-d digits, most significant first, each followed
+    by the list's comma but the last, which `closing` follows: the text up
+    to the next value, or the record's next field. `width` is at least 1.
     """
-    table = np.array([[f"{j}," for j in range(d)]] * n, dtype=object)
-    table[-1] = [f"{j}{closing}" for j in range(d)]
+    table = [f"{j}{closing}" for j in range(d)]
+    for _ in range(width - 1):
+        table = [f"{j},{rest}" for j in range(d) for rest in table]
     return table
+
+
+def _index_tables(trials: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Trial i's index and the record's end as two pieces, high[q] + low[r + scale * (q > 0)].
+
+    (q, r) = divmod(i, scale) with scale = 10^h, h = max(1, half the digits
+    of trials - 1), so each table holds on the order of sqrt(trials)
+    entries. high[0] is "" and high[q] is str(q). low holds str(r) for the
+    trials below scale, then r zero-padded to h digits for the trials that
+    follow a nonempty high; every low entry closes the record and carries
+    RECORD_SEPARATOR.
+    """
+    h = max(1, len(str(trials - 1)) // 2)
+    scale = 10**h
+    high = np.array(["", *map(str, range(1, (trials - 1) // scale + 1))], dtype=object)
+    low = np.array(
+        [f"{r}}}{RECORD_SEPARATOR}" for r in range(scale)] + [f"{r:0{h}}}}{RECORD_SEPARATOR}" for r in range(scale)],
+        dtype=object,
+    )
+    return scale, high, low
 
 
 def _trial_blocks(batch: TrajectoryBatch, table: np.ndarray) -> list[str]:
     """The trial records as text, one string per RECORD_BLOCK_ROWS trials.
 
     The records are built column by column, never record by record. Every
-    field but the trial index takes at most d^2 values, so each is a table
-    of strings indexed by the batch's arrays (the fidelity by K, from
-    `table` = fidelity_table(psi0)), and the keys and brackets ride on the
-    table entries. Row i of the pieces array, read in order, is trial i's
-    key-sorted record followed by RECORD_SEPARATOR (none after the last),
-    and one join turns a block of rows into text. Ints are written by str
-    and floats by repr, as json writes them.
+    field is a table of strings indexed by the batch's arrays: the opening
+    by K and the deferred exponent (the fidelity comes from `table` =
+    fidelity_table(psi0)), the trial index by its two pieces
+    (_index_tables), and the noise and result dits a group of g hops at a
+    time. g is the largest width with d^g <= GROUP_TABLE_SIZE, capped at
+    n; a group's dits make one base-d code that indexes a _code_table, and
+    the last group, which may be short, takes the table that closes the
+    list. The keys, commas and brackets ride on the table entries. Row i
+    of the pieces array, read in order, is trial i's key-sorted record
+    followed by RECORD_SEPARATOR (none after the last), and one join turns
+    a block of rows into text. Ints are written by str and floats by repr,
+    as json writes them.
     """
     (trials, n), d = batch.results.shape, len(table)
     fidelities = [repr(value) for value in table.tolist()]
@@ -286,21 +321,32 @@ def _trial_blocks(batch: TrajectoryBatch, table: np.ndarray) -> list[str]:
         [f'{{"deferred_exponent":{e},"fidelity":{f},"noise_exponents":[' for e in exponents for f in fidelities],
         dtype=object,
     )
-    noise = _dit_table(n, d, '],"results":[')
-    results = _dit_table(n, d, '],"trial":')
-    hop = np.arange(n)
-    pieces = np.empty((min(trials, RECORD_BLOCK_ROWS), 2 * n + 3), dtype=object)
-    pieces[:, -1] = "}" + RECORD_SEPARATOR
+    g = 1
+    while g < n and d ** (g + 1) <= GROUP_TABLE_SIZE:
+        g += 1
+    full = (n - 1) // g  # the groups of g hops before the last group's 1 to g hops
+    weights = d ** np.arange(g - 1, -1, -1)
+    middle = np.array(_code_table(g, d, ",") if full else [], dtype=object)  # unused when the last group is the only one
+    fields = [  # (first column, dits, the last group's table)
+        (1, batch.noise_exponents, np.array(_code_table(n - full * g, d, '],"results":['), dtype=object)),
+        (full + 2, batch.results, np.array(_code_table(n - full * g, d, '],"trial":'), dtype=object)),
+    ]
+    scale, high, low = _index_tables(trials)
+    pieces = np.empty((min(trials, RECORD_BLOCK_ROWS), 2 * full + 5), dtype=object)
     blocks = []
     for lo in range(0, trials, RECORD_BLOCK_ROWS):
         hi = min(lo + RECORD_BLOCK_ROWS, trials)
         rows = pieces[: hi - lo]
         rows[:, 0] = opening[opening_index[lo:hi]]
-        rows[:, 1 : n + 1] = noise[hop, batch.noise_exponents[lo:hi]]
-        rows[:, n + 1 : 2 * n + 1] = results[hop, batch.results[lo:hi]]
-        rows[:, -2] = list(map(str, range(lo, hi)))
+        for column, dits, closing in fields:
+            block = dits[lo:hi]
+            rows[:, column : column + full] = middle[block[:, : full * g].reshape(hi - lo, full, g) @ weights]
+            rows[:, column + full] = closing[block[:, full * g :] @ weights[full * g - n :]]
+        q, r = np.divmod(np.arange(lo, hi), scale)
+        rows[:, -2] = high[q]
+        rows[:, -1] = low[r + scale * (q > 0)]
         if hi == trials:
-            rows[-1, -1] = "}"
+            rows[-1, -1] = rows[-1, -1].removesuffix(RECORD_SEPARATOR)
         blocks.append("".join(rows.ravel().tolist()))
     return blocks
 
@@ -345,9 +391,9 @@ def cmd_enumerate(config: ExperimentConfig) -> str:
     # key order: fidelity, final_state, path, probability
     head = json.dumps({"fidelity": fid, "final_state": final}, separators=(",", ":"))[:-1] + ',"path":['
     tail = f'],"probability":{probability!r}}}'
-    table, lead = _dit_table(chain.n, chain.d, tail + RECORD_SEPARATOR).tolist(), chain.n // 2
-    fronts = [head + "".join(dits) for dits in itertools.product(*table[:lead])]
-    backs = ["".join(dits) for dits in itertools.product(*table[lead:])]
+    lead = chain.n // 2
+    fronts = [head + dits for dits in _code_table(lead, chain.d, ",")] if lead else [head]
+    backs = _code_table(chain.n - lead, chain.d, tail + RECORD_SEPARATOR)
     # the path with front f and back b is record f * len(backs) + b
     pieces = [""] * (2 * total)
     pieces[0::2] = [front for front in fronts for _ in backs]

@@ -536,8 +536,9 @@ def run_trajectories(config: ChainConfig, trials: int) -> TrajectoryBatch:
     return TrajectoryBatch(
         results=results,
         noise_exponents=noise,
-        phase_exponents=noise.sum(axis=1) % d,
-        deferred_exponents=None if local else results.sum(axis=1) % d,
+        # einsum sums each row exactly, as sum(axis=1) does, and faster on these small int64 rows
+        phase_exponents=np.einsum("ij->i", noise) % d,
+        deferred_exponents=None if local else np.einsum("ij->i", results) % d,
     )
 
 

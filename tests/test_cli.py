@@ -205,8 +205,7 @@ class TestCmdRun:
 
         Over d in {2, 3, 5, 16}, both modes, and noiseless, fixed Z^1 and stochastic noise.
         """
-        history, n = tmp_path / "history.csv", 4
-        cases = []
+        n, cases = 4, []
         for d in (2, 3, 5, 16):
             weights = np.random.default_rng(d).random(d)
             noises = [
@@ -215,7 +214,8 @@ class TestCmdRun:
                 ",".join(map(repr, (weights / weights.sum()).tolist())),
             ]
             cases += itertools.product([d], ["local", "deferred"], noises, [0, 5])
-        for d, mode, noise, seed in cases:
+        for case, (d, mode, noise, seed) in enumerate(cases):
+            history = tmp_path / f"history{case}.csv"  # a new file per run: a rewrite can cost 45 ms on some disks
             argv = ["run", "--d", str(d), "--n", str(n), "--mode", mode, "--noise", noise, "--seed", str(seed),
                     "--state", "random", "--trials", "3", "--history", str(history)]
             assert main(argv) == 0
@@ -774,12 +774,15 @@ REPORT_VALUES = {
     "enumerate --d 8 --n 4": "38c80da98b6782f9",
     # two-character digits and an odd n: the records are split into fronts and backs unevenly
     "enumerate --d 16 --n 3": "8a4b9bb8af8e86a7",
+    # four record blocks, dits grouped two hops at a time with a short last group, and a 5-digit trial index
+    "run --d 16 --n 5 --mode local --noise 0.25" + ",0.05" * 15 + " --trials 12345 --seed 11 --state random":
+        "b463c56a63f281b3",
 }
 # the sha256 prefix of the same commands' exact stdout bytes
 REPORT_BYTES = dict(zip(REPORT_VALUES, [
     "f9f93d9ee8e1d887", "e53198e428544587", "ebb3837a59e0df11", "9c420f8eeaf537bc", "b9e30f45cd72a878",
-    "a23e747b86e97893", "e0e85bbf6a041249", "cf7b7048711417dc",
-]))
+    "a23e747b86e97893", "e0e85bbf6a041249", "cf7b7048711417dc", "22bcc50ba8aac106",
+], strict=True))
 # the sha256 prefix of the trial-0 history CSV each command writes to history.csv
 HISTORY_BYTES = {
     "run --d 2 --n 2 --history history.csv": "6dbbf089d73c0467",
@@ -826,15 +829,16 @@ def run(call):
     return code, stdout.getvalue()
 
 digests = {}
-for command in sys.argv[1:]:
-    argv = command.split()
+history = Path("history.csv")
+for index, command in enumerate(sys.argv[1:]):
+    argv, out = command.split(), Path(f"out{index}.json")
     code, text = run(lambda: main(argv))
-    out_code, _ = run(lambda: main([*argv, "--out", "out.json"]))
+    history.unlink(missing_ok=True)  # every write goes to a new file: a rewrite can cost 45 ms on some disks
+    out_code, _ = run(lambda: main([*argv, "--out", str(out)]))
     assert code == out_code == 0, command
-    history = Path("history.csv")
     csv_bytes = digest(history.read_bytes()) if history.exists() else None
     history.unlink(missing_ok=True)
-    digests[command] = [digest(text.encode()), digest(Path("out.json").read_bytes()), csv_bytes]
+    digests[command] = [digest(text.encode()), digest(out.read_bytes()), csv_bytes]
 code, text = run(selftest.main)
 print(json.dumps({"digests": digests, "selftest": code, "selftest_output": text}))
 """
@@ -899,7 +903,7 @@ class TestReportRendering:
     @pytest.mark.usefixtures("no_gate_kernel")
     @pytest.mark.parametrize("command", REPORT_VALUES, ids=["run-readme", "run-history", "enumerate-readme",
                                                             "run-local-d5", "enumerate-d8", "run-d5",
-                                                            "enumerate-d8-uniform", "enumerate-d16"])
+                                                            "enumerate-d8-uniform", "enumerate-d16", "run-d16-blocks"])
     def test_value_pinned_and_one_compact_record_per_line(self, capsys, monkeypatch, tmp_path, command):
         monkeypatch.chdir(tmp_path)  # --history history.csv is a relative path
         assert main(command.split()) == 0
@@ -950,13 +954,15 @@ class TestReportRendering:
             assert out == stdout == REPORT_BYTES.get(command, stdout), command
             assert csv_bytes == HISTORY_BYTES.get(command), command
 
-    @pytest.mark.parametrize("d", [2, 3, 10, 11, 16])
-    @pytest.mark.parametrize("n", [1, 3])
+    # n = 1 and 3, and n that split the dits into groups of g hops with a short last group:
+    # g = 8 at d = 2, 5 at d = 3 and 2 at d = 16
+    @pytest.mark.parametrize("n,d", [*itertools.product([1, 3], [2, 3, 10, 11, 16]), (9, 2), (6, 3), (5, 16)])
     @pytest.mark.parametrize("mode", ["local", "deferred"])
     def test_run_matches_reference_renderer(self, monkeypatch, d, n, mode):
         # every noise exponent and, from a random state, d distinct fidelities
         noise = ",".join(["0.5"] + [repr(0.5 / (d - 1))] * (d - 1))
-        for trials in (1, 9, 10, 11, 4097):
+        # the trial index splits into h low digits, h = 1 up to 1000 trials and 2 from 1001
+        for trials in (1, 9, 10, 11, 99, 100, 101, 1000, 1001, 4097):
             config = parse(["run", "--d", str(d), "--n", str(n), "--mode", mode, "--noise", noise,
                             "--trials", str(trials), "--seed", str(trials), "--state", "random"])
             batch = run_trajectories(config.chain, trials)
@@ -1153,9 +1159,13 @@ class TestInputBoundary:
             code = main(argv)
         return code, out.getvalue(), err.getvalue()
 
-    def check(self, path, command, config, state):
+    def check(self, directory, command, config, state):
         """Every input ends in a report whose config echo gives the same bytes again, or in
-        exit 1 or 2 with `error: <field>:`; an uncaught exception fails the example."""
+        exit 1 or 2 with `error: <field>:`; an uncaught exception fails the example.
+
+        `directory` is new for each example, and each file written there is new: a rewrite
+        can cost 45 ms on some disks, which made these tests most of Tier-1's time."""
+        path = directory / "config.json"
         path.write_text(json.dumps(config))
         argv = [command, "--config", str(path)] + ([] if state is None else [f"--state={state}"])
         code, out, err = self.run(argv)
@@ -1167,6 +1177,7 @@ class TestInputBoundary:
             assert echoed in ("uniform", "random", *(f"basis:{j}" for j in range(d))) or (
                 len(echoed) == d and all(list(map(type, pair)) == [float, float] for pair in echoed)
             )
+            path = directory / "echo.json"
             path.write_text(json.dumps(echo))
             assert self.run([command, "--config", str(path)]) == (0, out, "")
         else:
@@ -1177,10 +1188,10 @@ class TestInputBoundary:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(config=config_files(), state=pick(st.none(), st.none(), st.none(), STATE_TEXT))
     def test_run_reports_or_names_the_field(self, tmp_path_factory, config, state):
-        self.check(tmp_path_factory.getbasetemp() / "boundary.json", "run", config, state)
+        self.check(tmp_path_factory.mktemp("boundary"), "run", config, state)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(config=config_files("enumerate"), state=pick(st.none(), st.none(), st.none(), STATE_TEXT))
     def test_enumerate_reports_or_names_the_field(self, tmp_path_factory, config, state):
         # n <= 4, so d >= 9 with n = 4 reaches the path budget's refusal, which names n
-        self.check(tmp_path_factory.getbasetemp() / "boundary.json", "enumerate", config, state)
+        self.check(tmp_path_factory.mktemp("boundary"), "enumerate", config, state)
